@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import momentum_to_position, position_to_momentum, simpson_weights
+from .numerics import GridSpec, momentum_to_position, position_to_momentum, simpson_weights
 from .operators import current_expectation, kinetic_energy_density
 from .states import Representation, WaveFunction
 
@@ -139,11 +139,7 @@ def halfline_propagate(
 def _conjugate_momenta(x: np.ndarray, hbar: float) -> np.ndarray:
     """Half-offset momentum grid conjugate to a uniform position grid."""
     n = x.size if x.size % 2 == 0 else x.size - 1
-    dx = x[1] - x[0]
-    p_max = math.pi * hbar / dx
-    dp = 2.0 * p_max / n
-    upper = (np.arange(n // 2) + 0.5) * dp
-    return np.concatenate([-upper[::-1], upper])
+    return GridSpec(n, math.pi * hbar / (x[1] - x[0])).momenta()
 
 
 def _free_propagate_position(psi: WaveFunction, dt: float) -> WaveFunction:
@@ -271,14 +267,10 @@ def crossing_probability(
         raise ValueError("tau must be nonnegative")
     m, hbar = psi.consts.mass, psi.consts.hbar
     p = psi.grid
-    n = p.size
-    dp = psi.dx
     # oversampled half-offset position grid at the conjugate extent
-    x_max = math.pi * hbar / dp
-    nx = oversample * n
-    dx = 2.0 * x_max / nx
-    upper = (np.arange(nx // 2) + 0.5) * dx
-    x = np.concatenate([-upper[::-1], upper])
+    x_grid = GridSpec(oversample * p.size, math.pi * hbar / psi.dx)
+    x = x_grid.momenta()
+    dx = x_grid.dp
     psi_x = momentum_to_position(psi.values, p, x, hbar)
 
     def evolved_mass(values_x: np.ndarray, target_positive: bool) -> float:
@@ -299,9 +291,7 @@ def crossing_probability(
     wf_neg = WaveFunction(Representation.MOMENTUM, p, neg_p, psi.consts)
     wf_pos = WaveFunction(Representation.MOMENTUM, p, pos_p, psi.consts)
     ts = np.linspace(0.0, tau, nt if nt % 2 == 1 else nt + 1)
-    integrand = np.array(
-        [current_expectation(wf_neg, t) - current_expectation(wf_pos, t) for t in ts]
-    )
+    integrand = current_expectation(wf_neg, ts) - current_expectation(wf_pos, ts)
     wt = simpson_weights(ts.size, ts[1] - ts[0])
     return CrossingResult(projector, float(np.sum(wt * integrand)))
 
@@ -339,7 +329,7 @@ def small_time_current_law(reflected: WaveFunction, tau_samples: np.ndarray) -> 
     m, hbar = reflected.consts.mass, reflected.consts.hbar
     ked_signed, _ = kinetic_energy_density(reflected)
     slope_sq = 2.0 * ked_signed / hbar**2
-    j = np.array([current_expectation(reflected, t) for t in taus])
+    j = current_expectation(reflected, taus)
     if np.any(j <= 0.0):
         raise ValueError("current is not positive over the requested tau window")
     a = np.vstack([np.ones_like(taus), np.log(taus)]).T

@@ -218,34 +218,6 @@ def bessel_j(nu: float, z):
     return float(out[0]) if scalar else out
 
 
-def bessel_j_deriv(nu: float, z):
-    """dJ_nu/dz.  Term-wise differentiated series below the switchover,
-    (J_{nu-1} - J_{nu+1})/2 on the asymptotic side."""
-    nu = float(nu)
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z <= 0.0):
-        raise ValueError("bessel_j_deriv requires z > 0")
-    out = np.empty_like(z)
-    lo = z < BESSEL_SWITCHOVER
-    if lo.any():
-        zl = z[lo]
-        coef = 1.0 / gamma_fn(nu + 1.0)
-        total = coef * (nu * 0.5) * (zl / 2.0) ** (nu - 1.0)
-        for k in range(1, SERIES_MAX_TERMS):
-            coef *= -1.0 / (k * (k + nu))
-            term = coef * ((nu + 2 * k) * 0.5) * (zl / 2.0) ** (nu + 2 * k - 1.0)
-            total = total + term
-            if k > 3 and np.all(np.abs(term) <= 1e-17 * np.abs(total) + 1e-300):
-                break
-        out[lo] = total
-    hi = ~lo
-    if hi.any():
-        zh = z[hi]
-        out[hi] = 0.5 * (_bessel_asymptotic(nu - 1.0, zh) - _bessel_asymptotic(nu + 1.0, zh))
-    return float(out[0]) if scalar else out
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------

@@ -16,10 +16,7 @@ integral of the current operator,
 
     T = T_KDM + (i hbar m / 2) (1/(p|p|)) R,
 
-where R is the momentum reflection.  For z > 35 the eigenstate switches to
-its large-z form e^{-i pi eps(p)/8} sqrt(|p|/2 pi m hbar) e^{i eps(p) z}
-carrying the Hankel-expansion corrections of both Bessel orders, so the two
-branches join smoothly at the seam.
+where R is the momentum reflection.
 
 Operator matrices use the convention M[j, k] ~= <p_j|O|p_k> dp, so a matrix
 acts directly on sample vectors.  The position operator in the momentum
@@ -39,18 +36,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
+    BESSEL_SWITCHOVER,
     GridSpec,
     PhysConsts,
     _bessel_series,
     _hankel_pq,
     gamma_fn,
     integrate,
-    momentum_to_position,
     simpson_weights,
 )
 from .states import Representation, WaveFunction
-
-NEW_BRANCH_Z = 35.0
 
 
 class EigenFamily(enum.Enum):
@@ -120,8 +115,8 @@ def _mi_norm(consts: PhysConsts) -> float:
 
 
 def _new_eigenstate_values(tau: float, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
-    """Vectorized NEW-family eigenstate; exact Bessel form for z <= 35,
-    Hankel amplitude/phase combination beyond."""
+    """Vectorized NEW-family eigenstate; ascending Bessel series below the
+    switchover z = 10, Hankel amplitude/phase combination at and above it."""
     m, hbar = consts.mass, consts.hbar
     ap = np.abs(p)
     if tau == 0.0:
@@ -130,11 +125,11 @@ def _new_eigenstate_values(tau: float, p: np.ndarray, consts: PhysConsts) -> np.
     z = p * p * tau / (2.0 * m * hbar)
     pref = math.sqrt(tau) / (math.sqrt(8.0) * m * hbar)
     out = np.empty(p.shape, dtype=complex)
-    lo = z <= NEW_BRANCH_Z
+    lo = z < BESSEL_SWITCHOVER
     if lo.any():
         out[lo] = pref * (
-            ap[lo] ** 1.5 * _bessel_series_or_asym(-0.25, z[lo])
-            + 1j * p[lo] * ap[lo] ** 0.5 * _bessel_series_or_asym(0.75, z[lo])
+            ap[lo] ** 1.5 * _bessel_series(-0.25, z[lo])
+            + 1j * p[lo] * ap[lo] ** 0.5 * _bessel_series(0.75, z[lo])
         )
     hi = ~lo
     if hi.any():
@@ -148,19 +143,6 @@ def _new_eigenstate_values(tau: float, p: np.ndarray, consts: PhysConsts) -> np.
         comb = (p1 + 1j * q2) * np.cos(a) - (q1 - 1j * p2) * np.sin(a)
         comb = np.where(p[hi] > 0.0, comb, np.conj(comb))
         out[hi] = pref * ap[hi] ** 1.5 * np.sqrt(2.0 / (math.pi * zh)) * comb
-    return out
-
-
-def _bessel_series_or_asym(nu: float, z: np.ndarray) -> np.ndarray:
-    """bessel_j on strictly positive z arrays (internal fast path)."""
-    from .numerics import BESSEL_SWITCHOVER, _bessel_asymptotic
-
-    out = np.empty_like(z)
-    lo = z < BESSEL_SWITCHOVER
-    if lo.any():
-        out[lo] = _bessel_series(nu, z[lo])
-    if (~lo).any():
-        out[~lo] = _bessel_asymptotic(nu, z[~lo])
     return out
 
 
@@ -287,7 +269,7 @@ def build_operator(
         b = p * L / hbar
         scale = m * L / np.abs(p)
         refl = scale * np.exp(-1j * b) * np.sinc(b / math.pi)
-        mat = np.diag(scale).astype(complex) + np.diag(refl) @ _reflection(n)
+        mat = np.diag(scale).astype(complex) + np.diag(refl)[:, ::-1]
         return OperatorMatrix(mat, grid, consts, "T_DWELL", True)
 
     if kind is OperatorKind.J_CURRENT:
@@ -375,26 +357,24 @@ def kinetic_energy_density(psi: WaveFunction) -> tuple[float, float]:
     return c * abs(signed) ** 2, c * abs(absolute) ** 2
 
 
-def current_expectation(psi: WaveFunction, t: float, stencil_h: float | None = None) -> float:
-    """<J(t)> = -(i hbar / 2m)(psi* psi' - psi psi'*) at x = 0 after free evolution.
+def current_expectation(psi: WaveFunction, t: float | np.ndarray) -> float | np.ndarray:
+    """<J(t)> at x = 0 after free evolution, for a scalar or 1-D array of times.
 
-    The freely evolved state is transformed onto a five-point stencil around
-    the origin; the derivative uses the 4th-order central formula.  The
-    stencil spacing defaults to 0.02 hbar / sqrt(<p^2>).
+    J = (p delta(x) + delta(x) p) / 2m with the exact momentum-basis kernel
+    <p|delta(x)|p'> = 1/(2 pi hbar), the one build_operator(J_CURRENT) uses,
+    is rank two:  J(t) = Re[conj(A0) A1] / (2 pi hbar m)  with
+    A0 = sum dp psi_t(p) and A1 = sum dp p psi_t(p).  The sums carry equal
+    weights, as J_CURRENT does, so the two agree to rounding.
     """
     _check_momentum_state(psi)
     m, hbar = psi.consts.mass, psi.consts.hbar
     p = psi.grid
-    if stencil_h is None:
-        dens = np.abs(psi.values) ** 2
-        p2 = integrate(p**2 * dens, psi.dx) / integrate(dens, psi.dx)
-        stencil_h = 0.02 * hbar / math.sqrt(p2)
-    xs = stencil_h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    evolved = np.exp(-1j * p**2 * t / (2.0 * m * hbar)) * psi.values
-    v = momentum_to_position(evolved, p, xs, hbar)
-    dpsi = (v[0] - 8.0 * v[1] + 8.0 * v[3] - v[4]) / (12.0 * stencil_h)
-    j = (-1j * hbar / (2.0 * m)) * (np.conj(v[2]) * dpsi - v[2] * np.conj(dpsi))
-    return float(j.real)
+    ts = np.asarray(t, dtype=float)
+    evolved = np.exp(-1j * np.multiply.outer(ts, p**2) / (2.0 * m * hbar)) * psi.values
+    a0 = np.sum(evolved, axis=-1) * psi.dx
+    a1 = np.sum(evolved * p, axis=-1) * psi.dx
+    j = (np.conj(a0) * a1).real / (2.0 * math.pi * hbar * m)
+    return float(j) if ts.ndim == 0 else j
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +512,12 @@ def dwell_low_momentum_check(
     mask = (b > band[0]) & (b <= band[1])
     if not mask.any():
         raise ValueError(f"no momentum samples with |p|L/hbar in {band}")
-    n = grid.n
-    r = _reflection(n)
     scale = m * L / np.abs(p)
-    side1 = np.diag(scale).astype(complex) + np.diag(scale) @ r
+    # right-multiplying a diagonal by R flips its columns
+    side1 = np.diag(scale).astype(complex) + np.diag(scale)[:, ::-1]
     shift2 = np.exp(-2j * p * L / hbar)
     side2 = np.diag(scale).astype(complex) + (1j * hbar * m / 2.0) * (
-        np.diag((shift2 - 1.0) / (p * np.abs(p))) @ r
+        np.diag((shift2 - 1.0) / (p * np.abs(p)))[:, ::-1]
     )
     sub = np.ix_(mask, mask)
     dev = np.max(np.abs(side2[sub] - side1[sub]))

@@ -87,10 +87,7 @@ class GaussianSpec:
 
 def conjugate_position_grid(grid: GridSpec, consts: PhysConsts) -> np.ndarray:
     """Half-offset position grid with the conjugate extent x_max = pi*hbar/dp."""
-    x_max = math.pi * consts.hbar / grid.dp
-    dx = 2.0 * x_max / grid.n
-    upper = (np.arange(grid.n // 2) + 0.5) * dx
-    return np.concatenate([-upper[::-1], upper])
+    return GridSpec(grid.n, math.pi * consts.hbar / grid.dp).momenta()
 
 
 def centered_position_grid(grid: GridSpec, consts: PhysConsts, oversample: int = 4) -> np.ndarray:

@@ -128,10 +128,10 @@ def test_criterion_03_eigenstate_correctness(consts):
 
 
 def test_criterion_04_asymptotic_regimes(consts):
-    """Branch agreement at z = 35 to 1e-6 relative; low-p slope matches
+    """Branch agreement at the z = 10 seam to 1e-6 relative; low-p slope matches
     tau^(1/4)/(2 Gamma(3/4) (m hbar)^(3/4)) within 1e-4 at z <= 1e-3."""
     tau = 0.7
-    p_seam = math.sqrt(2.0 * 35.0 / tau)
+    p_seam = math.sqrt(2.0 * 10.0 / tau)
     lo = eigenstate(EigenFamily.NEW, tau, p_seam * (1.0 - 1e-9), consts)
     hi = eigenstate(EigenFamily.NEW, tau, p_seam * (1.0 + 1e-9), consts)
     seam = abs(lo - hi) / abs(lo)
@@ -145,7 +145,7 @@ def test_criterion_04_asymptotic_regimes(consts):
     report(
         "criterion 4 (asymptotic regimes)",
         ok,
-        f"branch seam at z=35: {seam:.2e} (tol 1e-6); low-p slope deviation "
+        f"branch seam at z=10: {seam:.2e} (tol 1e-6); low-p slope deviation "
         f"{worst:.2e} (tol 1e-4, z <= 1e-3)",
     )
     assert ok

@@ -37,6 +37,7 @@ from qarrival.states import (
     value_at_origin,
 )
 from test_numerics import brute_series_j
+from util_current import stencil_current
 from util_spectral import chebyshev_nodes_and_diff
 
 
@@ -87,9 +88,9 @@ class TestEigenstates:
         assert abs(val / p - slope) / slope < 1e-6
 
     def test_new_branch_seam(self, consts):
-        # series-side and asymptotic-side evaluations agree at z = 35
+        # series-side and Hankel-side evaluations agree at the z = 10 switchover
         tau = 0.7
-        p_seam = math.sqrt(2.0 * 35.0 / tau)
+        p_seam = math.sqrt(2.0 * 10.0 / tau)
         lo = eigenstate(EigenFamily.NEW, tau, p_seam * (1.0 - 1e-9), consts)
         hi = eigenstate(EigenFamily.NEW, tau, p_seam * (1.0 + 1e-9), consts)
         assert abs(lo - hi) / abs(lo) < 1e-6
@@ -303,6 +304,35 @@ class TestCurrentExpectation:
         law = (1.0 / (2.0 * math.sqrt(math.pi))) * (hbar / m) ** 1.5 * math.sqrt(tau) * slope_sq
         assert current_expectation(reflected_packet, tau) == pytest.approx(law, rel=0.02)
 
+    def test_matches_stencil_oracle_fast_packet(self, fast_packet):
+        ts = np.linspace(0.05, 1.0, 20)
+        oracle = np.array([stencil_current(fast_packet, t) for t in ts])
+        closed = current_expectation(fast_packet, ts)
+        assert np.max(np.abs(closed - oracle) / np.abs(oracle)) <= 1e-6
+
+    def test_matches_stencil_oracle_reflected_packet(self, reflected_packet):
+        taus = np.geomspace(0.015, 0.045, 9)
+        oracle = np.array([stencil_current(reflected_packet, t) for t in taus])
+        closed = current_expectation(reflected_packet, taus)
+        assert np.max(np.abs(closed - oracle) / np.abs(oracle)) <= 1e-6
+
+    @pytest.mark.parametrize("t", [0.3, 0.5])
+    def test_equals_j_current_operator(self, fast_packet, grid, consts, t):
+        op = build_operator(OperatorKind.J_CURRENT, grid, consts, t=t).matrix
+        psi = fast_packet.values
+        expected = float((np.conj(psi) @ op @ psi).real * grid.dp)
+        assert current_expectation(fast_packet, t) == pytest.approx(expected, rel=1e-12)
+
+    def test_array_times_match_scalar_calls(self, fast_packet, reflected_packet):
+        for psi, ts in (
+            (fast_packet, np.linspace(0.05, 1.0, 20)),
+            (reflected_packet, np.geomspace(0.015, 0.045, 9)),
+        ):
+            batched = current_expectation(psi, ts)
+            assert batched.shape == ts.shape
+            scalar = np.array([current_expectation(psi, float(t)) for t in ts])
+            assert np.max(np.abs(batched - scalar) / np.abs(scalar)) <= 1e-12
+
 
 class TestKineticEnergyDensity:
     def test_even_real_packet_zero_signed(self, consts):
@@ -406,9 +436,9 @@ class TestDwellRelation:
 
 class TestRegimeBridging:
     def test_branch_window_agreement_grid(self, consts):
-        # eigenstate evaluated on both sides of the z = 35 seam across momenta
+        # eigenstate evaluated on both sides of the z = 10 seam across momenta
         tau = 0.5
         for frac in (1.0 - 1e-7, 1.0 + 1e-7):
-            p = math.sqrt(2.0 * 35.0 / tau) * frac
+            p = math.sqrt(2.0 * 10.0 / tau) * frac
             val = eigenstate(EigenFamily.NEW, tau, p, consts)
             assert np.isfinite(val.real) and np.isfinite(val.imag)
