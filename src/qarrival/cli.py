@@ -32,7 +32,6 @@ from .operators import (
     EigenFamily,
     OperatorKind,
     build_operator,
-    current_expectation,
     distribution,
     dwell_low_momentum_check,
     eigenstate_values,
@@ -411,7 +410,6 @@ def cmd_measure(cfg: RunConfig, out: str | None, fmt: str, args: argparse.Namesp
     if cfg.mode == "zeno":
         psi = make_reflected_state(cfg.gaussian(), cfg.grid())
         taus = cfg.tau_grid()
-        j = current_expectation(psi, taus)
         fit = small_time_current_law(psi, taus)
         ratio_coef = math.pi ** 1.5 / gamma_fn(0.75) ** 2
         checks = {
@@ -425,7 +423,7 @@ def cmd_measure(cfg: RunConfig, out: str | None, fmt: str, args: argparse.Namesp
                 "here without being asserted"
             ),
         }
-        rows = [[float(t), float(v), float(v / math.sqrt(t))] for t, v in zip(taus, j)]
+        rows = [[float(t), float(v), float(v / math.sqrt(t))] for t, v in zip(taus, fit.current)]
         write_table(out, fmt, cfg, ["tau", "current", "current_over_sqrt_tau"], rows, checks)
         return EXIT_OK
     # conditional

@@ -83,14 +83,6 @@ def _prob_mass(values: np.ndarray, dx: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def halfline_grid_points(m: float, hbar: float, x_max: float, dt_min: float, safety: float = 4.0) -> int:
-    """Sample count for half-line kernel quadrature: the kernel phase
-    m x_max^2 / (2 hbar dt) must advance less than pi/4 per step (times a
-    safety factor for composite-rule accuracy)."""
-    n = int(math.ceil(safety * m * x_max**2 / (2.0 * hbar * dt_min) / (math.pi / 4.0)))
-    return max(n, 257)
-
-
 def halfline_propagate(
     psi: WaveFunction,
     t1: float,
@@ -121,36 +113,35 @@ def halfline_propagate(
         raise ValueError("state has support outside the allowed half-line")
 
     m, hbar = psi.consts.mass, psi.consts.hbar
-    dx = psi.dx
-    pref = math.sqrt(m / (2.0 * math.pi * hbar * dt)) * np.exp(-1j * math.pi / 4.0)
-    src = np.where(allowed, psi.values, 0.0)
-    out = np.zeros(x.size, dtype=complex)
+    n = x.size
+    dx = (x[-1] - x[0]) / (n - 1)
     a = 1j * m / (2.0 * hbar * dt)
-    chunk = max(1, 2**22 // x.size)
-    for lo in range(0, x.size, chunk):
-        hi = min(lo + chunk, x.size)
-        x1 = x[lo:hi, None]
-        kernel = np.exp(a * (x1 - x[None, :]) ** 2) - np.exp(a * (x1 + x[None, :]) ** 2)
-        out[lo:hi] = (kernel @ src) * (pref * dx)
+    # The direct kernel depends on x1 - x0 = (j - k) dx and the image kernel on
+    # x1 + x0 = 2 x[0] + (j + k) dx, so both rectangle-rule sums are linear
+    # convolutions (the image one of the reversed source), read at j + n - 1.
+    # Any FFT length >= 2n - 1 keeps the wrapped terms out of that range.
+    size = 1 << (2 * n - 2).bit_length()
+    direct = np.fft.fft(np.exp(a * (np.arange(1 - n, n) * dx) ** 2), size)
+    image = np.fft.fft(np.exp(a * (2.0 * x[0] + np.arange(2 * n - 1) * dx) ** 2), size)
+    src = np.where(allowed, psi.values, 0.0)
+    conv = np.fft.ifft(np.fft.fft(src, size) * direct - np.fft.fft(src[::-1], size) * image)
+    pref = math.sqrt(m / (2.0 * math.pi * hbar * dt)) * np.exp(-1j * math.pi / 4.0)
+    out = conv[n - 1 : 2 * n - 1] * (pref * dx)
     out[~allowed] = 0.0
     return WaveFunction(Representation.POSITION, x, out, psi.consts)
 
 
-def _conjugate_momenta(x: np.ndarray, hbar: float) -> np.ndarray:
-    """Half-offset momentum grid conjugate to a uniform position grid."""
-    n = x.size if x.size % 2 == 0 else x.size - 1
-    return GridSpec(n, math.pi * hbar / (x[1] - x[0])).momenta()
-
-
 def _free_propagate_position(psi: WaveFunction, dt: float) -> WaveFunction:
     """Free evolution of a position-representation state via its conjugate
-    momentum grid (exact phase evolution between the transforms)."""
+    half-offset momentum grid (exact phase evolution between the transforms);
+    an odd grid of N positions pairs with N - 1 momenta."""
     m, hbar = psi.consts.mass, psi.consts.hbar
-    p = _conjugate_momenta(psi.grid, hbar)
-    vp = position_to_momentum(psi.values, psi.grid, p, hbar)
+    x = psi.grid
+    p = GridSpec(x.size - x.size % 2, math.pi * hbar * (x.size - 1) / (x[-1] - x[0])).momenta()
+    vp = position_to_momentum(psi.values, x, p, hbar)
     vp *= np.exp(-1j * p**2 * dt / (2.0 * m * hbar))
-    vx = momentum_to_position(vp, p, psi.grid, hbar)
-    return WaveFunction(Representation.POSITION, psi.grid, vx, psi.consts)
+    vx = momentum_to_position(vp, p, x, hbar)
+    return WaveFunction(Representation.POSITION, x, vx, psi.consts)
 
 
 def window_project(psi: WaveFunction, w: WindowSpec) -> WaveFunction:
@@ -240,6 +231,11 @@ def conditional_distribution(
 # ---------------------------------------------------------------------------
 
 
+# Crossing: position oversampling, and the odd Simpson sample count on [0, tau].
+CROSSING_OVERSAMPLE = 4
+CROSSING_TIME_SAMPLES = 801
+
+
 @dataclass(frozen=True)
 class CrossingResult:
     """The two equivalent forms of the interval crossing probability."""
@@ -248,49 +244,42 @@ class CrossingResult:
     current_form: float
 
 
-def crossing_probability(
-    psi: WaveFunction,
-    tau: float,
-    oversample: int = 4,
-    nt: int = 801,
-) -> CrossingResult:
+def crossing_probability(psi: WaveFunction, tau: float) -> CrossingResult:
     """Probability of crossing the origin during [0, tau].
 
     projector_form:  <psi|Pbar P(tau) Pbar|psi> + <psi|P Pbar(tau) P|psi>
-    with P = theta(x), evaluated by project / free-propagate / project.
+    with P = theta(x), evaluated by project / free-propagate / project on a
+    CROSSING_OVERSAMPLE-times oversampled conjugate position grid.
     current_form:  integral over [0, tau] of <Pbar psi|J(t)|Pbar psi>
-    - <P psi|J(t)|P psi> (they agree because dP(t)/dt = J(t)).
+    - <P psi|J(t)|P psi> (they agree because dP(t)/dt = J(t)), by Simpson's
+    rule on CROSSING_TIME_SAMPLES times.
     """
     if psi.rep is not Representation.MOMENTUM:
         raise ValueError("crossing_probability expects a momentum-representation state")
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")
+    if tau == 0.0:
+        return CrossingResult(0.0, 0.0)
     m, hbar = psi.consts.mass, psi.consts.hbar
     p = psi.grid
     # oversampled half-offset position grid at the conjugate extent
-    x_grid = GridSpec(oversample * p.size, math.pi * hbar / psi.dx)
+    x_grid = GridSpec(CROSSING_OVERSAMPLE * p.size, math.pi * hbar * (p.size - 1) / (p[-1] - p[0]))
     x = x_grid.momenta()
     dx = x_grid.dp
     psi_x = momentum_to_position(psi.values, p, x, hbar)
+    neg_p = position_to_momentum(np.where(x < 0.0, psi_x, 0.0), x, p, hbar)
+    pos_p = position_to_momentum(np.where(x > 0.0, psi_x, 0.0), x, p, hbar)
 
-    def evolved_mass(values_x: np.ndarray, target_positive: bool) -> float:
-        vp = position_to_momentum(values_x, x, p, hbar)
-        vp *= np.exp(-1j * p**2 * tau / (2.0 * m * hbar))
-        vx = momentum_to_position(vp, p, x, hbar)
+    def evolved_mass(values_p: np.ndarray, target_positive: bool) -> float:
+        vx = momentum_to_position(values_p * np.exp(-1j * p**2 * tau / (2.0 * m * hbar)), p, x, hbar)
         mask = x > 0.0 if target_positive else x < 0.0
         return float(np.sum(np.abs(vx[mask]) ** 2) * dx)
 
-    neg = np.where(x < 0.0, psi_x, 0.0)
-    pos = np.where(x > 0.0, psi_x, 0.0)
-    if tau == 0.0:
-        return CrossingResult(0.0, 0.0)
-    projector = evolved_mass(neg, True) + evolved_mass(pos, False)
+    projector = evolved_mass(neg_p, True) + evolved_mass(pos_p, False)
 
-    neg_p = position_to_momentum(neg, x, p, hbar)
-    pos_p = position_to_momentum(pos, x, p, hbar)
     wf_neg = WaveFunction(Representation.MOMENTUM, p, neg_p, psi.consts)
     wf_pos = WaveFunction(Representation.MOMENTUM, p, pos_p, psi.consts)
-    ts = np.linspace(0.0, tau, nt if nt % 2 == 1 else nt + 1)
+    ts = np.linspace(0.0, tau, CROSSING_TIME_SAMPLES)
     integrand = current_expectation(wf_neg, ts) - current_expectation(wf_pos, ts)
     wt = simpson_weights(ts.size, ts[1] - ts[0])
     return CrossingResult(projector, float(np.sum(wt * integrand)))
@@ -303,11 +292,13 @@ def crossing_probability(
 
 @dataclass(frozen=True)
 class CurrentLawFit:
-    """Power-law fit of the small-time current of a reflected state."""
+    """Power-law fit of the small-time current of a reflected state, with the
+    currents <J(tau)> it was fitted to."""
 
     prefactor: float
     exponent: float
     residual: float
+    current: np.ndarray
 
 
 def small_time_current_law(reflected: WaveFunction, tau_samples: np.ndarray) -> CurrentLawFit:
@@ -345,7 +336,7 @@ def small_time_current_law(reflected: WaveFunction, tau_samples: np.ndarray) -> 
             "the small-time regime",
             stacklevel=2,
         )
-    return CurrentLawFit(prefactor, exponent, residual)
+    return CurrentLawFit(prefactor, exponent, residual, j)
 
 
 # ---------------------------------------------------------------------------

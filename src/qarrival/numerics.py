@@ -265,27 +265,42 @@ def integrate(samples, dx: float):
 
 
 def _fourier_apply(values: np.ndarray, src: np.ndarray, dst: np.ndarray, sign: float, hbar: float) -> np.ndarray:
-    """Chunked evaluation of sum_k e^{sign * i * dst_j * src_k / hbar} values_k."""
-    out = np.empty(dst.size, dtype=complex)
-    chunk = max(1, 2**21 // max(src.size, 1))
-    for lo in range(0, dst.size, chunk):
-        hi = min(lo + chunk, dst.size)
-        kernel = np.exp((sign * 1j / hbar) * np.outer(dst[lo:hi], src))
-        out[lo:hi] = kernel @ values
-    return out
+    """(2 pi hbar)^(-1/2) d_src sum_k e^{sign * i * dst_j * src_k / hbar} values_k, by one FFT.
+
+    Both grids must be uniform and conjugate up to an integer M, d_src d_dst =
+    2 pi hbar / M.  With indices K, J counted from the middle samples src_c,
+    dst_c, the kernel is e^{sign i src_c dst_j / hbar} e^{sign i K d_src dst_c / hbar}
+    e^{sign 2 pi i J K / M}: a length-M DFT of the pre-twiddled source folded at
+    K mod M, read at J mod M and post-twiddled.  src_c and dst_c lie within a
+    step of 0 on the package's grids, so the twiddle phases stay below ~pi and
+    keep full precision.  Both steps come from the endpoints: a difference of
+    neighbouring samples would carry the rounding of their large values.
+    """
+    if src.size < 2 or dst.size < 2:
+        raise ValueError("Fourier transform grids need at least 2 points")
+    d_src = (src[-1] - src[0]) / (src.size - 1)
+    d_dst = (dst[-1] - dst[0]) / (dst.size - 1)
+    product = float(d_src * d_dst)
+    ratio = 2.0 * math.pi * hbar / product if product > 0.0 else 0.0
+    m = round(ratio) if math.isfinite(ratio) else 0
+    # A mismatch of 1e-9 only moves the implied destination samples by that
+    # fraction of their extent; rounding in grid construction stays far below.
+    if m < 1 or abs(ratio - m) > 1e-9 * m:
+        raise ValueError(f"grids are not Fourier-conjugate: 2 pi hbar / (d_src d_dst) = {ratio}")
+    kc, jc = src.size // 2, dst.size // 2
+    folded = np.zeros(-(-src.size // m) * m, dtype=complex)
+    folded[: src.size] = values * np.exp((sign * 1j * d_src * dst[jc] / hbar) * (np.arange(src.size) - kc))
+    folded = np.roll(folded.reshape(-1, m).sum(axis=0), -kc)
+    spectrum = np.fft.fft(folded) if sign < 0 else np.fft.ifft(folded, norm="forward")
+    out = spectrum[(np.arange(dst.size) - jc) % m] * np.exp((sign * 1j * src[kc] / hbar) * dst)
+    return out * (d_src / math.sqrt(2.0 * math.pi * hbar))
 
 
 def momentum_to_position(values: np.ndarray, p: np.ndarray, x: np.ndarray, hbar: float) -> np.ndarray:
     """psi(x) = (2 pi hbar)^(-1/2) * integral dp e^{i p x / hbar} psi(p)."""
-    dp = p[1] - p[0]
-    return _fourier_apply(values * dp, p, np.asarray(x, dtype=float), +1.0, hbar) / math.sqrt(
-        2.0 * math.pi * hbar
-    )
+    return _fourier_apply(values, np.asarray(p, dtype=float), np.asarray(x, dtype=float), +1.0, hbar)
 
 
 def position_to_momentum(values: np.ndarray, x: np.ndarray, p: np.ndarray, hbar: float) -> np.ndarray:
     """psi(p) = (2 pi hbar)^(-1/2) * integral dx e^{-i p x / hbar} psi(x)."""
-    dx = x[1] - x[0]
-    return _fourier_apply(values * dx, np.asarray(x, dtype=float), p, -1.0, hbar) / math.sqrt(
-        2.0 * math.pi * hbar
-    )
+    return _fourier_apply(values, np.asarray(x, dtype=float), np.asarray(p, dtype=float), -1.0, hbar)

@@ -283,14 +283,6 @@ def build_operator(
     raise ValueError(f"unknown operator kind {kind}")
 
 
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """a b - b a on a shared grid."""
-    if a.grid != b.grid or a.consts != b.consts:
-        raise ValueError("commutator requires operators on the same grid and constants")
-    mat = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return OperatorMatrix(mat, a.grid, a.consts, f"[{a.kind},{b.kind}]", False)
-
-
 def hermiticity_defect(op: OperatorMatrix, boundary: int = 2) -> float:
     """max |M - M^dagger| / max |M| on the interior sub-block."""
     s = op.matrix[boundary:-boundary, boundary:-boundary]

@@ -25,6 +25,10 @@ from .numerics import (
 )
 
 
+# Position oversampling of the reflected-state construction grid.
+REFLECTED_OVERSAMPLE = 4
+
+
 class Representation(enum.Enum):
     MOMENTUM = "momentum"
     POSITION = "position"
@@ -143,19 +147,18 @@ def to_momentum(psi: WaveFunction, grid: GridSpec) -> WaveFunction:
     return WaveFunction(Representation.MOMENTUM, p, values, psi.consts)
 
 
-def reflected_position_state(
-    base: GaussianSpec, grid: GridSpec, oversample: int = 4
-) -> WaveFunction:
+def reflected_position_state(base: GaussianSpec, grid: GridSpec) -> WaveFunction:
     """Position-representation reflected (Zeno) state theta(-x) (phi(x) - phi(-x)).
 
-    phi is the base Gaussian; the construction grid is symmetric and contains
+    phi is the base Gaussian; the construction grid is the centered grid,
+    REFLECTED_OVERSAMPLE times denser than the conjugate one.  It contains
     x = 0, so the antisymmetrized samples vanish identically at the origin and
     on x > 0.  The base packet must move rightward (p0 > 0) and leak less than
     1e-6 of its norm into x > 0.
     """
     if base.p0 <= 0.0:
         raise ValueError("reflected state requires a rightward-moving base packet (p0 > 0)")
-    x = centered_position_grid(grid, base.consts, oversample)
+    x = centered_position_grid(grid, base.consts, REFLECTED_OVERSAMPLE)
     phi = to_position(make_gaussian(base, grid), x)
     dx = phi.dx
     mass = integrate(np.abs(phi.values) ** 2, dx)
@@ -168,9 +171,9 @@ def reflected_position_state(
     return psi.normalized()
 
 
-def make_reflected_state(base: GaussianSpec, grid: GridSpec, oversample: int = 4) -> WaveFunction:
+def make_reflected_state(base: GaussianSpec, grid: GridSpec) -> WaveFunction:
     """Normalized momentum representation of the reflected (Zeno) state."""
-    pos = reflected_position_state(base, grid, oversample)
+    pos = reflected_position_state(base, grid)
     return to_momentum(pos, grid).normalized()
 
 

@@ -32,6 +32,7 @@ from qarrival import (
     window_project,
 )
 from qarrival.states import conjugate_position_grid
+from util_dense import dense_halfline
 
 
 def analytic_free_gaussian(x, t, p0, x0, sigma_x, m=1.0, hbar=1.0):
@@ -72,6 +73,22 @@ class TestHalflinePropagate:
     def test_requires_positive_time_step(self, wall_packet):
         with pytest.raises(ValueError):
             halfline_propagate(wall_packet, 0.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "side,x",
+        [
+            (Propagator.HALFLINE_DIRICHLET_POS, np.linspace(0.0, 20.0, 801)),
+            (Propagator.HALFLINE_DIRICHLET_NEG, np.linspace(-20.0, 0.0, 801)),
+        ],
+    )
+    def test_matches_dense_kernel_sum(self, consts, side, x):
+        # packet at |x| = 6 heading into the wall, reflecting by t = 0.8
+        sign = 1.0 if side is Propagator.HALFLINE_DIRICHLET_POS else -1.0
+        vals = analytic_free_gaussian(x, 0.0, -8.0 * sign, 6.0 * sign, 0.5)
+        psi = WaveFunction(Representation.POSITION, x, vals, consts)
+        out = halfline_propagate(psi, 0.8, 0.0, side)
+        ref = dense_halfline(psi, 0.8, sign * x >= -1e-12)
+        assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_support_violation(self, consts):
         x = np.linspace(-10.0, 10.0, 801)
@@ -292,17 +309,6 @@ class TestSmallTimeCurrentLaw:
     def test_rejects_bad_samples(self, reflected_packet):
         with pytest.raises(ValueError):
             small_time_current_law(reflected_packet, np.array([0.0, 0.01, 0.02]))
-
-
-class TestGridPolicy:
-    def test_halfline_grid_points_policy(self):
-        from qarrival import halfline_grid_points
-
-        # finer sampling for larger extent or shorter minimum step
-        n1 = halfline_grid_points(1.0, 1.0, 10.0, 0.5)
-        n2 = halfline_grid_points(1.0, 1.0, 20.0, 0.5)
-        n3 = halfline_grid_points(1.0, 1.0, 10.0, 0.25)
-        assert n2 > n1 and n3 > n1
 
 
 class TestClassicalOracles:

@@ -7,8 +7,15 @@ import pytest
 import scipy.integrate
 
 from qarrival import GaussianSpec, GridSpec, PhysConsts, bessel_j, gamma_fn, integrate
-from qarrival.numerics import _bessel_asymptotic, _bessel_series
-from qarrival.states import conjugate_position_grid, make_gaussian, to_momentum, to_position
+from qarrival.numerics import _bessel_asymptotic, _bessel_series, momentum_to_position, position_to_momentum
+from qarrival.states import (
+    centered_position_grid,
+    conjugate_position_grid,
+    make_gaussian,
+    to_momentum,
+    to_position,
+)
+from util_dense import dense_fourier
 
 
 def brute_series_j(nu, z, terms=120):
@@ -197,3 +204,39 @@ class TestTransforms:
         back = to_momentum(to_position(psi, conjugate_position_grid(grid, consts)), grid)
         rel = np.max(np.abs(back.values - psi.values)) / np.max(np.abs(psi.values))
         assert rel < 1e-6
+
+    @pytest.mark.parametrize(
+        "position_grid",
+        [
+            # conjugate 1x, the 4x half-offset crossing grid, the centered odd 4x+1 grid
+            lambda g, c: conjugate_position_grid(g, c),
+            lambda g, c: GridSpec(4 * g.n, math.pi * c.hbar / g.dp).momenta(),
+            lambda g, c: centered_position_grid(g, c),
+        ],
+        ids=["conjugate", "crossing_4x", "centered_4x_plus_1"],
+    )
+    def test_fft_matches_dense_sum(self, consts, position_grid):
+        grid = GridSpec(1024, 40.0)
+        p = grid.momenta()
+        x = position_grid(grid, consts)
+        psi_p = make_gaussian(GaussianSpec(10.0, -5.0, 1.0, consts), grid).values
+        ref_x = dense_fourier(psi_p, p, x, +1.0, consts.hbar)
+        out_x = momentum_to_position(psi_p, p, x, consts.hbar)
+        assert np.max(np.abs(out_x - ref_x)) <= 1e-12 * np.max(np.abs(ref_x))
+        # back on a packet with a kink at the origin, as the reflected state has
+        psi_x = np.where(x < 0.0, ref_x, 0.0)
+        ref_p = dense_fourier(psi_x, x, p, -1.0, consts.hbar)
+        out_p = position_to_momentum(psi_x, x, p, consts.hbar)
+        assert np.max(np.abs(out_p - ref_p)) <= 1e-12 * np.max(np.abs(ref_p))
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.linspace(-0.5, 0.5, 41), np.linspace(-40.0, 40.0, 1000), np.array([0.0]), np.full(8, 1.0)],
+        ids=["narrow", "non_integer_ratio", "one_point", "zero_step"],
+    )
+    def test_non_conjugate_grids_rejected(self, consts, x):
+        p = GridSpec(1024, 40.0).momenta()
+        with pytest.raises(ValueError):
+            momentum_to_position(np.ones(p.size, complex), p, x, consts.hbar)
+        with pytest.raises(ValueError):
+            position_to_momentum(np.ones(x.size, complex), x, p, consts.hbar)

@@ -103,9 +103,10 @@ class TestReflectedState:
 
 class TestDerivativeAtOrigin:
     def test_even_gaussian(self, consts):
-        grid = GridSpec(512, 20.0)
-        psi = make_gaussian(GaussianSpec(0.0, 0.0, 1.0, consts), grid)
-        pos = to_position(psi, np.linspace(-0.5, 0.5, 41))
+        # the position form of make_gaussian(GaussianSpec(0, 0, 1)): sigma_x = 1/2
+        x = np.linspace(-0.5, 0.5, 41)
+        vals = ((2.0 * math.pi * 0.25) ** (-0.25) * np.exp(-(x**2))).astype(complex)
+        pos = WaveFunction(Representation.POSITION, x, vals, consts)
         assert abs(derivative_at_origin(pos)) < 1e-8
 
     def test_linear_times_gaussian(self, consts):

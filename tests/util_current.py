@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from qarrival import integrate
-from qarrival.numerics import momentum_to_position
+from util_dense import dense_fourier
 
 
 def stencil_current(psi, t):
@@ -21,7 +21,7 @@ def stencil_current(psi, t):
     h = 0.02 * hbar / math.sqrt(integrate(p**2 * dens, psi.dx) / integrate(dens, psi.dx))
     xs = h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     evolved = np.exp(-1j * p**2 * t / (2.0 * m * hbar)) * psi.values
-    v = momentum_to_position(evolved, p, xs, hbar)
+    v = dense_fourier(evolved, p, xs, +1.0, hbar)
     dpsi = (v[0] - 8.0 * v[1] + 8.0 * v[3] - v[4]) / (12.0 * h)
     j = (-1j * hbar / (2.0 * m)) * (np.conj(v[2]) * dpsi - v[2] * np.conj(dpsi))
     return float(j.real)
