@@ -2,17 +2,24 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 BASE = [sys.executable, "-m", "qarrival.cli"]
 
+# The child process does not see pytest's `pythonpath` setting, so it gets the
+# package source through PYTHONPATH; the package need not be installed.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
 
 def run_cli(*args):
-    return subprocess.run(BASE + list(args), capture_output=True, text=True)
+    return subprocess.run(BASE + list(args), capture_output=True, text=True, env=ENV)
 
 
 SMALL = ["--n", "256", "--p-max", "24", "--tau-min", "0.2", "--tau-max", "0.8", "--tau-count", "13"]

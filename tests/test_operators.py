@@ -28,6 +28,7 @@ from qarrival import (
     overlap,
     solve_eigen_ode,
 )
+from qarrival.operators import _eigenstate_block, _tau_blocks
 from qarrival.states import (
     Representation,
     WaveFunction,
@@ -37,6 +38,7 @@ from qarrival.states import (
 )
 from test_numerics import brute_series_j
 from util_current import stencil_current
+from util_pertau import completeness_per_tau, distribution_per_tau
 from util_spectral import chebyshev_nodes_and_diff
 
 
@@ -102,6 +104,94 @@ class TestEigenstates:
         val = eigenstate(EigenFamily.NEW, tau, p, consts)
         lead = np.exp(-1j * math.pi / 8.0) * math.sqrt(p / (2.0 * math.pi)) * np.exp(1j * z)
         assert abs(val - lead) / abs(lead) < 1e-3
+
+
+def _has_partial_last_block(taus, n):
+    sizes = [block.size for _, block in _tau_blocks(taus, n)]
+    return len(sizes) > 1 and sizes[-1] < sizes[0]
+
+
+class TestEigenstateBlock:
+    # NEW: tau = 0, series only (z < 10 everywhere at p_max = 40), and both
+    # regimes within one row (z = 10 at |p| = sqrt(20 / tau))
+    TAUS = {
+        EigenFamily.AB: [-0.9, -0.25, 0.0, 1e-4, 0.3, 0.7],
+        EigenFamily.KDM: [-0.9, -0.25, 0.0, 1e-4, 0.3, 0.7],
+        EigenFamily.MI: [0.0, 1e-4, 0.3, 0.7],
+        EigenFamily.T3: [-0.9, -0.25, 0.0, 1e-4, 0.3, 0.7],
+        EigenFamily.NEW: [0.0, 1e-4, 0.01, 0.3, 0.7, 1.9],
+    }
+
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
+    def test_rows_equal_per_row_calls(self, family, grid, consts):
+        p = grid.momenta()
+        taus = np.array(self.TAUS[family])
+        block = _eigenstate_block(family, taus, p, consts)
+        assert block.shape == (taus.size, p.size)
+        for row, tau in zip(block, taus):
+            assert np.array_equal(row, eigenstate_values(family, float(tau), p, consts))
+
+    def test_new_taus_cover_both_regimes(self, grid, consts):
+        z_per_tau = grid.momenta() ** 2 / (2.0 * consts.mass * consts.hbar)
+        assert any((z_per_tau * t < 10.0).any() and (z_per_tau * t >= 10.0).any() for t in self.TAUS[EigenFamily.NEW])
+
+    @pytest.mark.parametrize("family", [EigenFamily.MI, EigenFamily.NEW], ids=lambda f: f.value)
+    def test_tau_zero_row_is_zero(self, family, grid, consts):
+        block = _eigenstate_block(family, np.array([0.0, 0.5]), grid.momenta(), consts)
+        assert np.array_equal(block[0], np.zeros(grid.n))
+        assert np.all(block[1] != 0.0)
+
+    @pytest.mark.parametrize("family", [EigenFamily.MI, EigenFamily.NEW], ids=lambda f: f.value)
+    def test_negative_tau_rejected(self, family, grid, consts, fast_packet):
+        with pytest.raises(ValueError, match="tau >= 0"):
+            _eigenstate_block(family, np.array([0.3, -0.1, 0.5]), grid.momenta(), consts)
+        with pytest.raises(ValueError, match="tau >= 0"):
+            distribution(fast_packet, family, np.linspace(-0.2, 0.5, 36))
+
+    def test_new_mirror_is_exact(self, grid, consts):
+        block = _eigenstate_block(EigenFamily.NEW, np.array([1e-4, 0.3, 0.7, 1.9]), grid.momenta(), consts)
+        assert np.array_equal(block[:, ::-1], np.conj(block))
+
+    def test_new_on_unordered_momenta(self, grid, consts, rng):
+        # the half-grid evaluation also serves momenta that are not a mirror grid
+        p = grid.momenta()
+        order = rng.permutation(p.size)[: p.size // 3]
+        full = _eigenstate_block(EigenFamily.NEW, np.array([0.3, 0.7]), p, consts)
+        part = _eigenstate_block(EigenFamily.NEW, np.array([0.3, 0.7]), p[order], consts)
+        assert np.array_equal(part, full[:, order])
+
+    def test_new_on_odd_palindrome(self, consts):
+        # |p| = (1.5, 3, 1.5): the upper half holds the middle sample; z = 18 at p = 3, tau = 4
+        p = np.array([-1.5, 3.0, 1.5])
+        taus = np.array([0.3, 4.0])
+        block = _eigenstate_block(EigenFamily.NEW, taus, p, consts)
+        for j, pj in enumerate(p):
+            single = [eigenstate_values(EigenFamily.NEW, t, np.array([pj]), consts)[0] for t in taus]
+            assert np.array_equal(block[:, j], single)
+
+
+class TestBlockedSpectralCalls:
+    """The blocked calls against per-tau reference loops (tests/util_pertau.py)."""
+
+    @pytest.mark.parametrize("family", [EigenFamily.NEW, EigenFamily.KDM], ids=lambda f: f.value)
+    def test_distribution_equals_per_tau_loop(self, family, fast_packet):
+        taus = np.linspace(0.0, 1.0, 201)  # the CLI default preset
+        assert _has_partial_last_block(taus, fast_packet.grid.size)
+        dist = distribution(fast_packet, family, taus)
+        assert np.array_equal(dist.values, distribution_per_tau(fast_packet, family, taus))
+
+    @pytest.mark.parametrize(
+        "family,window",
+        [(EigenFamily.AB, (-0.25, 1.25)), (EigenFamily.KDM, (-0.25, 1.25)), (EigenFamily.NEW, (0.0, 1.5))],
+        ids=["ab", "kdm", "new"],
+    )
+    def test_completeness_equals_per_tau_loop(self, family, window, fast_spec):
+        psi = make_gaussian(fast_spec, GridSpec(512, 20.0))
+        tau_n = 401
+        assert _has_partial_last_block(np.zeros(tau_n), psi.grid.size)
+        err = completeness_check(family, psi, window, tau_n)
+        ref = completeness_per_tau(family, psi, window, tau_n)
+        assert abs(err - ref) <= 1e-12 * ref
 
 
 @pytest.fixture(scope="module")
