@@ -27,18 +27,14 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .numerics import BESSEL_SWITCHOVER, GridSpec, PhysConsts, gamma_fn
+from .checks import run_checks
+from .numerics import GridSpec, PhysConsts, gamma_fn
 from .operators import (
     EigenFamily,
-    OperatorKind,
-    build_operator,
     distribution,
-    dwell_low_momentum_check,
     eigenstate_values,
-    hermiticity_defect,
     kijowski_distribution,
     kinetic_energy_density,
-    overlap,
 )
 from .measurement import (
     classical_arrival,
@@ -87,6 +83,10 @@ class RunConfig:
     with_reference: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"config field '{f.name}': must be finite (got {value})")
         checks = [
             ("sigma_p", self.sigma_p > 0.0, "must be > 0"),
             ("mass", self.mass > 0.0, "must be > 0"),
@@ -174,7 +174,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         default = getattr(cfg, key)
         try:
             if isinstance(default, bool):
-                val = bool(val)
+                if not isinstance(val, bool):
+                    raise ValueError("not a JSON boolean")
             elif isinstance(default, int):
                 if float(val) != int(val):
                     raise ValueError("not an integer")
@@ -265,126 +266,8 @@ def cmd_distribution(cfg: RunConfig, out: str | None, fmt: str) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cfg: RunConfig) -> list[dict]:
-    grid = cfg.grid()
-    consts = cfg.consts()
-    hbar = consts.hbar
-    p = grid.momenta()
-    checks: list[dict] = []
-
-    def add(name: str, value: float, tol: float, larger_is_pass: bool = False) -> None:
-        passed = value >= tol if larger_is_pass else value <= tol
-        checks.append(
-            {"name": name, "value": float(value), "tolerance": float(tol), "pass": bool(passed)}
-        )
-
-    builders = {
-        "t_kdm": build_operator(OperatorKind.T_KDM, grid, consts),
-        "t_new_sym": build_operator(OperatorKind.T_NEW_SYM, grid, consts),
-        "t_new_via_kdm": build_operator(OperatorKind.T_NEW_VIA_KDM, grid, consts),
-        "t_dwell": build_operator(OperatorKind.T_DWELL, grid, consts, L=cfg.L),
-        "h": build_operator(OperatorKind.H, grid, consts),
-        "xi": build_operator(OperatorKind.XI, grid, consts),
-        "j_current": build_operator(OperatorKind.J_CURRENT, grid, consts, t=0.3),
-    }
-    for name, op in builders.items():
-        add(f"hermiticity_{name}", hermiticity_defect(op), 1e-10)
-
-    sym, via = builders["t_new_sym"].matrix, builders["t_new_via_kdm"].matrix
-    add(
-        "t_new_constructions_agree",
-        float(np.max(np.abs(sym - via)) / np.max(np.abs(sym))),
-        1e-8,
-    )
-    r = build_operator(OperatorKind.R, grid, consts).matrix
-    add("reflection_squared_identity", float(np.max(np.abs(r @ r - np.eye(grid.n)))), 1e-15)
-    eps = build_operator(OperatorKind.SIGN_P, grid, consts).matrix
-    add("reflection_sign_conjugation", float(np.max(np.abs(r @ eps @ r + eps))), 1e-15)
-
-    # commutators, by action on a smooth positive-momentum packet
-    sigma = grid.p_max / 26.0
-    p0 = 0.3 * grid.p_max
-    f = np.exp(-((p - p0) ** 2) / (4.0 * sigma**2)).astype(complex)
-    f /= math.sqrt(float(np.sum(np.abs(f) ** 2) * grid.dp))
-    interior = slice(2, grid.n - 2)
-
-    def commutator_on_f(a: str, b: str) -> np.ndarray:
-        """[A, B] f = A(Bf) - B(Af), matrix-vector products only."""
-        ma, mb = builders[a].matrix, builders[b].matrix
-        return ma @ (mb @ f) - mb @ (ma @ f)
-
-    res = commutator_on_f("h", "t_new_via_kdm") - 1j * hbar * np.sign(p) * f
-    add("commutator_h_t_new", float(np.max(np.abs(res[interior]))), 1e-6 * hbar)
-    res = commutator_on_f("xi", "t_new_via_kdm") - 1j * hbar * (f + 0.5 * (r @ f))
-    add("commutator_xi_t_new", float(np.max(np.abs(res[interior]))), 1e-6 * hbar)
-    res = commutator_on_f("xi", "t_kdm") - 1j * hbar * f
-    add("commutator_xi_t_kdm", float(np.max(np.abs(res[interior]))), 1e-6 * hbar)
-
-    # eigenstate structure
-    phi = eigenstate_values(EigenFamily.NEW, 0.7, p, consts)
-    add(
-        "new_eigenstate_conjugation",
-        float(np.max(np.abs(phi[::-1] - np.conj(phi))) / np.max(np.abs(phi))),
-        1e-12,
-    )
-    # the eigenstate's only seam is the series/Hankel switchover
-    tau_seam = 0.7
-    p_seam = math.sqrt(2.0 * consts.mass * hbar * BESSEL_SWITCHOVER / tau_seam)
-    lo = eigenstate_values(EigenFamily.NEW, tau_seam, np.array([p_seam * (1 - 1e-9)]), consts)[0]
-    hi = eigenstate_values(EigenFamily.NEW, tau_seam, np.array([p_seam * (1 + 1e-9)]), consts)[0]
-    add("new_branch_seam", abs(lo - hi) / abs(lo), 1e-6)
-
-    from .numerics import _bessel_asymptotic, _bessel_series
-
-    zs = np.linspace(8.0, 12.0, 50)
-    worst = 0.0
-    for nu in (-0.25, 0.75):
-        diff = np.abs(_bessel_series(nu, zs) - _bessel_asymptotic(nu, zs))
-        worst = max(worst, float(np.max(diff)))
-    add("bessel_branch_window", worst, 1e-9)
-
-    # compare in the bulk of the arrival distribution (near-zero tails are
-    # dominated by rounding noise of two independently ordered sums)
-    psi = make_gaussian(cfg.gaussian(), grid)
-    t_peak = classical_arrival(cfg.x0, cfg.p0, cfg.mass)
-    worst = 0.0
-    for t in (0.8 * t_peak, t_peak, 1.2 * t_peak):
-        kij = kijowski_distribution(psi, t)
-        ab = abs(overlap(psi, EigenFamily.AB, t)) ** 2
-        worst = max(worst, abs(kij - ab) / max(kij, 1e-300))
-    add("kijowski_equals_ab_overlap", worst, 1e-10)
-
-    for name, band, tol, larger in (
-        ("dwell_low_momentum", (0.0, 0.05), 0.02, False),
-        ("dwell_negative_control", (4.5, 5.5), 0.2, True),
-    ):
-        try:
-            add(name, dwell_low_momentum_check(cfg.L, grid, consts, band=band), tol, larger)
-        except ValueError as exc:
-            checks.append(
-                {"name": name, "value": None, "tolerance": tol, "pass": False, "note": str(exc)}
-            )
-
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(20):
-        x = -float(rng.uniform(0.1, 10.0))
-        mom = float(rng.uniform(0.1, 10.0))
-        sw = classical_stopwatch(x, mom, T=200.0, m=consts.mass)
-        worst = max(worst, abs(sw - (-consts.mass * x / mom)))
-    add("classical_stopwatch_match", worst, 1e-9)
-    worst = 0.0
-    for x, mom in ((-5.0, 2.0), (-5.0, -2.0), (3.0, 1.5)):
-        worst = max(
-            worst,
-            abs(classical_current_moment(x, mom, consts.mass) - (-consts.mass * x / abs(mom))),
-        )
-    add("classical_current_moment_match", worst, 1e-15)
-    return checks
-
-
 def cmd_verify(cfg: RunConfig, out: str | None, fmt: str) -> int:
-    checks = _verify_checks(cfg)
+    checks = run_checks(cfg.grid(), cfg.gaussian(), cfg.L)
     all_pass = all(c["pass"] for c in checks)
     payload = {
         "config": asdict(cfg),
@@ -395,6 +278,27 @@ def cmd_verify(cfg: RunConfig, out: str | None, fmt: str) -> int:
     }
     _atomic_write(out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
+
+
+def _validate_conditional_flags(args: argparse.Namespace) -> None:
+    """Reject conditional-mode geometry that would fail or mislead; names the flag.
+
+    A window width delta of at least half the grid step puts a sample in every
+    window and keeps the window count below about 2 nx.
+    """
+    for name in ("xc", "t1", "t2", "xbar1", "delta", "x_extent"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"flag '--{name.replace('_', '-')}': must be finite (got {value})")
+    if args.nx < 3:
+        raise ConfigError(f"flag '--nx': must be >= 3 (got {args.nx})")
+    if args.x_extent <= 0.0:
+        raise ConfigError(f"flag '--x-extent': must be > 0 (got {args.x_extent})")
+    half_step = 0.5 * args.x_extent / (args.nx - 1)
+    if not args.delta >= half_step:
+        raise ConfigError(
+            f"flag '--delta': must be >= half the grid step x_extent/(nx-1) = {half_step!r} (got {args.delta})"
+        )
 
 
 def cmd_measure(cfg: RunConfig, out: str | None, fmt: str, args: argparse.Namespace) -> int:
@@ -427,6 +331,7 @@ def cmd_measure(cfg: RunConfig, out: str | None, fmt: str, args: argparse.Namesp
         write_table(out, fmt, cfg, ["tau", "current", "current_over_sqrt_tau"], rows, checks)
         return EXIT_OK
     # conditional
+    _validate_conditional_flags(args)
     xc, t1, t2 = args.xc, args.t1, args.t2
     xbar1, delta = args.xbar1, args.delta
     x = np.linspace(0.0, args.x_extent, args.nx)

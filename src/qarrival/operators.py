@@ -76,7 +76,6 @@ class OperatorMatrix:
     grid: GridSpec
     consts: PhysConsts
     kind: str
-    hermitian: bool
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -277,14 +276,14 @@ def build_operator(
     n = grid.n
     if kind is OperatorKind.H:
         mat = np.diag(p**2 / (2.0 * m)).astype(complex)
-        return OperatorMatrix(mat, grid, consts, "H", True)
+        return OperatorMatrix(mat, grid, consts, "H")
     if kind is OperatorKind.XI:
         mat = np.diag(p * np.abs(p) / (2.0 * m)).astype(complex)
-        return OperatorMatrix(mat, grid, consts, "XI", True)
+        return OperatorMatrix(mat, grid, consts, "XI")
     if kind is OperatorKind.R:
-        return OperatorMatrix(_reflection(n).astype(complex), grid, consts, "R", True)
+        return OperatorMatrix(_reflection(n).astype(complex), grid, consts, "R")
     if kind is OperatorKind.SIGN_P:
-        return OperatorMatrix(np.diag(np.sign(p)).astype(complex), grid, consts, "SIGN_P", True)
+        return OperatorMatrix(np.diag(np.sign(p)).astype(complex), grid, consts, "SIGN_P")
 
     if kind in (OperatorKind.T_KDM, OperatorKind.T_NEW_SYM, OperatorKind.T_NEW_VIA_KDM):
         x_op = 1j * hbar * derivative_matrix(grid)
@@ -293,12 +292,12 @@ def build_operator(
         gx = g[:, None] * x_op  # diag(g) @ x_op
         t_kdm = -(m / 2.0) * (xg + gx)
         if kind is OperatorKind.T_KDM:
-            return OperatorMatrix(t_kdm, grid, consts, "T_KDM", True)
+            return OperatorMatrix(t_kdm, grid, consts, "T_KDM")
         if kind is OperatorKind.T_NEW_SYM:
             # A = (1/|p|)(1 + R); right-multiplying by R flips columns,
             # left-multiplying flips rows (the grid is mirror-symmetric)
             mat = -(m / 2.0) * ((xg + xg[:, ::-1]) + (gx + g[:, None] * x_op[::-1, :]))
-            return OperatorMatrix(mat, grid, consts, "T_NEW_SYM", True)
+            return OperatorMatrix(mat, grid, consts, "T_NEW_SYM")
         # Reflection term (i hbar m / 2) (1/(p|p|)) R, with 1/(p|p|) realized
         # as the commutator-induced discrete operator (i/hbar) [x, 1/|p|] so
         # that both constructions refer to the same discretized x and agree
@@ -306,7 +305,7 @@ def build_operator(
         # on any finite-difference grid).
         g_d = (1j / hbar) * (xg - gx)
         mat = t_kdm + (1j * hbar * m / 2.0) * g_d[:, ::-1]
-        return OperatorMatrix(mat, grid, consts, "T_NEW_VIA_KDM", True)
+        return OperatorMatrix(mat, grid, consts, "T_NEW_VIA_KDM")
 
     if kind is OperatorKind.T_DWELL:
         if L is None or L <= 0.0:
@@ -315,7 +314,7 @@ def build_operator(
         scale = m * L / np.abs(p)
         refl = scale * np.exp(-1j * b) * np.sinc(b / math.pi)
         mat = np.diag(scale).astype(complex) + np.diag(refl)[:, ::-1]
-        return OperatorMatrix(mat, grid, consts, "T_DWELL", True)
+        return OperatorMatrix(mat, grid, consts, "T_DWELL")
 
     if kind is OperatorKind.J_CURRENT:
         if t is None:
@@ -323,14 +322,15 @@ def build_operator(
         v = np.exp(1j * p**2 * t / (2.0 * m * hbar))
         delta = (grid.dp / (2.0 * math.pi * hbar)) * np.outer(v, np.conj(v))
         mat = (p[:, None] * delta + delta * p[None, :]) / (2.0 * m)
-        return OperatorMatrix(mat, grid, consts, "J_CURRENT", True)
+        return OperatorMatrix(mat, grid, consts, "J_CURRENT")
 
     raise ValueError(f"unknown operator kind {kind}")
 
 
-def hermiticity_defect(op: OperatorMatrix, boundary: int = 2) -> float:
-    """max |M - M^dagger| / max |M| on the interior sub-block."""
-    s = op.matrix[boundary:-boundary, boundary:-boundary]
+def hermiticity_defect(op: OperatorMatrix) -> float:
+    """max |M - M^dagger| / max |M| on the interior sub-block (without the two
+    edge rows and columns on each side, where the one-sided stencils sit)."""
+    s = op.matrix[2:-2, 2:-2]
     return float(np.max(np.abs(s - s.conj().T)) / np.max(np.abs(s)))
 
 

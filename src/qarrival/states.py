@@ -94,17 +94,16 @@ def conjugate_position_grid(grid: GridSpec, consts: PhysConsts) -> np.ndarray:
     return GridSpec(grid.n, math.pi * consts.hbar / grid.dp).momenta()
 
 
-def centered_position_grid(grid: GridSpec, consts: PhysConsts, oversample: int = 4) -> np.ndarray:
-    """Odd-count symmetric position grid including x = 0, oversampled.
+def centered_position_grid(grid: GridSpec, consts: PhysConsts) -> np.ndarray:
+    """Odd-count symmetric position grid including x = 0, REFLECTED_OVERSAMPLE
+    times denser than the conjugate one.
 
     Oversampling beyond the conjugate density keeps the position->momentum
     quadrature accurate out to |p| = p_max even for states with a slope kink,
     whose momentum tails decay only like 1/p^2.
     """
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
     x_max = math.pi * consts.hbar / grid.dp
-    return np.linspace(-x_max, x_max, oversample * grid.n + 1)
+    return np.linspace(-x_max, x_max, REFLECTED_OVERSAMPLE * grid.n + 1)
 
 
 def make_gaussian(spec: GaussianSpec, grid: GridSpec) -> WaveFunction:
@@ -158,7 +157,7 @@ def reflected_position_state(base: GaussianSpec, grid: GridSpec) -> WaveFunction
     """
     if base.p0 <= 0.0:
         raise ValueError("reflected state requires a rightward-moving base packet (p0 > 0)")
-    x = centered_position_grid(grid, base.consts, REFLECTED_OVERSAMPLE)
+    x = centered_position_grid(grid, base.consts)
     phi = to_position(make_gaussian(base, grid), x)
     dx = phi.dx
     mass = integrate(np.abs(phi.values) ** 2, dx)
@@ -177,6 +176,20 @@ def make_reflected_state(base: GaussianSpec, grid: GridSpec) -> WaveFunction:
     return to_momentum(pos, grid).normalized()
 
 
+def _origin_weights(pts: np.ndarray) -> np.ndarray:
+    """Weights of the value (row 0) and the first derivative (row 1) at x = 0
+    of the polynomial through the samples at pts.
+
+    They are exact for every polynomial of degree < pts.size: the transposed
+    Vandermonde system sum_i w_i t_i^c = delta_{c,r}, in units of the largest
+    |pts| so that it stays well conditioned.
+    """
+    h = float(np.max(np.abs(pts)))
+    vander = np.vander(pts / h, increasing=True)
+    weights = np.linalg.solve(vander.T, np.eye(pts.size)[:, :2]).T
+    return weights / np.array([[1.0], [h]])
+
+
 def derivative_at_origin(psi: WaveFunction) -> complex:
     """Five-point finite-difference estimate of psi'(0) on a position grid.
 
@@ -191,43 +204,18 @@ def derivative_at_origin(psi: WaveFunction) -> complex:
     if x.size < 5:
         raise ValueError("need at least 5 position samples around the origin")
     order = np.argsort(np.abs(x))[:5]
-    order = order[np.argsort(x[order])]
     pts = x[order]
-    if np.min(np.abs(x)) > 2.0 * psi.dx or pts[0] > 0.0 or pts[-1] < 0.0:
+    if np.min(np.abs(x)) > 2.0 * psi.dx or pts.min() > 0.0 or pts.max() < 0.0:
         raise ValueError("position grid does not bracket a neighborhood of x = 0")
-    vals = psi.values[order]
-    deriv = 0.0 + 0.0j
-    for i in range(5):
-        w = 0.0
-        for mth in range(5):
-            if mth == i:
-                continue
-            prod = 1.0
-            for j in range(5):
-                if j == i or j == mth:
-                    continue
-                prod *= (0.0 - pts[j]) / (pts[i] - pts[j])
-            w += prod / (pts[i] - pts[mth])
-        deriv += w * vals[i]
-    return complex(deriv)
+    return complex(_origin_weights(pts)[1] @ psi.values[order])
 
 
 def value_at_origin(psi: WaveFunction) -> complex:
     """Four-point Lagrange interpolation of psi(0) on a position grid."""
     if psi.rep is not Representation.POSITION:
         raise ValueError("value_at_origin expects a position-representation state")
-    x = psi.grid
-    order = np.argsort(np.abs(x))[:4]
-    pts = x[order]
-    vals = psi.values[order]
-    out = 0.0 + 0.0j
-    for i in range(4):
-        w = 1.0
-        for j in range(4):
-            if j != i:
-                w *= (0.0 - pts[j]) / (pts[i] - pts[j])
-        out += w * vals[i]
-    return complex(out)
+    order = np.argsort(np.abs(psi.grid))[:4]
+    return complex(_origin_weights(psi.grid[order])[0] @ psi.values[order])
 
 
 def momentum_moments(psi: WaveFunction) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qarrival import GaussianSpec, GridSpec, PhysConsts, make_gaussian, make_reflected_state
+from qarrival import GaussianSpec, GridSpec, PhysConsts, checks, make_gaussian, make_reflected_state
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,13 @@ def fast_spec(consts):
 @pytest.fixture(scope="session")
 def fast_packet(fast_spec, grid):
     return make_gaussian(fast_spec, grid)
+
+
+@pytest.fixture(scope="session")
+def verify_report(grid, fast_spec):
+    """The invariant report of `qarrival verify` at its default configuration
+    (grid 1024/40, fast packet, L = 0.2), by check name."""
+    return {check["name"]: check for check in checks.run_checks(grid, fast_spec, 0.2)}
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,42 @@
+"""The invariant registry (`qarrival.checks`) shared by `qarrival verify` and the tests."""
+
+import pytest
+
+from qarrival import checks
+
+# (name, tolerance, larger_is_pass) of every check, in report order, at
+# hbar = 1.  The registry may not loosen, drop or reorder a check silently.
+PINNED = [
+    ("hermiticity_t_kdm", 1e-10, False),
+    ("hermiticity_t_new_sym", 1e-10, False),
+    ("hermiticity_t_new_via_kdm", 1e-10, False),
+    ("hermiticity_t_dwell", 1e-10, False),
+    ("hermiticity_h", 1e-10, False),
+    ("hermiticity_xi", 1e-10, False),
+    ("hermiticity_j_current", 1e-10, False),
+    ("t_new_constructions_agree", 1e-8, False),
+    ("reflection_squared_identity", 1e-15, False),
+    ("reflection_sign_conjugation", 1e-15, False),
+    ("commutator_h_t_new", 1e-6, False),
+    ("commutator_xi_t_new", 1e-6, False),
+    ("commutator_xi_t_kdm", 1e-6, False),
+    ("new_eigenstate_conjugation", 1e-12, False),
+    ("new_branch_seam", 1e-6, False),
+    ("bessel_branch_window", 1e-9, False),
+    ("kijowski_equals_ab_overlap", 1e-10, False),
+    ("dwell_low_momentum", 0.02, False),
+    ("dwell_negative_control", 0.2, True),
+    ("classical_stopwatch_match", 1e-9, False),
+    ("classical_current_moment_match", 1e-15, False),
+]
+
+
+def test_registry_is_pinned(verify_report):
+    assert [(name, tol, larger) for name, (tol, larger) in checks.CHECKS.items()] == PINNED
+    assert [(c["name"], c["tolerance"]) for c in verify_report.values()] == [(n, t) for n, t, _ in PINNED]
+
+
+@pytest.mark.parametrize("name", list(checks.CHECKS))
+def test_registry_check_passes(verify_report, name):
+    check = verify_report[name]
+    assert check["pass"], check

@@ -194,3 +194,34 @@ class TestMeasureModes:
         # peaks at xbar1 -+ |p0| (t2 - t1) = 4 -+ 2.5
         assert abs(top2[0] - 1.5) <= 0.5
         assert abs(top2[1] - 6.5) <= 0.5
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--delta", "0"], "--delta"),
+            (["--xc", "nan"], "--xc"),
+            # grid step 40/10 = 4: a window of width 1 can miss every sample
+            (["--nx", "11", "--delta", "1.0"], "--delta"),
+        ],
+        ids=["zero_delta", "nan_center", "sub_step_delta"],
+    )
+    def test_conditional_flags_exit_2(self, tmp_path, flags, named):
+        out = tmp_path / "cond.csv"
+        res = run_cli("measure", "--mode", "conditional", *flags, "--out", str(out))
+        assert res.returncode == 2
+        assert named in res.stderr
+        assert not out.exists()
+
+    def test_string_boolean_in_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"with_reference": "false"}))
+        res = run_cli("distribution", "--config", str(cfg), *SMALL)
+        assert res.returncode == 2
+        assert "with_reference" in res.stderr
+
+    def test_non_finite_float_exits_2(self):
+        res = run_cli("spectrum", "--family", "kdm", "--tau", "nan")
+        assert res.returncode == 2
+        assert "'tau'" in res.stderr

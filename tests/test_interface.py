@@ -5,10 +5,13 @@ these arguments by name; a renamed parameter would break or silently change
 `numerics.fourier.points`, `operators.eigenstate_values.samples*` and
 `measurement.halfline_propagate.kernel_points`.  The eigenstate counter also
 reads `tau` as one number, so `eigenstate_values` keeps a scalar tau and the
-block evaluator over many taus stays private (untraced).
+block evaluator over many taus stays private (untraced).  The tracer rebinds
+functions in the five library modules only, so the invariant registry
+(`qarrival.checks`) calls them through those modules.
 """
 
 import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import pytest
 import qarrival
 from qarrival import (
     EigenFamily,
+    checks,
     cli,
     completeness_check,
     distribution,
@@ -73,3 +77,18 @@ def test_traced_calls_see_scalar_taus(monkeypatch, tmp_path, fast_packet):
     completeness_check(EigenFamily.KDM, fast_packet, (-0.25, 1.25), 101)
     assert cli.main(["spectrum", "--family", "new", "--out", str(tmp_path / "phi.csv")]) == 0
     assert seen and set(seen) == {0}
+
+
+def test_registry_calls_are_visible_to_the_tracer(monkeypatch, grid, fast_spec):
+    """A spy on the operators module sees every registry call of these functions."""
+    calls = Counter()
+    for name in ("build_operator", "hermiticity_defect", "dwell_low_momentum_check"):
+        original = getattr(operators, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(operators, name, spy)
+    checks.run_checks(grid, fast_spec, 0.2)
+    assert calls == {"build_operator": 9, "hermiticity_defect": 7, "dwell_low_momentum_check": 2}

@@ -20,7 +20,6 @@ from qarrival import (
     eigenstate,
     eigenstate_values,
     gamma_fn,
-    hermiticity_defect,
     kijowski_distribution,
     kinetic_energy_density,
     make_gaussian,
@@ -75,10 +74,9 @@ class TestEigenstates:
         expected = pref * (brute_series_j(-0.25, 1.0) + 1j * brute_series_j(0.75, 1.0))
         assert val == pytest.approx(expected, rel=1e-12)
 
-    def test_new_conjugation_symmetry(self, grid, consts):
-        p = grid.momenta()
-        phi = eigenstate_values(EigenFamily.NEW, 0.7, p, consts)
-        assert np.max(np.abs(phi[::-1] - np.conj(phi))) <= 1e-12 * np.max(np.abs(phi))
+    def test_new_conjugation_symmetry(self, verify_report):
+        # max |phi(-p) - conj phi(p)| / max |phi| at tau = 0.7 on the default grid
+        assert verify_report["new_eigenstate_conjugation"]["value"] <= 1e-12
 
     def test_new_low_momentum_limit(self, consts):
         # complex value approaches the real slope limit as z -> 0
@@ -88,13 +86,9 @@ class TestEigenstates:
         val = eigenstate(EigenFamily.NEW, tau, p, consts)
         assert abs(val / p - slope) / slope < 1e-6
 
-    def test_new_branch_seam(self, consts):
-        # series-side and Hankel-side evaluations agree at the z = 10 switchover
-        tau = 0.7
-        p_seam = math.sqrt(2.0 * 10.0 / tau)
-        lo = eigenstate(EigenFamily.NEW, tau, p_seam * (1.0 - 1e-9), consts)
-        hi = eigenstate(EigenFamily.NEW, tau, p_seam * (1.0 + 1e-9), consts)
-        assert abs(lo - hi) / abs(lo) < 1e-6
+    def test_new_branch_seam(self, verify_report):
+        # series-side and Hankel-side evaluations agree at the z = 10 switchover (tau = 0.7)
+        assert verify_report["new_branch_seam"]["value"] < 1e-6
 
     def test_new_asymptotic_matches_leading_form(self, consts):
         # at large z the eigenstate approaches e^{-i pi/8} sqrt(p/2 pi) e^{iz}
@@ -197,19 +191,20 @@ class TestBlockedSpectralCalls:
 @pytest.fixture(scope="module")
 def ops(grid, consts):
     return {
-        "h": build_operator(OperatorKind.H, grid, consts),
         "xi": build_operator(OperatorKind.XI, grid, consts),
         "r": build_operator(OperatorKind.R, grid, consts),
         "sign": build_operator(OperatorKind.SIGN_P, grid, consts),
         "t_kdm": build_operator(OperatorKind.T_KDM, grid, consts),
-        "t_sym": build_operator(OperatorKind.T_NEW_SYM, grid, consts),
-        "t_via": build_operator(OperatorKind.T_NEW_VIA_KDM, grid, consts),
-        "t_dwell": build_operator(OperatorKind.T_DWELL, grid, consts, L=0.2),
-        "j": build_operator(OperatorKind.J_CURRENT, grid, consts, t=0.3),
     }
 
 
 class TestOperatorMatrices:
+    # the invariant report's names of the operators in test_hermiticity_interior
+    REPORT_NAMES = {
+        "h": "h", "xi": "xi", "t_kdm": "t_kdm", "t_sym": "t_new_sym",
+        "t_via": "t_new_via_kdm", "t_dwell": "t_dwell", "j": "j_current",
+    }
+
     def test_reflection_squared_identity(self, ops, grid):
         r = ops["r"].matrix
         assert np.array_equal(r @ r, np.eye(grid.n))
@@ -221,12 +216,12 @@ class TestOperatorMatrices:
     @pytest.mark.parametrize(
         "name", ["h", "xi", "t_kdm", "t_sym", "t_via", "t_dwell", "j"]
     )
-    def test_hermiticity_interior(self, ops, name):
-        assert hermiticity_defect(ops[name]) <= 1e-10
+    def test_hermiticity_interior(self, verify_report, name):
+        assert verify_report[f"hermiticity_{self.REPORT_NAMES[name]}"]["value"] <= 1e-10
 
-    def test_two_constructions_agree(self, ops):
-        sym, via = ops["t_sym"].matrix, ops["t_via"].matrix
-        assert np.max(np.abs(sym - via)) <= 1e-8 * np.max(np.abs(sym))
+    def test_two_constructions_agree(self, verify_report):
+        # max |T_sym - T_via| / max |T_sym|
+        assert verify_report["t_new_constructions_agree"]["value"] <= 1e-8
 
     def _test_vector(self, grid):
         p = grid.momenta()
@@ -238,21 +233,19 @@ class TestOperatorMatrices:
         """[A, B] f = A(Bf) - B(Af), matrix-vector products only."""
         return a.matrix @ (b.matrix @ f) - b.matrix @ (a.matrix @ f)
 
-    def test_commutator_h_t_new(self, ops, grid, consts):
-        p, f = self._test_vector(grid)
-        res = self._commutator_on(ops["h"], ops["t_via"], f) - 1j * consts.hbar * np.sign(p) * f
-        assert np.max(np.abs(res[2:-2])) <= 1e-6 * consts.hbar
+    def test_commutator_h_t_new(self, verify_report, consts):
+        # [H, T_NEW] = i hbar eps(p) by action on the report's packet, interior rows;
+        # criterion 2 checks it on this class's packet at n = 1024 and 2048
+        assert verify_report["commutator_h_t_new"]["value"] <= 1e-6 * consts.hbar
 
     def test_commutator_xi_t_kdm(self, ops, grid, consts):
         p, f = self._test_vector(grid)
         res = self._commutator_on(ops["xi"], ops["t_kdm"], f) - 1j * consts.hbar * f
         assert np.max(np.abs(res[2:-2])) <= 1e-6 * consts.hbar
 
-    def test_commutator_xi_t_new_extra_term(self, ops, grid, consts):
-        p, f = self._test_vector(grid)
-        rf = ops["r"].matrix @ f
-        res = self._commutator_on(ops["xi"], ops["t_via"], f) - 1j * consts.hbar * (f + 0.5 * rf)
-        assert np.max(np.abs(res[2:-2])) <= 1e-6 * consts.hbar
+    def test_commutator_xi_t_new_extra_term(self, verify_report, consts):
+        # [xi, T_NEW] = i hbar (1 + R/2), as test_commutator_h_t_new
+        assert verify_report["commutator_xi_t_new"]["value"] <= 1e-6 * consts.hbar
 
     def test_dwell_small_pl_pattern(self, consts):
         # at pL/hbar -> 0 the matrix approaches (mL/|p|)(1 + R): the
@@ -320,11 +313,9 @@ class TestOverlapAndDistributions:
 
 
 class TestKijowski:
-    def test_equals_ab_overlap(self, fast_packet):
-        for t in (0.4, 0.5, 0.6):
-            kij = kijowski_distribution(fast_packet, t)
-            ab = abs(overlap(fast_packet, EigenFamily.AB, t)) ** 2
-            assert kij == pytest.approx(ab, rel=1e-10)
+    def test_equals_ab_overlap(self, verify_report):
+        # fast packet at 0.8, 1 and 1.2 times the classical arrival 0.5
+        assert verify_report["kijowski_equals_ab_overlap"]["value"] <= 1e-10
 
     def test_nonnegative(self, fast_packet):
         for t in np.linspace(0.0, 1.0, 11):
@@ -482,29 +473,19 @@ class TestEigenvalueOde:
 
 
 class TestCompleteness:
-    def test_kdm_fast_packet(self, fast_packet):
-        err = completeness_check(EigenFamily.KDM, fast_packet, (-0.25, 1.25), 5001)
-        assert err <= 1e-3
-
-    def test_ab_fast_packet(self, fast_packet):
-        err = completeness_check(EigenFamily.AB, fast_packet, (-0.25, 1.25), 5001)
-        assert err <= 1e-3
-
-    def test_new_fast_packet_half_range(self, fast_packet):
-        err = completeness_check(EigenFamily.NEW, fast_packet, (0.0, 1.5), 3001)
-        assert err <= 1e-2
-
+    # the reconstruction errors themselves are acceptance criterion 12
     def test_warns_on_uncovered_mass(self, fast_packet):
         with pytest.warns(UserWarning, match="overlap mass"):
             completeness_check(EigenFamily.KDM, fast_packet, (0.45, 0.55), 501)
 
 
 class TestDwellRelation:
-    def test_low_momentum_band(self, grid, consts):
-        assert dwell_low_momentum_check(0.2, grid, consts) <= 0.02
+    def test_low_momentum_band(self, verify_report):
+        # L = 0.2, |p|L/hbar <= 0.05 on the default grid
+        assert verify_report["dwell_low_momentum"]["value"] <= 0.02
 
-    def test_negative_control_high_momentum(self, grid, consts):
-        assert dwell_low_momentum_check(0.2, grid, consts, band=(4.5, 5.5)) >= 0.2
+    def test_negative_control_high_momentum(self, verify_report):
+        assert verify_report["dwell_negative_control"]["value"] >= 0.2
 
     def test_empty_band_rejected(self, consts):
         with pytest.raises(ValueError, match="samples"):

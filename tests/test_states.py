@@ -22,7 +22,7 @@ from qarrival import (
     value_at_origin,
 )
 from qarrival.operators import kinetic_energy_density
-from qarrival.states import centered_position_grid, conjugate_position_grid
+from qarrival.states import REFLECTED_OVERSAMPLE, centered_position_grid, conjugate_position_grid
 
 
 class TestMakeGaussian:
@@ -138,6 +138,6 @@ class TestRoundTrip:
         assert rel < 1e-6
 
     def test_centered_grid_contains_zero(self, grid, consts):
-        x = centered_position_grid(grid, consts, oversample=2)
-        assert x.size == 2 * grid.n + 1
+        x = centered_position_grid(grid, consts)
+        assert x.size == REFLECTED_OVERSAMPLE * grid.n + 1
         assert 0.0 in x
