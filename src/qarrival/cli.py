@@ -176,6 +176,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if isinstance(default, bool):
                 if not isinstance(val, bool):
                     raise ValueError("not a JSON boolean")
+            elif isinstance(val, bool) and isinstance(default, (int, float)):
+                raise ValueError("a JSON boolean, not a number")
             elif isinstance(default, int):
                 if float(val) != int(val):
                     raise ValueError("not an integer")
@@ -303,12 +305,9 @@ def _validate_conditional_flags(args: argparse.Namespace) -> None:
 
 def cmd_measure(cfg: RunConfig, out: str | None, fmt: str, args: argparse.Namespace) -> int:
     if cfg.mode == "crossing":
-        psi = cfg.state()
         taus = cfg.tau_grid()
-        rows = []
-        for tau in taus:
-            res = crossing_probability(psi, float(tau))
-            rows.append([float(tau), res.projector_form, res.current_form])
+        res = crossing_probability(cfg.state(), taus)
+        rows = [[float(t), float(a), float(b)] for t, a, b in zip(taus, res.projector_form, res.current_form)]
         write_table(out, fmt, cfg, ["tau", "p_projector", "p_current"], rows)
         return EXIT_OK
     if cfg.mode == "zeno":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import GridSpec, momentum_to_position, position_to_momentum, simpson_weights
-from .operators import current_expectation, kinetic_energy_density
+from .operators import _free_currents, current_expectation, kinetic_energy_density
 from .states import Representation, WaveFunction
 
 
@@ -231,58 +231,91 @@ def conditional_distribution(
 # ---------------------------------------------------------------------------
 
 
-# Crossing: position oversampling, and the odd Simpson sample count on [0, tau].
+# Crossing: position oversampling, and the Simpson sample count that bounds the
+# time step of a sweep by tau_max / (2 (CROSSING_TIME_SAMPLES - 1)), half the
+# step of this many samples on [0, tau_max].
 CROSSING_OVERSAMPLE = 4
 CROSSING_TIME_SAMPLES = 801
 
 
 @dataclass(frozen=True)
 class CrossingResult:
-    """The two equivalent forms of the interval crossing probability."""
+    """The two equivalent forms of the interval crossing probability, floats
+    for a scalar tau and arrays for an array of taus."""
 
-    projector_form: float
-    current_form: float
+    projector_form: float | np.ndarray
+    current_form: float | np.ndarray
 
 
-def crossing_probability(psi: WaveFunction, tau: float) -> CrossingResult:
-    """Probability of crossing the origin during [0, tau].
+def _crossing_time_grid(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Simpson time grid for a sweep: its nodes are 0 and every tau, and
+    each gap between neighbouring nodes is cut into an even number of equal
+    steps of at most tau_max / (2 (CROSSING_TIME_SAMPLES - 1)).
+
+    Returns the times and the index of each node in them.  A gap within
+    rounding (1e-9 relative) of a whole number of double steps takes that
+    number.
+    """
+    nodes = np.unique(np.concatenate([[0.0], taus]))
+    double_step = nodes[-1] / (CROSSING_TIME_SAMPLES - 1)
+    steps = 2 * np.ceil(np.diff(nodes) / double_step * (1.0 - 1e-9)).astype(int)
+    pieces = [np.linspace(a, b, s + 1)[:-1] for a, b, s in zip(nodes[:-1], nodes[1:], steps)]
+    return np.concatenate([*pieces, nodes[-1:]]), np.concatenate([[0], np.cumsum(steps)])
+
+
+def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> CrossingResult:
+    """Probability of crossing the origin during [0, tau], for a scalar tau or
+    a 1-D array of nonnegative, strictly increasing taus (one sweep).
 
     projector_form:  <psi|Pbar P(tau) Pbar|psi> + <psi|P Pbar(tau) P|psi>
     with P = theta(x), evaluated by project / free-propagate / project on a
-    CROSSING_OVERSAMPLE-times oversampled conjugate position grid.
+    CROSSING_OVERSAMPLE-times oversampled conjugate position grid.  psi is
+    projected once per sweep; each tau pays for its two evolved transforms.
     current_form:  integral over [0, tau] of <Pbar psi|J(t)|Pbar psi>
-    - <P psi|J(t)|P psi> (they agree because dP(t)/dt = J(t)), by Simpson's
-    rule on CROSSING_TIME_SAMPLES times.
+    - <P psi|J(t)|P psi> (they agree because dP(t)/dt = J(t)).  The integrand
+    does not depend on tau: it is evaluated once on the shared grid of
+    _crossing_time_grid, integrated by Simpson's rule between neighbouring
+    nodes and accumulated, which gives every integral of the sweep at once.
+    Both forms are exactly 0 at tau = 0.
     """
     if psi.rep is not Representation.MOMENTUM:
         raise ValueError("crossing_probability expects a momentum-representation state")
-    if tau < 0.0:
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if taus.ndim != 1 or taus.size == 0 or np.any(np.diff(taus) <= 0.0):
+        raise ValueError("taus must be a scalar or a nonempty, 1-D, strictly increasing array")
+    if taus[0] < 0.0:
         raise ValueError("tau must be nonnegative")
-    if tau == 0.0:
-        return CrossingResult(0.0, 0.0)
     m, hbar = psi.consts.mass, psi.consts.hbar
     p = psi.grid
     # oversampled half-offset position grid at the conjugate extent
     x_grid = GridSpec(CROSSING_OVERSAMPLE * p.size, math.pi * hbar * (p.size - 1) / (p[-1] - p[0]))
     x = x_grid.momenta()
     dx = x_grid.dp
+    left, right = x < 0.0, x > 0.0
     psi_x = momentum_to_position(psi.values, p, x, hbar)
-    neg_p = position_to_momentum(np.where(x < 0.0, psi_x, 0.0), x, p, hbar)
-    pos_p = position_to_momentum(np.where(x > 0.0, psi_x, 0.0), x, p, hbar)
+    neg_p = position_to_momentum(np.where(left, psi_x, 0.0), x, p, hbar)
+    pos_p = position_to_momentum(np.where(right, psi_x, 0.0), x, p, hbar)
 
-    def evolved_mass(values_p: np.ndarray, target_positive: bool) -> float:
-        vx = momentum_to_position(values_p * np.exp(-1j * p**2 * tau / (2.0 * m * hbar)), p, x, hbar)
-        mask = x > 0.0 if target_positive else x < 0.0
-        return float(np.sum(np.abs(vx[mask]) ** 2) * dx)
+    def evolved_mass(values_p: np.ndarray, t: float, target: np.ndarray) -> float:
+        vx = momentum_to_position(values_p * np.exp(-1j * p**2 * t / (2.0 * m * hbar)), p, x, hbar)
+        return float(np.sum(np.abs(vx[target]) ** 2) * dx)
 
-    projector = evolved_mass(neg_p, True) + evolved_mass(pos_p, False)
-
-    wf_neg = WaveFunction(Representation.MOMENTUM, p, neg_p, psi.consts)
-    wf_pos = WaveFunction(Representation.MOMENTUM, p, pos_p, psi.consts)
-    ts = np.linspace(0.0, tau, CROSSING_TIME_SAMPLES)
-    integrand = current_expectation(wf_neg, ts) - current_expectation(wf_pos, ts)
-    wt = simpson_weights(ts.size, ts[1] - ts[0])
-    return CrossingResult(projector, float(np.sum(wt * integrand)))
+    projector = np.zeros(taus.size)
+    current = np.zeros(taus.size)
+    if taus[-1] > 0.0:
+        for k in np.flatnonzero(taus):
+            projector[k] = evolved_mass(neg_p, taus[k], right) + evolved_mass(pos_p, taus[k], left)
+        ts, at = _crossing_time_grid(taus)
+        j = _free_currents(np.stack([neg_p, pos_p], axis=1), p, psi.dx, ts, psi.consts)
+        integrand = j[:, 0] - j[:, 1]
+        pieces = [
+            np.sum(simpson_weights(b - a + 1, (ts[b] - ts[a]) / (b - a)) * integrand[a : b + 1])
+            for a, b in zip(at[:-1], at[1:])
+        ]
+        current[taus > 0.0] = np.cumsum(pieces)
+    if np.ndim(tau) == 0:
+        return CrossingResult(float(projector[0]), float(current[0]))
+    return CrossingResult(projector, current)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ SMALL = ["--n", "256", "--p-max", "24", "--tau-min", "0.2", "--tau-max", "0.8", 
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (a, b):
-            res = run_cli("distribution", "--family", "kdm", *SMALL, "--out", str(out))
-            assert res.returncode == 0, res.stderr
-        assert a.read_bytes() == b.read_bytes()
+        for command in (["distribution", "--family", "kdm"], ["measure", "--mode", "crossing"]):
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            for out in (a, b):
+                res = run_cli(*command, *SMALL, "--out", str(out))
+                assert res.returncode == 0, res.stderr
+            assert a.read_bytes() == b.read_bytes()
 
     def test_no_timestamps_in_output(self, tmp_path):
         out = tmp_path / "d.json"
@@ -168,6 +169,16 @@ class TestMeasureModes:
         assert rows[0][0] == 0.0
         assert rows[0][1] == 0.0 and rows[0][2] == 0.0
 
+    def test_crossing_default_preset(self, tmp_path):
+        # 201 taus on [0, 1] in one sweep; criterion 9 holds on every row
+        out = tmp_path / "c.json"
+        res = run_cli("measure", "--mode", "crossing", "--format", "json", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        rows = np.array(json.loads(out.read_text())["rows"])
+        assert rows.shape == (201, 3)
+        assert np.array_equal(rows[:, 0], np.linspace(0.0, 1.0, 201))
+        assert np.max(np.abs(rows[:, 1] - rows[:, 2])) <= 1e-4
+
     def test_zeno_fit_exponent_half(self, tmp_path):
         out = tmp_path / "z.json"
         res = run_cli("measure", "--mode", "zeno", "--format", "json", "--out", str(out))
@@ -220,6 +231,14 @@ class TestInputValidation:
         res = run_cli("distribution", "--config", str(cfg), *SMALL)
         assert res.returncode == 2
         assert "with_reference" in res.stderr
+
+    @pytest.mark.parametrize("field", ["p0", "sigma_p"])
+    def test_json_boolean_for_number_exits_2(self, tmp_path, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: True}))
+        res = run_cli("distribution", "--family", "kdm", "--config", str(cfg), *SMALL)
+        assert res.returncode == 2
+        assert f"'{field}'" in res.stderr
 
     def test_non_finite_float_exits_2(self):
         res = run_cli("spectrum", "--family", "kdm", "--tau", "nan")

@@ -7,9 +7,7 @@ import pytest
 
 from qarrival import (
     GaussianSpec,
-    GridSpec,
     MeasurementChain,
-    PhysConsts,
     Propagator,
     Representation,
     WaveFunction,
@@ -33,6 +31,7 @@ from qarrival import (
 )
 from qarrival.states import conjugate_position_grid
 from util_dense import dense_halfline
+from util_pertau import crossing_per_tau
 
 
 def analytic_free_gaussian(x, t, p0, x0, sigma_x, m=1.0, hbar=1.0):
@@ -269,19 +268,49 @@ class TestCrossingProbability:
         assert res.projector_form == 0.0
         assert res.current_form == 0.0
 
+    def test_tau_zero_row_of_a_sweep(self, fast_packet):
+        res = crossing_probability(fast_packet, np.array([0.0, 0.3]))
+        assert res.projector_form[0] == 0.0 and res.current_form[0] == 0.0
+        assert res.projector_form[1] > 0.0
+
     def test_two_forms_agree(self, fast_packet):
-        for tau in (0.2, 0.5, 1.0):
-            res = crossing_probability(fast_packet, tau)
-            assert abs(res.projector_form - res.current_form) <= 1e-4
+        res = crossing_probability(fast_packet, np.array([0.2, 0.5, 1.0]))
+        assert np.max(np.abs(res.projector_form - res.current_form)) <= 1e-4
 
     def test_fast_packet_crosses_fully(self, fast_packet):
-        res = crossing_probability(fast_packet, 1.0)
-        assert res.projector_form == pytest.approx(1.0, abs=0.02)
+        res = crossing_probability(fast_packet, np.array([1.0]))
+        assert res.projector_form[0] == pytest.approx(1.0, abs=0.02)
 
     def test_bounded(self, fast_packet):
-        for tau in (0.1, 0.4, 0.8):
-            res = crossing_probability(fast_packet, tau)
-            assert -1e-6 <= res.projector_form <= 1.0 + 1e-6
+        res = crossing_probability(fast_packet, np.array([0.1, 0.4, 0.8]))
+        assert np.all((-1e-6 <= res.projector_form) & (res.projector_form <= 1.0 + 1e-6))
+
+    @pytest.mark.parametrize(
+        "taus",
+        [np.linspace(0.0, 1.0, 6), np.geomspace(1e-3, 1.0, 7)],
+        ids=["linear", "log"],
+    )
+    def test_sweep_matches_per_tau_oracle(self, fast_packet, taus):
+        res = crossing_probability(fast_packet, taus)
+        oracle = np.array([crossing_per_tau(fast_packet, float(t)) for t in taus])
+        assert np.array_equal(res.projector_form, oracle[:, 0])
+        assert np.max(np.abs(res.current_form - oracle[:, 1])) <= 1e-10
+
+    def test_one_element_array_equals_scalar_call(self, fast_packet):
+        scalar = crossing_probability(fast_packet, 0.5)
+        swept = crossing_probability(fast_packet, np.array([0.5]))
+        assert isinstance(scalar.projector_form, float) and isinstance(scalar.current_form, float)
+        assert swept.projector_form.tolist() == [scalar.projector_form]
+        assert swept.current_form.tolist() == [scalar.current_form]
+
+    @pytest.mark.parametrize(
+        "taus",
+        [-0.1, np.array([-0.1, 0.5]), np.array([0.5, 0.2]), np.array([0.2, 0.2]), np.array([])],
+        ids=["negative_scalar", "negative_entry", "decreasing", "repeated", "empty"],
+    )
+    def test_rejects_bad_taus(self, fast_packet, taus):
+        with pytest.raises(ValueError):
+            crossing_probability(fast_packet, taus)
 
 
 class TestSmallTimeCurrentLaw:

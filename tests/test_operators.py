@@ -1,7 +1,6 @@
 """Eigenstate families, operator matrices, distributions, and structural checks."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from qarrival import (
     GaussianSpec,
     GridSpec,
     OperatorKind,
-    PhysConsts,
     build_operator,
     completeness_check,
     current_expectation,
@@ -19,7 +17,6 @@ from qarrival import (
     dwell_low_momentum_check,
     eigenstate,
     eigenstate_values,
-    gamma_fn,
     kijowski_distribution,
     kinetic_energy_density,
     make_gaussian,

@@ -8,7 +8,6 @@ import pytest
 from qarrival import (
     GaussianSpec,
     GridSpec,
-    PhysConsts,
     Representation,
     WaveFunction,
     derivative_at_origin,

@@ -1,15 +1,26 @@
-"""Per-tau reference loops for the blocked spectral calls (test-side oracle).
+"""Per-tau reference loops for the blocked and swept calls (test-side oracles).
 
 Each tau makes its own `eigenstate_values` call, and the reconstruction is
 accumulated one tau at a time with elementwise sums, as in a direct reading of
-the formulas.
+the formulas.  Each crossing tau projects the state afresh and integrates the
+current on its own Simpson grid over [0, tau].
 """
 
 import math
 
 import numpy as np
 
-from qarrival import EigenFamily, eigenstate_values, simpson_weights
+from qarrival import (
+    EigenFamily,
+    GridSpec,
+    Representation,
+    WaveFunction,
+    current_expectation,
+    eigenstate_values,
+    simpson_weights,
+)
+from qarrival.measurement import CROSSING_OVERSAMPLE, CROSSING_TIME_SAMPLES
+from qarrival.numerics import momentum_to_position, position_to_momentum
 
 
 def distribution_per_tau(psi, family, taus):
@@ -37,3 +48,31 @@ def completeness_per_tau(family, psi, tau_range, tau_n):
             rec += w * c * phi
     err = math.sqrt(float(np.sum(wp * np.abs(rec - psi.values) ** 2)))
     return err / math.sqrt(psi.norm_squared())
+
+
+def crossing_per_tau(psi, tau):
+    """(projector form, current form) of the crossing probability over [0, tau]:
+    project, free-propagate and project for the first; Simpson's rule on
+    CROSSING_TIME_SAMPLES times of [0, tau] for the integral of the current."""
+    if tau == 0.0:
+        return 0.0, 0.0
+    m, hbar = psi.consts.mass, psi.consts.hbar
+    p = psi.grid
+    x_grid = GridSpec(CROSSING_OVERSAMPLE * p.size, math.pi * hbar * (p.size - 1) / (p[-1] - p[0]))
+    x = x_grid.momenta()
+    dx = x_grid.dp
+    psi_x = momentum_to_position(psi.values, p, x, hbar)
+    neg_p = position_to_momentum(np.where(x < 0.0, psi_x, 0.0), x, p, hbar)
+    pos_p = position_to_momentum(np.where(x > 0.0, psi_x, 0.0), x, p, hbar)
+
+    def evolved_mass(values_p, target_positive):
+        vx = momentum_to_position(values_p * np.exp(-1j * p**2 * tau / (2.0 * m * hbar)), p, x, hbar)
+        mask = x > 0.0 if target_positive else x < 0.0
+        return float(np.sum(np.abs(vx[mask]) ** 2) * dx)
+
+    projector = evolved_mass(neg_p, True) + evolved_mass(pos_p, False)
+    wf_neg = WaveFunction(Representation.MOMENTUM, p, neg_p, psi.consts)
+    wf_pos = WaveFunction(Representation.MOMENTUM, p, pos_p, psi.consts)
+    ts = np.linspace(0.0, tau, CROSSING_TIME_SAMPLES)
+    integrand = current_expectation(wf_neg, ts) - current_expectation(wf_pos, ts)
+    return projector, float(np.sum(simpson_weights(ts.size, ts[1] - ts[0]) * integrand))
