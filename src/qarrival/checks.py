@@ -86,11 +86,21 @@ def _operator_checks(grid: GridSpec, consts: PhysConsts, L: float) -> dict:
     return values
 
 
+def _bessel_table_gap(z: np.ndarray) -> np.ndarray:
+    """J_nu(z) from the low table minus J_nu(z) from the high table, for
+    nu = -1/4, 3/4 (first axis); both tables are fitted on z in [8, 12]."""
+    nu = np.array([[-0.25], [0.75]])
+    omega = z - nu * math.pi / 2.0 - math.pi / 4.0
+    pq = numerics._hankel_modulation(z)
+    high = np.sqrt(2.0 / (math.pi * z)) * (pq.real * np.cos(omega) - pq.imag * np.sin(omega))
+    return z**nu * numerics._bessel_scaled(z) - high
+
+
 def _eigenstate_checks(grid: GridSpec, consts: PhysConsts) -> dict:
     values = {}
     phi = operators.eigenstate_values(EigenFamily.NEW, 0.7, grid.momenta(), consts)
     values["new_eigenstate_conjugation"] = np.max(np.abs(phi[::-1] - np.conj(phi))) / np.max(np.abs(phi))
-    # the eigenstate's only seam is the series/Hankel switchover
+    # the eigenstate's only seam is the switchover between the Bessel tables
     tau = 0.7
     p_seam = math.sqrt(2.0 * consts.mass * consts.hbar * numerics.BESSEL_SWITCHOVER / tau)
     lo, hi = (
@@ -98,11 +108,7 @@ def _eigenstate_checks(grid: GridSpec, consts: PhysConsts) -> dict:
         for side in (1 - 1e-9, 1 + 1e-9)
     )
     values["new_branch_seam"] = abs(lo - hi) / abs(lo)
-    zs = np.linspace(8.0, 12.0, 50)
-    values["bessel_branch_window"] = max(
-        np.max(np.abs(numerics._bessel_series(nu, zs) - numerics._bessel_asymptotic(nu, zs)))
-        for nu in (-0.25, 0.75)
-    )
+    values["bessel_branch_window"] = np.max(np.abs(_bessel_table_gap(np.linspace(8.0, 12.0, 50))))
     return values
 
 

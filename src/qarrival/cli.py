@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .checks import run_checks
-from .numerics import GridSpec, PhysConsts, gamma_fn
+from .numerics import GAMMA_3_4, GridSpec, PhysConsts
 from .operators import (
     EigenFamily,
     distribution,
@@ -259,7 +259,7 @@ def cmd_distribution(cfg: RunConfig, out: str | None, fmt: str) -> int:
     if cfg.with_reference:
         kij = np.array([kijowski_distribution(psi, t) for t in taus])
         _, ked_abs = kinetic_energy_density(psi)
-        coef = math.pi / (2.0 * gamma_fn(0.75) ** 2)
+        coef = math.pi / (2.0 * GAMMA_3_4 ** 2)
         ked_curve = coef * np.sqrt(np.abs(taus)) * ked_abs / (cfg.mass**1.5 * cfg.hbar**0.5)
         columns += ["pi_kijowski", "ked_sqrt_law"]
         cols += [kij, ked_curve]
@@ -314,7 +314,7 @@ def cmd_measure(cfg: RunConfig, out: str | None, fmt: str, args: argparse.Namesp
         psi = make_reflected_state(cfg.gaussian(), cfg.grid())
         taus = cfg.tau_grid()
         fit = small_time_current_law(psi, taus)
-        ratio_coef = math.pi ** 1.5 / gamma_fn(0.75) ** 2
+        ratio_coef = math.pi ** 1.5 / GAMMA_3_4 ** 2
         checks = {
             "fit_exponent": fit.exponent,
             "fit_prefactor": fit.prefactor,

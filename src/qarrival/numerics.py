@@ -11,10 +11,13 @@ at the origin.  The grid is built mirror-symmetrically so that the index
 flip k -> n-1-k maps p_k to -p_k bitwise; the reflection operator is then
 an exact permutation.
 
-Bessel functions of fractional order are evaluated from the ascending
-power series below z = 10 and from the large-z Hankel (amplitude/phase)
-expansion above, with adaptive optimal truncation of the divergent tail.
-Both branches agree to better than 1e-9 on the overlap window z in [8, 12].
+The NEW eigenstates need J_nu at two orders only, nu = -1/4 and 3/4.  Both
+come from two Chebyshev tables evaluated by Clenshaw's recurrence with a
+fixed degree: below z = 10 the entire function z^(-nu) J_nu(z) in (z/10)^2
+(DLMF 10.2.2), at and above it the Hankel modulation P + iQ in 10/z
+(DLMF 10.17).  tools/bessel_tables.py generates both with mpmath; they
+agree to better than 1e-9 on the overlap window z in [8, 12] and err by
+about 2e-15 of max(|J_nu|, sqrt(2/(pi z))) against mpmath.
 """
 
 from __future__ import annotations
@@ -24,14 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Ascending series / Hankel expansion switchover and term caps.  The series
-# needs ~40 terms at z = 10; the Hankel tail is truncated at its smallest
-# term (reached well below 40 terms for z >= 8).
+# Switchover between the low and high Bessel tables, in z.
 BESSEL_SWITCHOVER = 10.0
-SERIES_MAX_TERMS = 240
-HANKEL_MAX_TERMS = 40
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Gamma(3/4), correctly rounded (mpmath); math.gamma(0.75) is 1 ulp high.
+GAMMA_3_4 = 1.2254167024651776
 
 
 @dataclass(frozen=True)
@@ -72,150 +72,78 @@ class GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# Gamma function (Lanczos approximation, g = 7, 9 coefficients)
+# Bessel J of orders -1/4 and 3/4
 # ---------------------------------------------------------------------------
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+# Chebyshev coefficients, one row per order (-1/4, 3/4), generated by
+# tools/bessel_tables.py with mpmath at 40 digits.  Low table: z^(-nu) J_nu(z)
+# in x = (z/10)^2 / 0.72 - 1, fitted on z in [0, 12].  High table: the Hankel
+# modulation P + iQ in x = 16/z - 1, fitted on z >= 8.
+_BESSEL_LOW = np.array([
+    [  # nu = -0.25
+        0.01091684121406861, -0.06987879694912474, 0.15881808747698992,
+        0.13632743556827315, 0.22779549669254673, -0.36860548936923987,
+        0.19715473307146608, -0.05960174384305236, 0.012026935508506835,
+        -0.001763433633360763, 0.00019804541206897353, -1.7668386958723796e-05,
+        1.2863433050675125e-06, -7.803803313745677e-08, 4.011458770976576e-09,
+        -1.7713621799386599e-10, 6.797033341543715e-12, -2.2887394334369444e-13,
+        6.82047158018309e-15, -1.8121043858760639e-16,
+    ],
+    [  # nu = 0.75
+        0.053811178225112014, -0.13944211059614814, 0.10374020106416154,
+        -0.12179565643203816, 0.12646144032554038, -0.07117443494480555,
+        0.024071026611862653, -0.0054561905876501894, 0.0008925706728978436,
+        -0.00011088591720270707, 1.0853856217462254e-05, -8.606882754995681e-07,
+        5.6508631575490806e-08, -3.1260721212263747e-09, 1.478298651053569e-10,
+        -6.0486326890381276e-12, 2.163501104685677e-13, -6.8252743326033536e-15,
+        1.9138619952294175e-16, -4.802752420263537e-18,
+    ],
+])
+_BESSEL_HIGH = np.array([
+    [  # nu = -0.25
+        (0.9997046588453498-0.005828221345549831j), (-0.0003924704249809433-0.005812822711309982j),
+        (-9.616095262434508e-05+1.831886512212399e-05j), (1.0881727283995617e-06+2.8490909030109476e-06j),
+        (1.1399265093226377e-07-7.683928564095878e-08j), (-6.122801826183588e-09-5.1779319191783164e-09j),
+        (-2.1229140679397205e-10+5.269315342579978e-10j), (4.692012247202896e-11+1.1533746527084295e-12j),
+        (-1.5887928204191808e-12-4.099537435983454e-12j), (-3.1983008109815643e-13+3.27191226249598e-13j),
+        (4.948996790358531e-14+1.6238845610168545e-14j), (-1.0675047191901379e-15-6.319405612796068e-15j),
+        (-6.580945778280701e-16+5.288906253870509e-16j), (1.1054901029682734e-16+4.172627308903316e-17j),
+    ],
+    [  # nu = 0.75
+        (1.0003804827484837+0.00972872454751055j), (0.0005058118162421242+0.00971047198401014j),
+        (0.00012422703828319546-2.172605014837579e-05j), (-1.2392764904352155e-06-3.394418076431216e-06j),
+        (-1.3082904931711106e-07+8.54709638950258e-08j), (6.7092337431271415e-09+5.837338282633348e-09j),
+        (2.394439834680403e-10-5.716912942089161e-10j), (-5.057826747104853e-11-1.9148174230345105e-12j),
+        (1.6418862867413636e-12+4.404177757844679e-12j), (3.439389465753019e-13-3.4314778444505387e-13j),
+        (-5.205509457911234e-14-1.7785802303775994e-14j), (1.0436157214124306e-15+6.657512470679652e-15j),
+        (6.957690102192038e-16-5.460743480937425e-16j), (-1.1495299418613844e-16-4.4871437945288515e-17j),
+    ],
+])
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x, accurate to ~15 significant digits.
+def _clenshaw(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coefs[:, k] T_k(x) by Clenshaw's recurrence, all rows of coefs in
+    one pass; shape (rows,) + x.shape."""
+    c = coefs.reshape(coefs.shape + (1,) * x.ndim)
+    x2 = 2.0 * x
+    b1, b2 = c[:, -1], 0.0
+    for k in range(coefs.shape[1] - 2, 0, -1):
+        b1, b2 = c[:, k] + x2 * b1 - b2, b1
+    return c[:, 0] + x * b1 - b2
 
-    Raises ValueError at the poles (nonpositive integers).  Negative
-    non-integer arguments go through the reflection formula.
+
+def _bessel_scaled(z: np.ndarray) -> np.ndarray:
+    """z^(-nu) J_nu(z) for nu = -1/4, 3/4 (first axis), for 0 <= z < BESSEL_SWITCHOVER."""
+    return _clenshaw(_BESSEL_LOW, z * z / 72.0 - 1.0)
+
+
+def _hankel_modulation(z: np.ndarray) -> np.ndarray:
+    """P + iQ = sqrt(pi z/2) e^(-i omega) H1_nu(z), omega = z - nu pi/2 - pi/4,
+    for nu = -1/4, 3/4 (first axis), for z >= BESSEL_SWITCHOVER.
+
+    J_nu(z) = sqrt(2/(pi z)) (P cos omega - Q sin omega).
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"gamma_fn requires finite x, got {x}")
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma_fn pole at nonpositive integer x = {x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEFS[0]
-    for i, c in enumerate(_LANCZOS_COEFS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (x + 0.5) * math.exp(-t) * acc
-
-
-# ---------------------------------------------------------------------------
-# Bessel J of real (fractional) order
-# ---------------------------------------------------------------------------
-
-
-def _bessel_series(nu: float, z: np.ndarray) -> np.ndarray:
-    """Ascending power series J_nu(z) = sum_k (-1)^k (z/2)^(2k+nu) / (k! Gamma(k+nu+1)).
-
-    Terms are generated by the ratio recurrence t_k = -t_{k-1} (z/2)^2 / (k (k+nu)).
-    Intended for z below the switchover; raises OverflowError if the terms
-    grow out of double range (they cannot for z <= 1e4 at the supported orders,
-    because callers route large z to the asymptotic branch).
-    """
-    z = np.asarray(z, dtype=float)
-    term = (z / 2.0) ** nu / gamma_fn(nu + 1.0)
-    total = term.copy()
-    q = -((z / 2.0) ** 2)
-    for k in range(1, SERIES_MAX_TERMS):
-        term = term * q / (k * (k + nu))
-        if np.any(np.abs(term) > 1e250):
-            raise OverflowError("bessel series diverges numerically; use the asymptotic branch")
-        total = total + term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total) + 1e-300):
-            break
-    return total
-
-
-def _hankel_pq(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P and Q sums of the large-z Hankel expansion.
-
-        J_nu(z) ~ sqrt(2/(pi z)) [P cos(omega) - Q sin(omega)],
-        omega = z - nu pi/2 - pi/4.
-
-    The expansion is divergent; each of the two alternating chains is summed
-    to its smallest term, with half weight on the stopping term (averaging of
-    the two bracketing partial sums), which gains roughly an order of
-    magnitude at z near 8.
-    """
-    z = np.asarray(z, dtype=float)
-    mu = 4.0 * nu * nu
-    shape = z.shape
-    c = np.ones(shape)
-    sum_p = np.ones(shape)
-    sum_q = np.zeros(shape)
-    prev_p = np.ones(shape)
-    prev_q = np.full(shape, np.inf)
-    done_p = np.zeros(shape, dtype=bool)
-    done_q = np.zeros(shape, dtype=bool)
-    for k in range(1, HANKEL_MAX_TERMS + 1):
-        c = c * (mu - (2 * k - 1) ** 2) / (8.0 * k * z)
-        t = ((-1.0) ** (k // 2)) * c
-        if k % 2 == 0:
-            worse = (~done_p) & (np.abs(t) >= prev_p)
-            tiny = (~done_p) & (np.abs(t) < 1e-17 * np.abs(sum_p))
-            sum_p = sum_p + np.where(done_p, 0.0, np.where(worse, 0.5 * t, t))
-            prev_p = np.where(done_p | worse | tiny, prev_p, np.abs(t))
-            done_p |= worse | tiny
-        else:
-            worse = (~done_q) & (np.abs(t) >= prev_q)
-            tiny = (~done_q) & (np.abs(t) < 1e-17 * np.abs(sum_q) + 1e-300)
-            sum_q = sum_q + np.where(done_q, 0.0, np.where(worse, 0.5 * t, t))
-            prev_q = np.where(done_q | worse | tiny, prev_q, np.abs(t))
-            done_q |= worse | tiny
-        if done_p.all() and done_q.all():
-            break
-    return sum_p, sum_q
-
-
-def _bessel_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
-    """Large-z amplitude/phase form of J_nu; accurate to ~4e-10 already at z = 8."""
-    z = np.asarray(z, dtype=float)
-    p, q = _hankel_pq(nu, z)
-    omega = z - nu * math.pi / 2.0 - math.pi / 4.0
-    return np.sqrt(2.0 / (math.pi * z)) * (p * np.cos(omega) - q * np.sin(omega))
-
-
-def bessel_j(nu: float, z):
-    """Bessel function J_nu(z) for real order nu and z >= 0.
-
-    Ascending series below z = 10, Hankel asymptotic expansion above; scalar
-    in, scalar out; array in, array out.
-    """
-    nu = float(nu)
-    if not math.isfinite(nu):
-        raise ValueError(f"order must be finite, got {nu}")
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z < 0.0):
-        raise ValueError("bessel_j domain is z >= 0")
-    out = np.empty_like(z)
-    zero = z == 0.0
-    if zero.any():
-        if nu == 0.0:
-            out[zero] = 1.0
-        elif nu > 0.0:
-            out[zero] = 0.0
-        else:
-            raise ValueError(f"J_nu(0) diverges for nu = {nu} < 0")
-    lo = (~zero) & (z < BESSEL_SWITCHOVER)
-    hi = (~zero) & (~lo)
-    if lo.any():
-        out[lo] = _bessel_series(nu, z[lo])
-    if hi.any():
-        out[hi] = _bessel_asymptotic(nu, z[hi])
-    return float(out[0]) if scalar else out
+    return _clenshaw(_BESSEL_HIGH, 16.0 / z - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,11 @@ import numpy as np
 
 from .numerics import (
     BESSEL_SWITCHOVER,
+    GAMMA_3_4,
     GridSpec,
     PhysConsts,
-    _bessel_series,
-    _hankel_pq,
-    gamma_fn,
+    _bessel_scaled,
+    _hankel_modulation,
     integrate,
     simpson_weights,
 )
@@ -114,9 +114,10 @@ def _mi_norm(consts: PhysConsts) -> float:
 
 
 # Taus are evaluated in blocks of about this many (tau, p) samples: enough to
-# amortise the per-call Bessel loops, few enough that a block's temporaries
-# stay below the peak memory of the per-tau evaluation (8192 raised peak RSS
-# by ~0.5 MB on the spectral benchmark).
+# amortise the per-call numpy overhead (the fixed-degree Clenshaw sums make
+# about 100 array operations per block), few enough that a block's
+# temporaries stay below the peak memory of the per-tau evaluation (8192
+# raised peak RSS by ~0.5 MB on the spectral benchmark for a ~5% faster pass).
 _BLOCK_SAMPLES = 4096
 
 
@@ -128,9 +129,9 @@ def _tau_blocks(taus: np.ndarray, n: int):
 
 
 def _new_eigenstate_block(taus: np.ndarray, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
-    """NEW-family eigenstates for taus >= 0, one row per tau; ascending Bessel
-    series below the switchover z = 10, Hankel amplitude/phase combination at
-    and above it.
+    """NEW-family eigenstates for taus >= 0, one row per tau; the low Bessel
+    table below the switchover z = 10, the Hankel amplitude/phase combination
+    of the high table at and above it.
 
     The values depend on |p| alone up to phi(-p) = conj phi(p), which is
     exact; on a mirror-symmetric grid (|p| a palindrome) only the upper half
@@ -145,29 +146,32 @@ def _new_eigenstate_block(taus: np.ndarray, p: np.ndarray, consts: PhysConsts) -
     else:
         index = k
     half = np.zeros((taus.size, ap.size), dtype=complex)
-    # tau^(1/2) J_{-1/4}(z) ~ tau^(1/4) -> 0, so rows with tau = 0 stay zero
+    # phi_tau ~ tau^(1/4) -> 0, so rows with tau = 0 stay zero
     rows = taus != 0.0
     tau = taus[rows, None]
     z = ap * ap * tau / (2.0 * m * hbar)
-    pref = np.broadcast_to(np.sqrt(tau) / (math.sqrt(8.0) * m * hbar), z.shape)
-    a = np.broadcast_to(ap, z.shape)
     out = np.empty(z.shape, dtype=complex)
     lo = z < BESSEL_SWITCHOVER
     if lo.any():
-        out[lo] = pref[lo] * (
-            a[lo] ** 1.5 * _bessel_series(-0.25, z[lo]) + 1j * a[lo] * a[lo] ** 0.5 * _bessel_series(0.75, z[lo])
-        )
+        # J_nu(z) = z^nu f_nu(z) from the low table; the prefactor times
+        # |p|^(3/2) z^(-1/4) is |p| (tau / 2 m hbar)^(1/4) / (2 sqrt(m hbar))
+        amp = ap * ((tau / (2.0 * m * hbar)) ** 0.25 / (2.0 * math.sqrt(m * hbar)))
+        zl = z[lo]
+        f = _bessel_scaled(zl)
+        out[lo] = amp[lo] * (f[0] + 1j * zl * f[1])
     hi = ~lo
     if hi.any():
-        # J_{-1/4}(z) + i J_{3/4}(z) in amplitude/phase form: with A = z - pi/8
-        # the two Hankel phases differ by pi/2 and the leading order collapses
-        # to e^{i (z - pi/8)} sqrt(2/(pi z)).
+        # J_nu(z) = sqrt(2/(pi z)) (P cos omega - Q sin omega) from the high
+        # table.  With A = z - pi/8 the two phases omega are A and A - pi/2, so
+        # J_{-1/4} + i J_{3/4} = sqrt(2/(pi z)) ((P1 + i Q2) cos A - (Q1 - i P2) sin A),
+        # and the prefactor times |p|^(3/2) sqrt(2/(pi z)) is sqrt(|p| / 2 pi m hbar).
+        amp = np.broadcast_to(np.sqrt(ap / (2.0 * math.pi * m * hbar)), z.shape)
         zh = z[hi]
-        p1, q1 = _hankel_pq(-0.25, zh)
-        p2, q2 = _hankel_pq(0.75, zh)
+        pq = _hankel_modulation(zh)
+        (p1, p2), (q1, q2) = pq.real, pq.imag
         phase = zh - math.pi / 8.0
-        comb = (p1 + 1j * q2) * np.cos(phase) - (q1 - 1j * p2) * np.sin(phase)
-        out[hi] = pref[hi] * a[hi] ** 1.5 * np.sqrt(2.0 / (math.pi * zh)) * comb
+        cos, sin = np.cos(phase), np.sin(phase)
+        out[hi] = amp[hi] * ((p1 * cos - q1 * sin) + 1j * (q2 * cos + p2 * sin))
     half[rows] = out
     full = half[:, index]
     return np.conjugate(full, out=full, where=p < 0.0)
@@ -177,10 +181,8 @@ def _eigenstate_block(family: EigenFamily, taus: np.ndarray, p: np.ndarray, cons
     """Eigenstates phi_tau(p) for a 1-D array of taus, shape (taus.size, p.size).
 
     Row k equals eigenstate_values(family, taus[k], p, consts) bitwise: every
-    step is elementwise in (tau, p) with the same operations in the same order.
-    The Bessel loops run until the slowest sample of the block converges; the
-    extra terms a converged sample then receives are exact zeros (Hankel) or
-    below 1e-17 of its sum (series), so they leave it unchanged.
+    step is elementwise in (tau, p) with the same operations in the same order,
+    and the NEW family's Bessel tables are summed to a fixed degree.
     """
     taus = np.asarray(taus, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -228,7 +230,7 @@ def new_low_momentum_slope(tau: float, consts: PhysConsts = PhysConsts()) -> flo
     """Small-z limit of phi_tau(p)/|p| for the NEW family:
     tau^(1/4) / (2 Gamma(3/4) (m hbar)^(3/4))."""
     m, hbar = consts.mass, consts.hbar
-    return tau**0.25 / (2.0 * gamma_fn(0.75) * (m * hbar) ** 0.75)
+    return tau**0.25 / (2.0 * GAMMA_3_4 * (m * hbar) ** 0.75)
 
 
 # ---------------------------------------------------------------------------

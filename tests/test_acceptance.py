@@ -22,12 +22,12 @@ from qarrival import (
     distribution,
     eigenstate,
     eigenstate_values,
-    gamma_fn,
     kinetic_energy_density,
     new_low_momentum_slope,
     small_time_current_law,
     solve_eigen_ode,
 )
+from qarrival.numerics import GAMMA_3_4
 from qarrival.states import Representation, WaveFunction
 from util_spectral import chebyshev_nodes_and_diff
 
@@ -171,7 +171,7 @@ def test_criterion_06_low_momentum_regime(reflected_packet):
     ratios = dist.values / np.sqrt(taus)
     spread = float((np.max(ratios) - np.min(ratios)) / np.mean(ratios))
     _, ked_abs = kinetic_energy_density(reflected_packet)
-    target = math.pi / (2.0 * gamma_fn(0.75) ** 2) * ked_abs / (m**1.5 * hbar**0.5)
+    target = math.pi / (2.0 * GAMMA_3_4 ** 2) * ked_abs / (m**1.5 * hbar**0.5)
     coef_dev = float(abs(np.mean(ratios) - target) / target)
     ok = spread <= 0.02 and coef_dev <= 0.01
     report(
@@ -189,7 +189,7 @@ def test_criterion_07_measurement_current_law(reflected_packet):
     taus = np.geomspace(0.015, 0.045, 9)
     fit = small_time_current_law(reflected_packet, taus)
     target = 1.0 / (2.0 * math.sqrt(math.pi))
-    ratio = (math.pi / (2.0 * gamma_fn(0.75) ** 2)) / target  # = pi^(3/2)/Gamma(3/4)^2
+    ratio = (math.pi / (2.0 * GAMMA_3_4 ** 2)) / target  # = pi^(3/2)/Gamma(3/4)^2
     ok = abs(fit.exponent - 0.5) <= 0.02 and abs(fit.prefactor - target) / target <= 0.02
     report(
         "criterion 7 (measurement current law)",

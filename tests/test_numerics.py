@@ -1,13 +1,22 @@
 """Special functions, quadrature, grids, and Fourier transforms."""
 
+import importlib.util
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 
-from qarrival import GaussianSpec, GridSpec, PhysConsts, bessel_j, gamma_fn, integrate
-from qarrival.numerics import _bessel_asymptotic, _bessel_series, momentum_to_position, position_to_momentum
+from qarrival import GaussianSpec, GridSpec, PhysConsts, integrate, numerics
+from qarrival.checks import _bessel_table_gap
+from qarrival.numerics import (
+    GAMMA_3_4,
+    _bessel_scaled,
+    _hankel_modulation,
+    momentum_to_position,
+    position_to_momentum,
+)
 from qarrival.states import (
     centered_position_grid,
     conjugate_position_grid,
@@ -51,96 +60,74 @@ class TestGridSpec:
             PhysConsts(hbar=0.0)
 
 
+def _modulation_oracle(nu, z):
+    """P + iQ = sqrt(pi z/2) e^(-i omega) H1_nu(z) at the working precision of mpmath."""
+    nu, z = mpmath.mpf(nu), mpmath.mpf(z)
+    omega = z - nu * mpmath.pi / 2 - mpmath.pi / 4
+    return complex(mpmath.sqrt(mpmath.pi * z / 2) * mpmath.expj(-omega) * mpmath.hankel1(nu, z))
+
+
 class TestBessel:
-    def test_zero_argument(self):
-        assert bessel_j(0.75, 0.0) == 0.0
-        assert bessel_j(0.0, 0.0) == 1.0
-        with pytest.raises(ValueError):
-            bessel_j(-0.25, 0.0)
+    # the two tables hold the orders nu = -1/4, 3/4, one row each
+    ORDERS = (-0.25, 0.75)
 
-    def test_half_order_zero_of_sin(self):
-        # J_{1/2}(z) = sqrt(2/(pi z)) sin z vanishes at z = pi
-        assert abs(bessel_j(0.5, math.pi)) < 1e-15
+    def test_low_table_against_mpmath(self):
+        # J_nu = z^nu f_nu within 2e-14 of the envelope max(|J_nu|, sqrt(2/(pi z)))
+        z = np.concatenate([np.geomspace(1e-6, 1.0, 40, endpoint=False), np.linspace(1.0, 10.0, 60, endpoint=False)])
+        f = _bessel_scaled(z)
+        with mpmath.workdps(30):
+            for nu, row in zip(self.ORDERS, f):
+                exact = np.array([float(mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(x))) for x in z])
+                envelope = np.maximum(np.abs(exact), np.sqrt(2.0 / (math.pi * z)))
+                assert np.max(np.abs(z**nu * row - exact) / envelope) <= 2e-14
 
-    def test_against_brute_series(self):
-        # frozen oracle: brute ascending series at z = 1
-        assert bessel_j(-0.25, 1.0) == pytest.approx(0.6693848172615744, abs=1e-14)
-        assert bessel_j(-0.25, 1.0) == pytest.approx(brute_series_j(-0.25, 1.0), abs=1e-13)
-        assert bessel_j(0.75, 1.0) == pytest.approx(brute_series_j(0.75, 1.0), abs=1e-13)
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_j(0.75, -1.0)
+    def test_modulation_against_mpmath(self):
+        z = np.concatenate([np.linspace(8.0, 12.0, 20, endpoint=False), np.geomspace(12.0, 1e5, 80)])
+        pq = _hankel_modulation(z)
+        with mpmath.workdps(30):
+            for nu, row in zip(self.ORDERS, pq):
+                exact = np.array([_modulation_oracle(nu, x) for x in z])
+                assert np.max(np.abs(row - exact)) <= 5e-15
 
     @pytest.mark.parametrize("nu", [-0.25, 0.75])
     def test_branch_consistency_window(self, nu):
-        # the two branches must agree on z in [8, 12] to 1e-9 (50-point grid)
+        # the two tables must agree on z in [8, 12] to 1e-9 (50-point grid)
         z = np.linspace(8.0, 12.0, 50)
-        series = _bessel_series(nu, z)
-        asym = _bessel_asymptotic(nu, z)
-        bound = 1e-9 * np.maximum(1.0, np.abs(series))
-        assert np.all(np.abs(series - asym) <= bound)
+        row = self.ORDERS.index(nu)
+        low = z**nu * _bessel_scaled(z)[row]
+        bound = 1e-9 * np.maximum(1.0, np.abs(low))
+        assert np.all(np.abs(_bessel_table_gap(z)[row]) <= bound)
 
-    @pytest.mark.parametrize("z", [0.5, 1.0, 5.0, 20.0])
-    def test_wronskian(self, z):
-        # J_nu J'_{-nu} - J'_nu J_{-nu} = -2 sin(nu pi) / (pi z), with the
-        # derivative from the recurrence J'_nu = J_{nu-1} - (nu/z) J_nu
-        def deriv(order):
-            return bessel_j(order - 1.0, z) - (order / z) * bessel_j(order, z)
+    def test_zero_argument(self):
+        # z^(-nu) J_nu(z) -> 1 / (2^nu Gamma(nu + 1)) as z -> 0
+        f = _bessel_scaled(np.array([0.0]))[:, 0]
+        expected = [1.0 / (2.0**nu * math.gamma(nu + 1.0)) for nu in self.ORDERS]
+        assert f == pytest.approx(expected, rel=1e-14)
 
-        nu = 0.25
-        w = bessel_j(nu, z) * deriv(-nu) - deriv(nu) * bessel_j(-nu, z)
-        exact = -2.0 * math.sin(nu * math.pi) / (math.pi * z)
-        assert abs(w - exact) / abs(exact) < 1e-8
+    def test_against_brute_series(self):
+        # frozen oracle: brute ascending series at z = 1, where J_nu = f_nu
+        j = _bessel_scaled(np.array([1.0]))[:, 0]
+        assert j[0] == pytest.approx(0.6693848172615744, abs=1e-14)
+        assert j[0] == pytest.approx(brute_series_j(-0.25, 1.0), abs=1e-13)
+        assert j[1] == pytest.approx(brute_series_j(0.75, 1.0), abs=1e-13)
 
-    @pytest.mark.parametrize("nu", [-0.25, 0.25, 0.75, 1.25])
-    @pytest.mark.parametrize("z", [0.5, 2.0, 8.0, 15.0, 30.0])
-    def test_recurrence(self, nu, z):
-        lhs = bessel_j(nu - 1.0, z) + bessel_j(nu + 1.0, z)
-        rhs = (2.0 * nu / z) * bessel_j(nu, z)
-        scale = max(abs(rhs), abs(bessel_j(nu, z)), 1e-3)
-        assert abs(lhs - rhs) / scale < 1e-9
-
-    def test_series_overflow_signalled(self):
-        # the raw ascending series must signal divergence rather than return junk
-        with pytest.raises(OverflowError):
-            _bessel_series(0.75, np.array([800.0]))
-
-    def test_large_argument_no_overflow(self):
-        # asymptotic branch covers z up to 1e4 without numeric trouble
-        for z in (1e2, 1e3, 1e4):
-            val = bessel_j(0.75, z)
-            assert math.isfinite(val)
-            assert abs(val) < 1.0
+    def test_tables_match_generator(self):
+        # the committed literals are exactly what tools/bessel_tables.py computes
+        path = Path(__file__).resolve().parents[1] / "tools" / "bessel_tables.py"
+        spec = importlib.util.spec_from_file_location("bessel_tables", path)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        tables = generator.tables()
+        for name, committed in (("low", numerics._BESSEL_LOW), ("high", numerics._BESSEL_HIGH)):
+            fresh = np.array(tables[name])
+            assert fresh.dtype == committed.dtype and fresh.shape == committed.shape
+            assert fresh.tobytes() == committed.tobytes()
 
 
 class TestGamma:
-    def test_exact_values(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, abs=1e-14)
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
-
-    def test_three_quarters_against_quadrature(self):
-        # independent oracle: Gamma(3/4) = int_0^inf t^(-1/4) e^-t dt, split as an
-        # exact alternating series on [0,1] plus adaptive quadrature on [1, inf)
-        head = sum((-1.0) ** k / (math.factorial(k) * (k + 0.75)) for k in range(40))
-        tail, err = scipy.integrate.quad(
-            lambda t: t ** (-0.25) * math.exp(-t), 1.0, 60.0, limit=300, epsabs=1e-14, epsrel=1e-14
-        )
-        oracle = head + tail
-        assert err < 1e-12
-        assert gamma_fn(0.75) == pytest.approx(oracle, abs=5e-13)
-        # 12 significant digits required
-        assert gamma_fn(0.75) == pytest.approx(1.2254167024651776, rel=1e-13)
-
-    def test_poles(self):
-        for x in (0.0, -1.0, -2.0):
-            with pytest.raises(ValueError):
-                gamma_fn(x)
-
-    def test_reflection_branch(self):
-        # Gamma(-1/4) via reflection; check against recurrence Gamma(x+1) = x Gamma(x)
-        assert gamma_fn(-0.25) == pytest.approx(gamma_fn(0.75) / (-0.25), rel=1e-13)
+    def test_three_quarters_correctly_rounded(self):
+        with mpmath.workdps(30):
+            assert GAMMA_3_4 == float(mpmath.gamma(mpmath.mpf(3) / 4))
 
 
 class TestIntegrate:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from qarrival import (
     EigenFamily,
@@ -453,12 +454,10 @@ class TestEigenvalueOde:
 
     def test_discarded_symmetric_branch_solves_ode(self, consts):
         # |p|^(3/2) J_{-3/4}(z) also solves u'' - (2/p) u' + (tau/m hbar)^2 p^2 u = 0
-        from qarrival import bessel_j
-
         tau = 1.0
         p, d = chebyshev_nodes_and_diff(120, 1.0, 4.0)
         z = p * p * tau / 2.0
-        w = p**1.5 * bessel_j(-0.75, z)
+        w = p**1.5 * scipy.special.jv(-0.75, z)
         res = d @ (d @ w) - (2.0 / p) * (d @ w) + tau**2 * p**2 * w
         scale = tau**2 * np.max(p**2 * np.abs(w))
         inner = slice(5, -5)
