@@ -7,6 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 
 from qarrival import GaussianSpec, GridSpec, PhysConsts, integrate, numerics
 from qarrival.checks import _bessel_table_gap
@@ -67,6 +68,37 @@ def _modulation_oracle(nu, z):
     return complex(mpmath.sqrt(mpmath.pi * z / 2) * mpmath.expj(-omega) * mpmath.hankel1(nu, z))
 
 
+def table_j(nu, z):
+    """J_nu(z) as the Bessel tables give it, or None for an order they do not hold.
+
+    The tables hold nu = -1/4 and 3/4 at every z: the low table below the
+    switchover, the high table at and above it.  The high table's H1_nu also
+    gives Y_nu, so on z >= 8, where it is fitted, the tables hold the reflected
+    orders 1/4 and -3/4 too: J_{-nu} = cos(nu pi) J_nu - sin(nu pi) Y_nu.
+    """
+    for row, order in enumerate((-0.25, 0.75)):
+        if nu == order and z < numerics.BESSEL_SWITCHOVER:
+            return z**order * _bessel_scaled(np.array([z]))[row, 0]
+        if nu == order or (nu == -order and z >= 8.0):
+            omega = z - order * math.pi / 2.0 - math.pi / 4.0
+            pq = _hankel_modulation(np.array([z]))[row, 0]
+            h1 = math.sqrt(2.0 / (math.pi * z)) * pq * complex(math.cos(omega), math.sin(omega))
+            if nu == order:
+                return h1.real
+            return math.cos(order * math.pi) * h1.real - math.sin(order * math.pi) * h1.imag
+    return None
+
+
+def mixed_j(orders, z):
+    """J at each order, from the tables where they hold it and from mpmath
+    (30 digits) elsewhere; at least one order must come from the tables."""
+    values = [table_j(nu, z) for nu in orders]
+    assert any(v is not None for v in values), "identity does not touch the tables"
+    with mpmath.workdps(30):
+        oracle = [float(mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(z))) for nu in orders]
+    return [o if v is None else v for o, v in zip(oracle, values)]
+
+
 class TestBessel:
     # the two tables hold the orders nu = -1/4, 3/4, one row each
     ORDERS = (-0.25, 0.75)
@@ -111,6 +143,40 @@ class TestBessel:
         assert j[0] == pytest.approx(brute_series_j(-0.25, 1.0), abs=1e-13)
         assert j[1] == pytest.approx(brute_series_j(0.75, 1.0), abs=1e-13)
 
+    @pytest.mark.parametrize("z", [0.5, 1.0, 5.0, 20.0])
+    def test_wronskian(self, z):
+        # J_nu J'_{-nu} - J'_nu J_{-nu} = -2 sin(nu pi) / (pi z) at nu = 1/4, with
+        # J'_{-1/4} = -J_{3/4} - J_{-1/4}/(4z) and J'_{1/4} = J_{-3/4} - J_{1/4}/(4z);
+        # at z = 20 all four orders come from the high table
+        j_p, j_m, j3_p, j3_m = mixed_j((0.25, -0.25, 0.75, -0.75), z)
+        w = -j_p * j3_p - j3_m * j_m
+        exact = -2.0 * math.sin(0.25 * math.pi) / (math.pi * z)
+        assert abs(w - exact) / abs(exact) < 1e-12
+
+    # below z = 8 no order of the nu = 1/4, 5/4 cases is in a table
+    @pytest.mark.parametrize(
+        "z,nu",
+        [
+            (z, nu)
+            for nu in (-0.25, 0.25, 0.75, 1.25)
+            for z in (0.5, 2.0, 8.0, 15.0, 30.0)
+            if nu in (-0.25, 0.75) or z >= 8.0
+        ],
+    )
+    def test_recurrence(self, z, nu):
+        j_lo, j_nu, j_hi = mixed_j((nu - 1.0, nu, nu + 1.0), z)
+        lhs = j_lo + j_hi
+        rhs = (2.0 * nu / z) * j_nu
+        scale = max(abs(rhs), abs(j_nu), 1e-3)
+        assert abs(lhs - rhs) / scale < 1e-12
+
+    def test_large_argument_no_overflow(self):
+        # the high table covers z up to 1e4 without numeric trouble
+        for z in (1e2, 1e3, 1e4):
+            val = table_j(0.75, z)
+            assert math.isfinite(val)
+            assert abs(val) < 1.0
+
     def test_tables_match_generator(self):
         # the committed literals are exactly what tools/bessel_tables.py computes
         path = Path(__file__).resolve().parents[1] / "tools" / "bessel_tables.py"
@@ -125,9 +191,21 @@ class TestBessel:
 
 
 class TestGamma:
-    def test_three_quarters_correctly_rounded(self):
+    def test_exact_values(self):
+        # GAMMA_3_4 is Gamma(3/4) correctly rounded
         with mpmath.workdps(30):
             assert GAMMA_3_4 == float(mpmath.gamma(mpmath.mpf(3) / 4))
+
+    def test_three_quarters_against_quadrature(self):
+        # independent oracle: Gamma(3/4) = int_0^inf t^(-1/4) e^-t dt, split as an
+        # exact alternating series on [0,1] plus adaptive quadrature on [1, inf)
+        head = sum((-1.0) ** k / (math.factorial(k) * (k + 0.75)) for k in range(40))
+        tail, err = scipy.integrate.quad(
+            lambda t: t ** (-0.25) * math.exp(-t), 1.0, 60.0, limit=300, epsabs=1e-14, epsrel=1e-14
+        )
+        oracle = head + tail
+        assert err < 1e-12
+        assert GAMMA_3_4 == pytest.approx(oracle, abs=5e-13)
 
 
 class TestIntegrate:
