@@ -54,18 +54,28 @@ CHECKS: dict[str, tuple[float, bool]] = {
 }
 
 
+def _max_deviation(op: operators.OperatorMatrix, expected) -> float:
+    """max |M[j, k] - expected(j, k)| over every entry of op's pattern, which
+    must hold every nonzero entry of `expected` (a product's pattern holds
+    all of its own)."""
+    return max(
+        float(np.max(np.abs(values - expected(rows, cols)), where=inside, initial=0.0))
+        for rows, cols, inside, values in op.chunks()
+    )
+
+
 def _operator_checks(grid: GridSpec, consts: PhysConsts, L: float) -> dict:
     hbar = consts.hbar
     p = grid.momenta()
     # T_DWELL takes the dwell length, J_CURRENT the time; the others ignore both
     ops = {name: operators.build_operator(kind, grid, consts, L=L, t=0.3) for name, kind in HERMITIAN.items()}
     values = {f"hermiticity_{name}": operators.hermiticity_defect(op) for name, op in ops.items()}
-    sym, via = ops["t_new_sym"].matrix, ops["t_new_via_kdm"].matrix
-    values["t_new_constructions_agree"] = np.max(np.abs(sym - via)) / np.max(np.abs(sym))
-    r = operators.build_operator(OperatorKind.R, grid, consts).matrix
-    eps = operators.build_operator(OperatorKind.SIGN_P, grid, consts).matrix
-    values["reflection_squared_identity"] = np.max(np.abs(r @ r - np.eye(grid.n)))
-    values["reflection_sign_conjugation"] = np.max(np.abs(r @ eps @ r + eps))
+    sym, via = ops["t_new_sym"], ops["t_new_via_kdm"]
+    values["t_new_constructions_agree"] = _max_deviation(sym, via.entries) / _max_deviation(sym, lambda j, k: 0.0)
+    r = operators.build_operator(OperatorKind.R, grid, consts)
+    eps = operators.build_operator(OperatorKind.SIGN_P, grid, consts)
+    values["reflection_squared_identity"] = _max_deviation(r.compose(r), lambda j, k: j == k)
+    values["reflection_sign_conjugation"] = _max_deviation(r.compose(eps).compose(r), lambda j, k: -eps.entries(j, k))
 
     # commutators, by action on a smooth positive-momentum packet
     sigma = grid.p_max / 26.0
@@ -76,12 +86,12 @@ def _operator_checks(grid: GridSpec, consts: PhysConsts, L: float) -> dict:
 
     def residual(a: str, b: str, expected: np.ndarray) -> float:
         """max |[A, B] f - expected| on interior rows, by A(Bf) - B(Af)."""
-        ma, mb = ops[a].matrix, ops[b].matrix
-        res = ma @ (mb @ f) - mb @ (ma @ f) - expected
+        ma, mb = ops[a], ops[b]
+        res = ma.apply(mb.apply(f)) - mb.apply(ma.apply(f)) - expected
         return np.max(np.abs(res[interior]))
 
     values["commutator_h_t_new"] = residual("h", "t_new_via_kdm", 1j * hbar * np.sign(p) * f)
-    values["commutator_xi_t_new"] = residual("xi", "t_new_via_kdm", 1j * hbar * (f + 0.5 * (r @ f)))
+    values["commutator_xi_t_new"] = residual("xi", "t_new_via_kdm", 1j * hbar * (f + 0.5 * r.apply(f)))
     values["commutator_xi_t_kdm"] = residual("xi", "t_kdm", 1j * hbar * f)
     return values
 
@@ -100,13 +110,12 @@ def _eigenstate_checks(grid: GridSpec, consts: PhysConsts) -> dict:
     values = {}
     phi = operators.eigenstate_values(EigenFamily.NEW, 0.7, grid.momenta(), consts)
     values["new_eigenstate_conjugation"] = np.max(np.abs(phi[::-1] - np.conj(phi))) / np.max(np.abs(phi))
-    # the eigenstate's only seam is the switchover between the Bessel tables
-    tau = 0.7
-    p_seam = math.sqrt(2.0 * consts.mass * consts.hbar * numerics.BESSEL_SWITCHOVER / tau)
-    lo, hi = (
-        operators.eigenstate_values(EigenFamily.NEW, tau, np.array([p_seam * side]), consts)[0]
-        for side in (1 - 1e-9, 1 + 1e-9)
-    )
+    # the eigenstate's only seam is the switchover between the Bessel tables:
+    # both tables at z = 10 itself, at the momentum where tau = 0.7 reaches it
+    tau, z = 0.7, np.array([numerics.BESSEL_SWITCHOVER])
+    low_amp, high_amp = operators._new_amplitudes(np.sqrt(2.0 * consts.mass * consts.hbar * z / tau), tau, consts)
+    lo = operators._new_low_table(z, low_amp)[0]
+    hi = operators._new_high_table(z, high_amp)[0]
     values["new_branch_seam"] = abs(lo - hi) / abs(lo)
     values["bessel_branch_window"] = np.max(np.abs(_bessel_table_gap(np.linspace(8.0, 12.0, 50))))
     return values

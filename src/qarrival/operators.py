@@ -23,7 +23,12 @@ acts directly on sample vectors.  The position operator in the momentum
 basis, x = i hbar d/dp, is discretized with 4th-order central differences
 (one-sided at the two rows on each edge, mirrored so that R D R = -D holds
 exactly); hermiticity and commutator statements therefore hold on interior
-rows only.
+rows only.  An operator is held as its entry formula, evaluated on its
+nonzero pattern only: at most nine diagonals of the stencil band and nine
+anti-diagonals that R mirrors them onto, stored as two bands of shape (9, n)
+or less, so building, applying and checking one costs O(n).  The rank-two
+current J is the one full pattern; it is evaluated a block at a time.  No
+n x n array is formed except by OperatorMatrix.matrix, on request.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -68,20 +74,92 @@ class OperatorKind(enum.Enum):
     J_CURRENT = "j_current"
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator in the discrete momentum basis, M[j,k] ~= <p_j|O|p_k> dp."""
+# Reach of an operator's stored diagonals, about the main diagonal and about
+# the anti-diagonal: the one-sided edge rows of the 4th-order d/dp stencil
+# reach offset 4, and R mirrors that band onto the anti-diagonal.
+BAND_WIDTH = 4
 
-    matrix: np.ndarray
+# Entries per block of an operator with a full pattern.
+_BLOCK_ENTRIES = 1 << 13
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorMatrix:
+    """Operator in the discrete momentum basis, M[j,k] ~= <p_j|O|p_k> dp.
+
+    `entries(j, k)` is the entry formula at broadcast index arrays; it is
+    evaluated on the operator's nonzero pattern only.  With a band width w
+    that is the stencil band k = j + o and the reflected band
+    k = n - 1 - j + o, |o| <= w, stored as `diag` and `anti` of shape
+    (2w + 1, n):  diag[w + o, j] = M[j, j + o], anti[w + o, j] = M[j, n - 1 - j + o],
+    zero where that entry is outside the matrix or, in `anti`, in `diag`.
+    With width None the pattern is the full matrix, evaluated a block of
+    columns at a time and never stored.
+    """
+
+    entries: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grid: GridSpec
     consts: PhysConsts
     kind: str
+    width: int | None = BAND_WIDTH
+    diag: np.ndarray | None = field(init=False, default=None)
+    anti: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.grid.n, self.grid.n):
-            raise ValueError(f"matrix shape {m.shape} does not match grid n = {self.grid.n}")
-        object.__setattr__(self, "matrix", m)
+        if self.width is not None:
+            diag, anti = (np.where(inside, self.entries(rows, cols), 0.0) for rows, cols, inside, _ in self.chunks())
+            object.__setattr__(self, "diag", diag)
+            object.__setattr__(self, "anti", anti)
+
+    def chunks(self):
+        """(rows, cols, inside, values) over the pattern: the two bands, or the
+        column blocks.  Axis 1 runs over rows and axis 0 along a row; cols is
+        clipped into the matrix, and `inside` marks the entries really in it."""
+        n, w = self.grid.n, self.width
+        rows = np.arange(n)[None, :]
+        if w is None:
+            step = max(1, _BLOCK_ENTRIES // n)
+            for start in range(0, n, step):
+                cols = np.arange(start, min(start + step, n))[:, None]
+                # whole index arrays: a product of two stride-0 broadcasts is ~10x slower
+                block = np.broadcast_to(rows, (cols.size, n))
+                yield block, cols, np.True_, self.entries(block, cols)
+            return
+        offsets = np.arange(-w, w + 1)[:, None]
+        stencil, reflected = rows + offsets, (n - 1 - rows) + offsets
+        yield rows, np.clip(stencil, 0, n - 1), (stencil >= 0) & (stencil < n), self.diag
+        inside = (reflected >= 0) & (reflected < n) & (np.abs(reflected - rows) > w)
+        yield rows, np.clip(reflected, 0, n - 1), inside, self.anti
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n matrix, assembled from the pattern (for tests)."""
+        mat = np.zeros((self.grid.n, self.grid.n), dtype=complex)
+        for rows, cols, inside, values in self.chunks():
+            rows, cols, inside, values = np.broadcast_arrays(rows, cols, inside, values)
+            mat[rows[inside], cols[inside]] = values[inside]
+        return mat
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """The matrix-vector product M f, one pass over the pattern."""
+        out = np.zeros(self.grid.n, dtype=complex)
+        for rows, cols, _, values in self.chunks():
+            out[rows[0]] += np.sum(values * f[cols], axis=0)
+        return out
+
+    def compose(self, other: OperatorMatrix) -> OperatorMatrix:
+        """self @ other for two banded operators, from self's bands and other's
+        entry formula; the product's bands reach as far as both widths together."""
+        n, w = self.grid.n, self.width
+
+        def entries(j, k):
+            total = 0.0
+            for i in range(2 * w + 1):
+                for band, l in ((self.diag, j + i - w), (self.anti, n - 1 - j + i - w)):
+                    total = total + band[i, j] * other.entries(np.clip(l, 0, n - 1), k)
+            return total
+
+        return OperatorMatrix(entries, self.grid, self.consts, f"{self.kind}*{other.kind}", w + other.width)
 
 
 @dataclass(frozen=True)
@@ -128,10 +206,38 @@ def _tau_blocks(taus: np.ndarray, n: int):
         yield start, taus[start : start + k]
 
 
+def _new_amplitudes(ap: np.ndarray, tau: np.ndarray, consts: PhysConsts) -> tuple[np.ndarray, np.ndarray]:
+    """Prefactors of the NEW eigenstate for the low and the high Bessel table,
+    at |p| and tau (broadcast against each other for the low one)."""
+    m, hbar = consts.mass, consts.hbar
+    # low: J_nu(z) = z^nu f_nu(z), and the prefactor times |p|^(3/2) z^(-1/4)
+    # is |p| (tau / 2 m hbar)^(1/4) / (2 sqrt(m hbar)); high: the prefactor
+    # times |p|^(3/2) sqrt(2/(pi z)) is sqrt(|p| / 2 pi m hbar)
+    low = ap * ((tau / (2.0 * m * hbar)) ** 0.25 / (2.0 * math.sqrt(m * hbar)))
+    return low, np.sqrt(ap / (2.0 * math.pi * m * hbar))
+
+
+def _new_low_table(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """NEW-family eigenstate from the low Bessel table, given its prefactor."""
+    f = _bessel_scaled(z)
+    return amp * (f[0] + 1j * z * f[1])
+
+
+def _new_high_table(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """NEW-family eigenstate from the high (Hankel) table, given its prefactor."""
+    # J_nu(z) = sqrt(2/(pi z)) (P cos omega - Q sin omega).  With A = z - pi/8
+    # the two phases omega are A and A - pi/2, so
+    # J_{-1/4} + i J_{3/4} = sqrt(2/(pi z)) ((P1 + i Q2) cos A - (Q1 - i P2) sin A).
+    pq = _hankel_modulation(z)
+    (p1, p2), (q1, q2) = pq.real, pq.imag
+    phase = z - math.pi / 8.0
+    cos, sin = np.cos(phase), np.sin(phase)
+    return amp * ((p1 * cos - q1 * sin) + 1j * (q2 * cos + p2 * sin))
+
+
 def _new_eigenstate_block(taus: np.ndarray, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
     """NEW-family eigenstates for taus >= 0, one row per tau; the low Bessel
-    table below the switchover z = 10, the Hankel amplitude/phase combination
-    of the high table at and above it.
+    table below the switchover z = 10, the high table at and above it.
 
     The values depend on |p| alone up to phi(-p) = conj phi(p), which is
     exact; on a mirror-symmetric grid (|p| a palindrome) only the upper half
@@ -150,28 +256,14 @@ def _new_eigenstate_block(taus: np.ndarray, p: np.ndarray, consts: PhysConsts) -
     rows = taus != 0.0
     tau = taus[rows, None]
     z = ap * ap * tau / (2.0 * m * hbar)
+    low_amp, high_amp = _new_amplitudes(ap, tau, consts)
     out = np.empty(z.shape, dtype=complex)
     lo = z < BESSEL_SWITCHOVER
     if lo.any():
-        # J_nu(z) = z^nu f_nu(z) from the low table; the prefactor times
-        # |p|^(3/2) z^(-1/4) is |p| (tau / 2 m hbar)^(1/4) / (2 sqrt(m hbar))
-        amp = ap * ((tau / (2.0 * m * hbar)) ** 0.25 / (2.0 * math.sqrt(m * hbar)))
-        zl = z[lo]
-        f = _bessel_scaled(zl)
-        out[lo] = amp[lo] * (f[0] + 1j * zl * f[1])
+        out[lo] = _new_low_table(z[lo], low_amp[lo])
     hi = ~lo
     if hi.any():
-        # J_nu(z) = sqrt(2/(pi z)) (P cos omega - Q sin omega) from the high
-        # table.  With A = z - pi/8 the two phases omega are A and A - pi/2, so
-        # J_{-1/4} + i J_{3/4} = sqrt(2/(pi z)) ((P1 + i Q2) cos A - (Q1 - i P2) sin A),
-        # and the prefactor times |p|^(3/2) sqrt(2/(pi z)) is sqrt(|p| / 2 pi m hbar).
-        amp = np.broadcast_to(np.sqrt(ap / (2.0 * math.pi * m * hbar)), z.shape)
-        zh = z[hi]
-        pq = _hankel_modulation(zh)
-        (p1, p2), (q1, q2) = pq.real, pq.imag
-        phase = zh - math.pi / 8.0
-        cos, sin = np.cos(phase), np.sin(phase)
-        out[hi] = amp[hi] * ((p1 * cos - q1 * sin) + 1j * (q2 * cos + p2 * sin))
+        out[hi] = _new_high_table(z[hi], np.broadcast_to(high_amp, z.shape)[hi])
     half[rows] = out
     full = half[:, index]
     return np.conjugate(full, out=full, where=p < 0.0)
@@ -238,27 +330,23 @@ def new_low_momentum_slope(tau: float, consts: PhysConsts = PhysConsts()) -> flo
 # ---------------------------------------------------------------------------
 
 
-def derivative_matrix(grid: GridSpec) -> np.ndarray:
-    """4th-order finite-difference d/dp; one-sided 5-point stencils at the two
-    rows on each edge, mirrored so that R D R = -D holds exactly."""
+def derivative_band(grid: GridSpec) -> np.ndarray:
+    """4th-order finite-difference d/dp as its stencil band, band[4 + o, j] = D[j, j + o];
+    one-sided 5-point stencils at the two rows on each edge, mirrored so that
+    R D R = -D holds exactly."""
     n, dp = grid.n, grid.dp
-    d = np.zeros((n, n))
+    if n < 6:
+        raise ValueError(f"the 5-point edge stencils need n >= 6, got {n}")
+    band = np.zeros((2 * BAND_WIDTH + 1, n))
     c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dp)
-    for j in range(2, n - 2):
-        d[j, j - 2 : j + 3] = c
+    band[2:7, 2 : n - 2] = c[:, None]
     r0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * dp)
     r1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * dp)
-    d[0, 0:5] = r0
-    d[1, 0:5] = r1
-    d[n - 1, n - 5 : n] = -r0[::-1]
-    d[n - 2, n - 5 : n] = -r1[::-1]
-    return d
-
-
-def _reflection(n: int) -> np.ndarray:
-    r = np.zeros((n, n))
-    r[np.arange(n), n - 1 - np.arange(n)] = 1.0
-    return r
+    band[4:9, 0] = r0
+    band[3:8, 1] = r1
+    band[0:5, n - 1] = -r0[::-1]
+    band[1:6, n - 2] = -r1[::-1]
+    return band
 
 
 def build_operator(
@@ -269,71 +357,96 @@ def build_operator(
     L: float | None = None,
     t: float | None = None,
 ) -> OperatorMatrix:
-    """Dense momentum-basis matrix for the requested operator.
+    """Momentum-basis operator of the requested kind, from its entry formula.
 
     T_DWELL requires the region length L > 0; J_CURRENT requires the time t.
     """
     m, hbar = consts.mass, consts.hbar
     p = grid.momenta()
     n = grid.n
-    if kind is OperatorKind.H:
-        mat = np.diag(p**2 / (2.0 * m)).astype(complex)
-        return OperatorMatrix(mat, grid, consts, "H")
-    if kind is OperatorKind.XI:
-        mat = np.diag(p * np.abs(p) / (2.0 * m)).astype(complex)
-        return OperatorMatrix(mat, grid, consts, "XI")
-    if kind is OperatorKind.R:
-        return OperatorMatrix(_reflection(n).astype(complex), grid, consts, "R")
-    if kind is OperatorKind.SIGN_P:
-        return OperatorMatrix(np.diag(np.sign(p)).astype(complex), grid, consts, "SIGN_P")
+    # the diagonal kinds, R and T_DWELL sit on offset 0 of the two bands
+    stencil = kind in (OperatorKind.T_KDM, OperatorKind.T_NEW_SYM, OperatorKind.T_NEW_VIA_KDM)
+    width = None if kind is OperatorKind.J_CURRENT else BAND_WIDTH if stencil else 0
+    d, g = derivative_band(grid) if stencil else None, 1.0 / np.abs(p)
 
-    if kind in (OperatorKind.T_KDM, OperatorKind.T_NEW_SYM, OperatorKind.T_NEW_VIA_KDM):
-        x_op = 1j * hbar * derivative_matrix(grid)
-        g = 1.0 / np.abs(p)
-        xg = x_op * g[None, :]  # x_op @ diag(g)
-        gx = g[:, None] * x_op  # diag(g) @ x_op
-        t_kdm = -(m / 2.0) * (xg + gx)
-        if kind is OperatorKind.T_KDM:
-            return OperatorMatrix(t_kdm, grid, consts, "T_KDM")
-        if kind is OperatorKind.T_NEW_SYM:
-            # A = (1/|p|)(1 + R); right-multiplying by R flips columns,
-            # left-multiplying flips rows (the grid is mirror-symmetric)
-            mat = -(m / 2.0) * ((xg + xg[:, ::-1]) + (gx + g[:, None] * x_op[::-1, :]))
-            return OperatorMatrix(mat, grid, consts, "T_NEW_SYM")
+    def diagonal(values: np.ndarray):
+        return lambda j, k: np.where(j == k, values[j], 0.0).astype(complex)
+
+    def x_op(j, k):  # i hbar d/dp
+        off = np.clip(k - j + BAND_WIDTH, 0, 2 * BAND_WIDTH)
+        return 1j * hbar * np.where(np.abs(k - j) <= BAND_WIDTH, d[off, j], 0.0)
+
+    def t_kdm(j, k):  # -(m/2) (x diag(g) + diag(g) x)
+        x = x_op(j, k)
+        return -(m / 2.0) * (x * g[k] + g[j] * x)
+
+    if kind is OperatorKind.H:
+        entries = diagonal(p**2 / (2.0 * m))
+    elif kind is OperatorKind.XI:
+        entries = diagonal(p * np.abs(p) / (2.0 * m))
+    elif kind is OperatorKind.R:
+        entries = lambda j, k: np.where(k == n - 1 - j, 1.0, 0.0).astype(complex)  # noqa: E731
+    elif kind is OperatorKind.SIGN_P:
+        entries = diagonal(np.sign(p))
+    elif kind is OperatorKind.T_KDM:
+        entries = t_kdm
+    elif kind is OperatorKind.T_NEW_SYM:
+        # A = (1/|p|)(1 + R); right-multiplying by R reflects the column
+        # index, left-multiplying the row index (the grid is mirror-symmetric)
+        def entries(j, k):
+            x, xr = x_op(j, k), x_op(j, n - 1 - k)
+            return -(m / 2.0) * ((x * g[k] + xr * g[n - 1 - k]) + (g[j] * x + g[j] * x_op(n - 1 - j, k)))
+
+    elif kind is OperatorKind.T_NEW_VIA_KDM:
         # Reflection term (i hbar m / 2) (1/(p|p|)) R, with 1/(p|p|) realized
         # as the commutator-induced discrete operator (i/hbar) [x, 1/|p|] so
         # that both constructions refer to the same discretized x and agree
         # entrywise (a literal diagonal differs at O(1) near the anti-diagonal
         # on any finite-difference grid).
-        g_d = (1j / hbar) * (xg - gx)
-        mat = t_kdm + (1j * hbar * m / 2.0) * g_d[:, ::-1]
-        return OperatorMatrix(mat, grid, consts, "T_NEW_VIA_KDM")
+        def entries(j, k):
+            xr = x_op(j, n - 1 - k)
+            g_d = (1j / hbar) * (xr * g[n - 1 - k] - g[j] * xr)
+            return t_kdm(j, k) + (1j * hbar * m / 2.0) * g_d
 
-    if kind is OperatorKind.T_DWELL:
+    elif kind is OperatorKind.T_DWELL:
         if L is None or L <= 0.0:
             raise ValueError("T_DWELL requires a region length L > 0")
         b = p * L / hbar
         scale = m * L / np.abs(p)
         refl = scale * np.exp(-1j * b) * np.sinc(b / math.pi)
-        mat = np.diag(scale).astype(complex) + np.diag(refl)[:, ::-1]
-        return OperatorMatrix(mat, grid, consts, "T_DWELL")
 
-    if kind is OperatorKind.J_CURRENT:
+        def entries(j, k):
+            return diagonal(scale)(j, k) + np.where(k == n - 1 - j, refl[j], 0.0)
+
+    elif kind is OperatorKind.J_CURRENT:
         if t is None:
             raise ValueError("J_CURRENT requires the evaluation time t")
         v = np.exp(1j * p**2 * t / (2.0 * m * hbar))
-        delta = (grid.dp / (2.0 * math.pi * hbar)) * np.outer(v, np.conj(v))
-        mat = (p[:, None] * delta + delta * p[None, :]) / (2.0 * m)
-        return OperatorMatrix(mat, grid, consts, "J_CURRENT")
+        w = np.conj(v)
 
-    raise ValueError(f"unknown operator kind {kind}")
+        def entries(j, k):  # rank two, so every entry is nonzero
+            delta = (grid.dp / (2.0 * math.pi * hbar)) * (v[j] * w[k])
+            return (p[j] * delta + delta * p[k]) / (2.0 * m)
+
+    else:
+        raise ValueError(f"unknown operator kind {kind}")
+    return OperatorMatrix(entries, grid, consts, kind.name, width)
 
 
 def hermiticity_defect(op: OperatorMatrix) -> float:
     """max |M - M^dagger| / max |M| on the interior sub-block (without the two
-    edge rows and columns on each side, where the one-sided stencils sit)."""
-    s = op.matrix[2:-2, 2:-2]
-    return float(np.max(np.abs(s - s.conj().T)) / np.max(np.abs(s)))
+    edge rows and columns on each side, where the one-sided stencils sit).
+
+    The pattern is closed under transposition, so M^dagger is evaluated on it
+    too; an entry off the pattern is zero in both."""
+    n = op.grid.n
+    defect = scale = 0.0
+    for rows, cols, inside, values in op.chunks():
+        inside = inside & (rows >= 2) & (rows < n - 2) & (cols >= 2) & (cols < n - 2)
+        dagger = np.conj(op.entries(cols, rows))
+        defect = max(defect, float(np.max(np.abs(values - dagger), where=inside, initial=0.0)))
+        scale = max(scale, float(np.max(np.abs(values), where=inside, initial=0.0)))
+    return defect / scale
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +687,11 @@ def dwell_low_momentum_check(
     if not mask.any():
         raise ValueError(f"no momentum samples with |p|L/hbar in {band}")
     scale = m * L / np.abs(p)
-    # right-multiplying a diagonal by R flips its columns
-    side1 = np.diag(scale).astype(complex) + np.diag(scale)[:, ::-1]
+    # Both sides share the diagonal mL/|p|, so they differ on the anti-diagonal
+    # alone: M[j, n-1-j] is mL/|p_j| on the left and the reflection term on the
+    # right.  The sub-block holds that entry where both j and n-1-j are in band.
+    rows = mask & mask[::-1]
     shift2 = np.exp(-2j * p * L / hbar)
-    side2 = np.diag(scale).astype(complex) + (1j * hbar * m / 2.0) * (
-        np.diag((shift2 - 1.0) / (p * np.abs(p)))[:, ::-1]
-    )
-    sub = np.ix_(mask, mask)
-    dev = np.max(np.abs(side2[sub] - side1[sub]))
+    side2 = (1j * hbar * m / 2.0) * ((shift2 - 1.0) / (p * np.abs(p)))
+    dev = np.max(np.abs(side2[rows] - scale[rows]), initial=0.0)
     return float(dev / np.max(scale[mask]))

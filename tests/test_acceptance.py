@@ -60,13 +60,13 @@ def _commutator_residuals(n: int, consts):
     p = grid.momenta()
     f = np.exp(-((p - 12.0) ** 2) / (4.0 * 1.5**2)).astype(complex)
     f /= math.sqrt(float(np.sum(np.abs(f) ** 2) * grid.dp))
-    t_new = build_operator(OperatorKind.T_NEW_VIA_KDM, grid, consts).matrix
+    t_new = build_operator(OperatorKind.T_NEW_VIA_KDM, grid, consts)
     h_diag = p**2 / 2.0
     xi_diag = p * np.abs(p) / 2.0
-    # [A, T] f = A(Tf) - T(Af) with diagonal A: matvec only
-    tf = t_new @ f
-    res_h = h_diag * tf - t_new @ (h_diag * f) - 1j * hbar * np.sign(p) * f
-    res_xi = xi_diag * tf - t_new @ (xi_diag * f) - 1j * hbar * (f + 0.5 * f[::-1])
+    # [A, T] f = A(Tf) - T(Af) with diagonal A: the operator's action only
+    tf = t_new.apply(f)
+    res_h = h_diag * tf - t_new.apply(h_diag * f) - 1j * hbar * np.sign(p) * f
+    res_xi = xi_diag * tf - t_new.apply(xi_diag * f) - 1j * hbar * (f + 0.5 * f[::-1])
     sl = slice(2, n - 2)
     return float(np.max(np.abs(res_h[sl]))), float(np.max(np.abs(res_xi[sl])))
 

@@ -1,8 +1,10 @@
 """The invariant registry (`qarrival.checks`) shared by `qarrival verify` and the tests."""
 
+import tracemalloc
+
 import pytest
 
-from qarrival import checks
+from qarrival import GridSpec, checks
 
 # (name, tolerance, larger_is_pass) of every check, in report order, at
 # hbar = 1.  The registry may not loosen, drop or reorder a check silently.
@@ -40,3 +42,16 @@ def test_registry_is_pinned(verify_report):
 def test_registry_check_passes(verify_report, name):
     check = verify_report[name]
     assert check["pass"], check
+
+
+def test_report_holds_no_dense_operator(fast_spec):
+    """The whole report at n = 4096 peaks below 32 MB of allocations; one dense
+    complex 4096 x 4096 operator alone would be 268 MB."""
+    tracemalloc.start()
+    try:
+        report = checks.run_checks(GridSpec(4096, 40.0), fast_spec, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(check["pass"] for check in report)
+    assert peak < 32 * 2**20

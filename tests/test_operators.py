@@ -18,6 +18,7 @@ from qarrival import (
     dwell_low_momentum_check,
     eigenstate,
     eigenstate_values,
+    hermiticity_defect,
     kijowski_distribution,
     kinetic_energy_density,
     make_gaussian,
@@ -35,6 +36,7 @@ from qarrival.states import (
 )
 from test_numerics import brute_series_j
 from util_current import stencil_current
+from util_dense import dense_hermiticity_defect, dense_operator
 from util_pertau import completeness_per_tau, distribution_per_tau
 from util_spectral import chebyshev_nodes_and_diff
 
@@ -203,13 +205,15 @@ class TestOperatorMatrices:
         "t_via": "t_new_via_kdm", "t_dwell": "t_dwell", "j": "j_current",
     }
 
-    def test_reflection_squared_identity(self, ops, grid):
-        r = ops["r"].matrix
-        assert np.array_equal(r @ r, np.eye(grid.n))
+    def test_reflection_squared_identity(self, ops, grid, rng):
+        r = ops["r"]
+        f = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+        assert np.array_equal(r.apply(r.apply(f)), f)
 
-    def test_reflection_conjugates_sign(self, ops):
-        r, eps = ops["r"].matrix, ops["sign"].matrix
-        assert np.array_equal(r @ eps @ r, -eps)
+    def test_reflection_conjugates_sign(self, ops, grid, rng):
+        r, eps = ops["r"], ops["sign"]
+        f = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+        assert np.array_equal(r.apply(eps.apply(r.apply(f))), -eps.apply(f))
 
     @pytest.mark.parametrize(
         "name", ["h", "xi", "t_kdm", "t_sym", "t_via", "t_dwell", "j"]
@@ -228,8 +232,8 @@ class TestOperatorMatrices:
 
     @staticmethod
     def _commutator_on(a, b, f):
-        """[A, B] f = A(Bf) - B(Af), matrix-vector products only."""
-        return a.matrix @ (b.matrix @ f) - b.matrix @ (a.matrix @ f)
+        """[A, B] f = A(Bf) - B(Af), by the operators' action only."""
+        return a.apply(b.apply(f)) - b.apply(a.apply(f))
 
     def test_commutator_h_t_new(self, verify_report, consts):
         # [H, T_NEW] = i hbar eps(p) by action on the report's packet, interior rows;
@@ -262,6 +266,53 @@ class TestOperatorMatrices:
             build_operator(OperatorKind.T_DWELL, grid, consts)
         with pytest.raises(ValueError):
             build_operator(OperatorKind.J_CURRENT, grid, consts)
+        with pytest.raises(ValueError, match="n >= 6"):
+            build_operator(OperatorKind.T_KDM, GridSpec(4, 1.0), consts)
+
+
+class TestBandFormAgainstDense:
+    """Each operator's band form against its whole-matrix construction."""
+
+    @staticmethod
+    def _pair(kind, n, consts):
+        grid = GridSpec(n, 40.0)
+        op = build_operator(kind, grid, consts, L=0.2, t=0.3)
+        return op, dense_operator(kind, grid, consts, L=0.2, t=0.3)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_matrix_equals_dense(self, kind, n, consts):
+        op, dense = self._pair(kind, n, consts)
+        assert np.array_equal(op.matrix, dense)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_apply_matches_dense_product(self, kind, n, consts, rng):
+        op, dense = self._pair(kind, n, consts)
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expected = dense @ f
+        assert np.max(np.abs(op.apply(f) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_hermiticity_defect_equals_dense(self, kind, n, consts):
+        op, dense = self._pair(kind, n, consts)
+        assert hermiticity_defect(op) == dense_hermiticity_defect(dense)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (OperatorKind.T_NEW_VIA_KDM, OperatorKind.XI),
+            (OperatorKind.R, OperatorKind.T_KDM),
+            (OperatorKind.T_KDM, OperatorKind.T_NEW_SYM),
+            (OperatorKind.T_DWELL, OperatorKind.SIGN_P),
+        ],
+    )
+    def test_compose_matches_dense_product(self, left, right, consts):
+        a, dense_a = self._pair(left, 64, consts)
+        b, dense_b = self._pair(right, 64, consts)
+        expected = dense_a @ dense_b
+        assert np.max(np.abs(a.compose(b).matrix - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestOverlapAndDistributions:
@@ -392,9 +443,9 @@ class TestCurrentExpectation:
 
     @pytest.mark.parametrize("t", [0.3, 0.5])
     def test_equals_j_current_operator(self, fast_packet, grid, consts, t):
-        op = build_operator(OperatorKind.J_CURRENT, grid, consts, t=t).matrix
+        op = build_operator(OperatorKind.J_CURRENT, grid, consts, t=t)
         psi = fast_packet.values
-        expected = float((np.conj(psi) @ op @ psi).real * grid.dp)
+        expected = float((np.conj(psi) @ op.apply(psi)).real * grid.dp)
         assert current_expectation(fast_packet, t) == pytest.approx(expected, rel=1e-12)
 
     def test_array_times_match_scalar_calls(self, fast_packet, reflected_packet):

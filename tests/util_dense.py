@@ -1,4 +1,4 @@
-"""Dense O(N M) reference sums for the FFT-evaluated transforms and propagator."""
+"""Dense reference forms: O(N M) transform sums, the propagator kernel and full operator matrices."""
 
 import math
 
@@ -28,3 +28,64 @@ def dense_halfline(psi, dt, allowed):
     out = kernel @ np.where(allowed, psi.values, 0.0) * (pref * dx)
     out[~allowed] = 0.0
     return out
+
+
+def dense_derivative(grid):
+    """4th-order d/dp as a full matrix: central rows, one-sided 5-point edge rows."""
+    n, dp = grid.n, grid.dp
+    d = np.zeros((n, n))
+    c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * dp)
+    for j in range(2, n - 2):
+        d[j, j - 2 : j + 3] = c
+    r0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * dp)
+    r1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * dp)
+    d[0, 0:5] = r0
+    d[1, 0:5] = r1
+    d[n - 1, n - 5 : n] = -r0[::-1]
+    d[n - 2, n - 5 : n] = -r1[::-1]
+    return d
+
+
+def dense_operator(kind, grid, consts, L=None, t=None):
+    """The full n x n matrix of an operator kind, built with whole-matrix products."""
+    from qarrival import OperatorKind
+
+    m, hbar = consts.mass, consts.hbar
+    p = grid.momenta()
+    n = grid.n
+    if kind is OperatorKind.H:
+        return np.diag(p**2 / (2.0 * m)).astype(complex)
+    if kind is OperatorKind.XI:
+        return np.diag(p * np.abs(p) / (2.0 * m)).astype(complex)
+    if kind is OperatorKind.R:
+        return np.eye(n)[::-1].astype(complex)
+    if kind is OperatorKind.SIGN_P:
+        return np.diag(np.sign(p)).astype(complex)
+    if kind in (OperatorKind.T_KDM, OperatorKind.T_NEW_SYM, OperatorKind.T_NEW_VIA_KDM):
+        x_op = 1j * hbar * dense_derivative(grid)
+        g = 1.0 / np.abs(p)
+        xg = x_op * g[None, :]
+        gx = g[:, None] * x_op
+        t_kdm = -(m / 2.0) * (xg + gx)
+        if kind is OperatorKind.T_KDM:
+            return t_kdm
+        if kind is OperatorKind.T_NEW_SYM:
+            return -(m / 2.0) * ((xg + xg[:, ::-1]) + (gx + g[:, None] * x_op[::-1, :]))
+        g_d = (1j / hbar) * (xg - gx)
+        return t_kdm + (1j * hbar * m / 2.0) * g_d[:, ::-1]
+    if kind is OperatorKind.T_DWELL:
+        b = p * L / hbar
+        scale = m * L / np.abs(p)
+        refl = scale * np.exp(-1j * b) * np.sinc(b / math.pi)
+        return np.diag(scale).astype(complex) + np.diag(refl)[:, ::-1]
+    if kind is OperatorKind.J_CURRENT:
+        v = np.exp(1j * p**2 * t / (2.0 * m * hbar))
+        delta = (grid.dp / (2.0 * math.pi * hbar)) * np.outer(v, np.conj(v))
+        return (p[:, None] * delta + delta * p[None, :]) / (2.0 * m)
+    raise ValueError(f"unknown operator kind {kind}")
+
+
+def dense_hermiticity_defect(mat):
+    """max |M - M^dagger| / max |M| on the interior block, two edge rows and columns cut."""
+    s = mat[2:-2, 2:-2]
+    return float(np.max(np.abs(s - s.conj().T)) / np.max(np.abs(s)))
