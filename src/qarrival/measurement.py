@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import GridSpec, momentum_to_position, position_to_momentum, simpson_weights
-from .operators import _free_currents, current_expectation, kinetic_energy_density
+from .numerics import GridSpec, momentum_to_position, position_to_momentum
+from .operators import _free_current_integrals, current_expectation, kinetic_energy_density
 from .states import Representation, WaveFunction
 
 
@@ -231,11 +231,8 @@ def conditional_distribution(
 # ---------------------------------------------------------------------------
 
 
-# Crossing: position oversampling, and the Simpson sample count that bounds the
-# time step of a sweep by tau_max / (2 (CROSSING_TIME_SAMPLES - 1)), half the
-# step of this many samples on [0, tau_max].
+# Crossing: oversampling of the position grid of the projector form.
 CROSSING_OVERSAMPLE = 4
-CROSSING_TIME_SAMPLES = 801
 
 
 @dataclass(frozen=True)
@@ -247,22 +244,6 @@ class CrossingResult:
     current_form: float | np.ndarray
 
 
-def _crossing_time_grid(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Simpson time grid for a sweep: its nodes are 0 and every tau, and
-    each gap between neighbouring nodes is cut into an even number of equal
-    steps of at most tau_max / (2 (CROSSING_TIME_SAMPLES - 1)).
-
-    Returns the times and the index of each node in them.  A gap within
-    rounding (1e-9 relative) of a whole number of double steps takes that
-    number.
-    """
-    nodes = np.unique(np.concatenate([[0.0], taus]))
-    double_step = nodes[-1] / (CROSSING_TIME_SAMPLES - 1)
-    steps = 2 * np.ceil(np.diff(nodes) / double_step * (1.0 - 1e-9)).astype(int)
-    pieces = [np.linspace(a, b, s + 1)[:-1] for a, b, s in zip(nodes[:-1], nodes[1:], steps)]
-    return np.concatenate([*pieces, nodes[-1:]]), np.concatenate([[0], np.cumsum(steps)])
-
-
 def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> CrossingResult:
     """Probability of crossing the origin during [0, tau], for a scalar tau or
     a 1-D array of nonnegative, strictly increasing taus (one sweep).
@@ -272,15 +253,17 @@ def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> Crossing
     CROSSING_OVERSAMPLE-times oversampled conjugate position grid.  psi is
     projected once per sweep; each tau pays for its two evolved transforms.
     current_form:  integral over [0, tau] of <Pbar psi|J(t)|Pbar psi>
-    - <P psi|J(t)|P psi> (they agree because dP(t)/dt = J(t)).  The integrand
-    does not depend on tau: it is evaluated once on the shared grid of
-    _crossing_time_grid, integrated by Simpson's rule between neighbouring
-    nodes and accumulated, which gives every integral of the sweep at once.
+    - <P psi|J(t)|P psi> (they agree because dP(t)/dt = J(t)).  The current
+    is a finite sum of phases, so its time integral is taken in closed form
+    by _free_current_integrals: no time grid, and each tau costs one phase
+    per distinct p^2 and its columns of one matrix product.
     Both forms are exactly 0 at tau = 0.
     """
     if psi.rep is not Representation.MOMENTUM:
         raise ValueError("crossing_probability expects a momentum-representation state")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if not np.all(np.isfinite(taus)):
+        raise ValueError(f"tau must be finite, got {tau}")
     if taus.ndim != 1 or taus.size == 0 or np.any(np.diff(taus) <= 0.0):
         raise ValueError("taus must be a scalar or a nonempty, 1-D, strictly increasing array")
     if taus[0] < 0.0:
@@ -302,17 +285,11 @@ def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> Crossing
 
     projector = np.zeros(taus.size)
     current = np.zeros(taus.size)
-    if taus[-1] > 0.0:
-        for k in np.flatnonzero(taus):
-            projector[k] = evolved_mass(neg_p, taus[k], right) + evolved_mass(pos_p, taus[k], left)
-        ts, at = _crossing_time_grid(taus)
-        j = _free_currents(np.stack([neg_p, pos_p], axis=1), p, psi.dx, ts, psi.consts)
-        integrand = j[:, 0] - j[:, 1]
-        pieces = [
-            np.sum(simpson_weights(b - a + 1, (ts[b] - ts[a]) / (b - a)) * integrand[a : b + 1])
-            for a, b in zip(at[:-1], at[1:])
-        ]
-        current[taus > 0.0] = np.cumsum(pieces)
+    live = np.flatnonzero(taus)
+    for k in live:
+        projector[k] = evolved_mass(neg_p, taus[k], right) + evolved_mass(pos_p, taus[k], left)
+    j = _free_current_integrals(np.stack([neg_p, pos_p], axis=1), p, psi.dx, taus[live], psi.consts)
+    current[live] = j[:, 0] - j[:, 1]
     if np.ndim(tau) == 0:
         return CrossingResult(float(projector[0]), float(current[0]))
     return CrossingResult(projector, current)

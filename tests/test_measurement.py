@@ -303,13 +303,28 @@ class TestCrossingProbability:
         assert swept.projector_form.tolist() == [scalar.projector_form]
         assert swept.current_form.tolist() == [scalar.current_form]
 
+    def test_scalar_equals_its_row_of_the_default_sweep(self, fast_packet):
+        alone = crossing_probability(fast_packet, 0.5).current_form
+        swept = crossing_probability(fast_packet, np.linspace(0.0, 1.0, 201)).current_form[100]
+        assert abs(alone - swept) <= 1e-15
+
     @pytest.mark.parametrize(
         "taus",
-        [-0.1, np.array([-0.1, 0.5]), np.array([0.5, 0.2]), np.array([0.2, 0.2]), np.array([])],
-        ids=["negative_scalar", "negative_entry", "decreasing", "repeated", "empty"],
+        [
+            -0.1,
+            np.array([-0.1, 0.5]),
+            np.array([0.5, 0.2]),
+            np.array([0.2, 0.2]),
+            np.array([]),
+            np.array([0.1, np.nan]),
+            np.array([0.1, np.inf]),
+            np.nan,
+        ],
+        ids=["negative_scalar", "negative_entry", "decreasing", "repeated", "empty", "nan_entry", "inf_entry",
+             "nan_scalar"],
     )
     def test_rejects_bad_taus(self, fast_packet, taus):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau"):
             crossing_probability(fast_packet, taus)
 
 

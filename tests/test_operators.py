@@ -24,9 +24,10 @@ from qarrival import (
     make_gaussian,
     new_low_momentum_slope,
     overlap,
+    simpson_weights,
     solve_eigen_ode,
 )
-from qarrival.operators import _eigenstate_block, _tau_blocks
+from qarrival.operators import _eigenstate_block, _free_current_integrals, _tau_blocks
 from qarrival.states import (
     Representation,
     WaveFunction,
@@ -360,6 +361,11 @@ class TestOverlapAndDistributions:
         with pytest.raises(ValueError):
             distribution(fast_packet, EigenFamily.KDM, np.array([0.5, 0.2, 0.8]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan_entry", "inf_entry"])
+    def test_non_finite_tau_grid_rejected(self, fast_packet, bad):
+        with pytest.raises(ValueError, match="tau_grid must be finite"):
+            distribution(fast_packet, EigenFamily.KDM, np.array([0.1, bad]))
+
 
 class TestKijowski:
     def test_equals_ab_overlap(self, verify_report):
@@ -457,6 +463,52 @@ class TestCurrentExpectation:
             assert batched.shape == ts.shape
             scalar = np.array([current_expectation(psi, float(t)) for t in ts])
             assert np.max(np.abs(batched - scalar) / np.abs(scalar)) <= 1e-12
+
+
+def _simpson_current_integral(psi, tau, samples=12801):
+    """integral_0^tau <J(t)> dt by Simpson's rule on `samples` times."""
+    ts = np.linspace(0.0, tau, samples)
+    return float(simpson_weights(samples, ts[1] - ts[0]) @ current_expectation(psi, ts))
+
+
+class TestCurrentIntegrals:
+    """The closed-form time integral of the current against Simpson's rule on
+    a fine time grid of current_expectation."""
+
+    @staticmethod
+    def _closed(psi, taus):
+        return _free_current_integrals(psi.values[:, None], psi.grid, psi.dx, np.asarray(taus), psi.consts)[:, 0]
+
+    def test_fast_packet(self, fast_packet):
+        taus = [0.2, 0.5, 1.0]
+        closed = self._closed(fast_packet, taus)
+        for tau, value in zip(taus, closed):
+            assert abs(value - _simpson_current_integral(fast_packet, tau)) <= 1e-14
+
+    def test_small_tau_packet_over_origin(self, consts, grid):
+        # the integral is of order tau here, far below the sums it is built
+        # from; u^T C v - a^T C b evaluated as written loses ~2e-16 absolute
+        psi = make_gaussian(GaussianSpec(p0=1.0, x0=-0.5, sigma_p=1.0, consts=consts), grid)
+        taus = [1e-5, 1e-4, 1e-3]
+        closed = self._closed(psi, taus)
+        for tau, value in zip(taus, closed):
+            reference = _simpson_current_integral(psi, tau)
+            assert abs(value - reference) <= 1e-14
+            assert abs(value - reference) <= 1e-13 * reference
+
+    def test_grid_mirrored_up_to_rounding(self, consts):
+        # a linspace grid with a non-dyadic end point: p[k] and -p[n-1-k]
+        # differ in the last bits, and their p^2 must still fold together
+        n, p_max = 1000, 33.3
+        dp = 2.0 * p_max / n
+        p = np.linspace(-p_max + dp / 2.0, p_max - dp / 2.0, n)
+        assert not np.array_equal(p, -p[::-1])
+        values = np.exp(-((p - 1.0) ** 2) / 4.0 + 0.5j * p)
+        psi = WaveFunction(Representation.MOMENTUM, p, values, consts).normalized()
+        assert abs(self._closed(psi, [0.5])[0] - _simpson_current_integral(psi, 0.5)) <= 1e-14
+
+    def test_zero_at_tau_zero(self, fast_packet):
+        assert self._closed(fast_packet, [0.0])[0] == 0.0
 
 
 class TestKineticEnergyDensity:

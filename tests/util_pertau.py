@@ -19,7 +19,7 @@ from qarrival import (
     eigenstate_values,
     simpson_weights,
 )
-from qarrival.measurement import CROSSING_OVERSAMPLE, CROSSING_TIME_SAMPLES
+from qarrival.measurement import CROSSING_OVERSAMPLE
 from qarrival.numerics import momentum_to_position, position_to_momentum
 
 
@@ -50,10 +50,14 @@ def completeness_per_tau(family, psi, tau_range, tau_n):
     return err / math.sqrt(psi.norm_squared())
 
 
+# Simpson samples on [0, tau] for the oracle's integral of the current.
+TIME_SAMPLES = 801
+
+
 def crossing_per_tau(psi, tau):
     """(projector form, current form) of the crossing probability over [0, tau]:
     project, free-propagate and project for the first; Simpson's rule on
-    CROSSING_TIME_SAMPLES times of [0, tau] for the integral of the current."""
+    TIME_SAMPLES times of [0, tau] for the integral of the current."""
     if tau == 0.0:
         return 0.0, 0.0
     m, hbar = psi.consts.mass, psi.consts.hbar
@@ -73,6 +77,6 @@ def crossing_per_tau(psi, tau):
     projector = evolved_mass(neg_p, True) + evolved_mass(pos_p, False)
     wf_neg = WaveFunction(Representation.MOMENTUM, p, neg_p, psi.consts)
     wf_pos = WaveFunction(Representation.MOMENTUM, p, pos_p, psi.consts)
-    ts = np.linspace(0.0, tau, CROSSING_TIME_SAMPLES)
+    ts = np.linspace(0.0, tau, TIME_SAMPLES)
     integrand = current_expectation(wf_neg, ts) - current_expectation(wf_pos, ts)
     return projector, float(np.sum(simpson_weights(ts.size, ts[1] - ts[0]) * integrand))
