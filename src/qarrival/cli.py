@@ -18,6 +18,7 @@ configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -257,7 +258,7 @@ def cmd_distribution(cfg: RunConfig, out: str | None, fmt: str) -> int:
     columns = ["tau", f"pi_{cfg.family}"]
     cols = [taus, dist.values]
     if cfg.with_reference:
-        kij = np.array([kijowski_distribution(psi, t) for t in taus])
+        kij = kijowski_distribution(psi, taus)
         _, ked_abs = kinetic_energy_density(psi)
         coef = math.pi / (2.0 * GAMMA_3_4 ** 2)
         ked_curve = coef * np.sqrt(np.abs(taus)) * ked_abs / (cfg.mass**1.5 * cfg.hbar**0.5)
@@ -382,7 +383,10 @@ def cmd_classical(cfg: RunConfig, out: str | None, fmt: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every caller:
+    parsing leaves it unchanged, and no caller may modify it."""
     parser = argparse.ArgumentParser(
         prog="qarrival",
         description="Arrival-time operator experiments on a momentum grid",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import GridSpec, momentum_to_position, position_to_momentum
-from .operators import _free_current_integrals, current_expectation, kinetic_energy_density
+from .operators import _check_taus, _free_current_integrals, current_expectation, kinetic_energy_density
 from .states import Representation, WaveFunction
 
 
@@ -261,13 +261,7 @@ def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> Crossing
     """
     if psi.rep is not Representation.MOMENTUM:
         raise ValueError("crossing_probability expects a momentum-representation state")
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if not np.all(np.isfinite(taus)):
-        raise ValueError(f"tau must be finite, got {tau}")
-    if taus.ndim != 1 or taus.size == 0 or np.any(np.diff(taus) <= 0.0):
-        raise ValueError("taus must be a scalar or a nonempty, 1-D, strictly increasing array")
-    if taus[0] < 0.0:
-        raise ValueError("tau must be nonnegative")
+    taus = _check_taus(np.atleast_1d(tau), "tau", increasing=True, nonnegative=True)
     m, hbar = psi.consts.mass, psi.consts.hbar
     p = psi.grid
     # oversampled half-offset position grid at the conjugate extent
@@ -324,7 +318,7 @@ def small_time_current_law(reflected: WaveFunction, tau_samples: np.ndarray) -> 
     normalization is the convention under which the 1/(2 sqrt(pi)) square-root
     law holds.)  Warns when the fit residual exceeds 5% (regime violation).
     """
-    taus = np.asarray(tau_samples, dtype=float)
+    taus = _check_taus(tau_samples, "tau_samples")
     if taus.ndim != 1 or taus.size < 3 or np.any(taus <= 0.0):
         raise ValueError("need at least 3 positive tau samples")
     m, hbar = reflected.consts.mass, reflected.consts.hbar

@@ -123,12 +123,19 @@ _BESSEL_HIGH = np.array([
 
 def _clenshaw(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k coefs[:, k] T_k(x) by Clenshaw's recurrence, all rows of coefs in
-    one pass; shape (rows,) + x.shape."""
+    one pass; shape (rows,) + x.shape.  Each step b_k = c_k + 2x b_(k+1) - b_(k+2)
+    is formed in place in one of three rotating buffers."""
     c = coefs.reshape(coefs.shape + (1,) * x.ndim)
     x2 = 2.0 * x
-    b1, b2 = c[:, -1], 0.0
+    shape = coefs.shape[:1] + x.shape
+    b1 = np.empty(shape, dtype=np.result_type(coefs, x))
+    b1[...] = c[:, -1]
+    b2, t = np.zeros_like(b1), np.empty_like(b1)
     for k in range(coefs.shape[1] - 2, 0, -1):
-        b1, b2 = c[:, k] + x2 * b1 - b2, b1
+        np.multiply(x2, b1, out=t)
+        t += c[:, k]
+        t -= b2
+        b1, b2, t = t, b1, b2
     return c[:, 0] + x * b1 - b2
 
 

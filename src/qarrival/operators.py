@@ -235,22 +235,21 @@ def _new_high_table(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return amp * ((p1 * cos - q1 * sin) + 1j * (q2 * cos + p2 * sin))
 
 
-def _new_eigenstate_block(taus: np.ndarray, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
-    """NEW-family eigenstates for taus >= 0, one row per tau; the low Bessel
-    table below the switchover z = 10, the high table at and above it.
-
-    The values depend on |p| alone up to phi(-p) = conj phi(p), which is
-    exact; on a mirror-symmetric grid (|p| a palindrome) only the upper half
-    is evaluated.
-    """
-    m, hbar = consts.mass, consts.hbar
+def _mirror_half(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|p| on the upper half of a mirror-symmetric grid (|p| a palindrome) and
+    the index that expands a row over it to p; on any other grid, |p| itself
+    and the identity index."""
     n = p.size
-    ap = np.abs(p)
-    k = np.arange(n)
+    ap, k = np.abs(p), np.arange(n)
     if np.array_equal(ap, ap[::-1]):
-        ap, index = ap[n // 2 :], np.maximum(k, n - 1 - k) - n // 2
-    else:
-        index = k
+        return ap[n // 2 :], np.maximum(k, n - 1 - k) - n // 2
+    return ap, k
+
+
+def _new_eigenstate_half(taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -> np.ndarray:
+    """NEW-family eigenstates at |p| = ap for taus >= 0, one row per tau; the
+    low Bessel table below the switchover z = 10, the high table at and above it."""
+    m, hbar = consts.mass, consts.hbar
     half = np.zeros((taus.size, ap.size), dtype=complex)
     # phi_tau ~ tau^(1/4) -> 0, so rows with tau = 0 stay zero
     rows = taus != 0.0
@@ -265,8 +264,7 @@ def _new_eigenstate_block(taus: np.ndarray, p: np.ndarray, consts: PhysConsts) -
     if hi.any():
         out[hi] = _new_high_table(z[hi], np.broadcast_to(high_amp, z.shape)[hi])
     half[rows] = out
-    full = half[:, index]
-    return np.conjugate(full, out=full, where=p < 0.0)
+    return half
 
 
 def _eigenstate_block(family: EigenFamily, taus: np.ndarray, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
@@ -275,31 +273,42 @@ def _eigenstate_block(family: EigenFamily, taus: np.ndarray, p: np.ndarray, cons
     Row k equals eigenstate_values(family, taus[k], p, consts) bitwise: every
     step is elementwise in (tau, p) with the same operations in the same order,
     and the NEW family's Bessel tables are summed to a fixed degree.
+
+    Every family depends on |p| alone up to an exact sign rule: phi(-p) =
+    phi(p) for AB and MI, conj phi(p) for KDM and NEW, and T3 is the MI form
+    on one sector.  So each is evaluated on _mirror_half's |p| and expanded.
+    KDM conjugates its exponential before the amplitude multiplies it, as the
+    full-grid formula does, so even the signed zeros of Im phi (at phase 0 or
+    an underflowed one) are that formula's.  The block is C-ordered, except
+    NEW's, which is F-ordered: the layout fixes the rounding of the sums over
+    p in completeness_check.
     """
     taus = np.asarray(taus, dtype=float)
     p = np.asarray(p, dtype=float)
     if np.any(p == 0.0):
         raise ValueError("eigenstates are not defined at p = 0")
     m, hbar = consts.mass, consts.hbar
-    ap = np.abs(p)
+    ap, index = _mirror_half(p)
     tau = taus[:, None]
-    phase = p * p * tau / (2.0 * m * hbar)
-    if family is EigenFamily.AB:
-        return np.sqrt(ap / (2.0 * math.pi * m * hbar)) * np.exp(1j * phase)
-    if family is EigenFamily.KDM:
-        return np.sqrt(ap / (2.0 * math.pi * m * hbar)) * np.exp(1j * np.sign(p) * phase)
-    if family is EigenFamily.MI:
-        if np.any(taus < 0.0):
-            raise ValueError("MI family is defined for tau >= 0 (spectrum of m|x|/|p|)")
-        return (_mi_norm(consts) * np.sqrt(ap) * np.sin(phase)).astype(complex)
-    if family is EigenFamily.T3:
-        sector = np.where(tau >= 0.0, p > 0.0, p < 0.0)
-        vals = _mi_norm(consts) * np.sqrt(ap) * np.sin(p * p * np.abs(tau) / (2.0 * m * hbar))
-        return np.where(sector, vals, 0.0).astype(complex)
     if family is EigenFamily.NEW:
         if np.any(taus < 0.0):
             raise ValueError("NEW family eigenstates are implemented for tau >= 0")
-        return _new_eigenstate_block(taus, p, consts)
+        full = _new_eigenstate_half(taus, ap, consts)[:, index]
+        return np.conjugate(full, out=full, where=p < 0.0)
+    if family is EigenFamily.MI and np.any(taus < 0.0):
+        raise ValueError("MI family is defined for tau >= 0 (spectrum of m|x|/|p|)")
+    phase = ap * ap * (np.abs(tau) if family is EigenFamily.T3 else tau) / (2.0 * m * hbar)
+    if family in (EigenFamily.AB, EigenFamily.KDM):
+        amp = np.sqrt(ap / (2.0 * math.pi * m * hbar))
+        if family is EigenFamily.AB:
+            return np.take(amp * np.exp(1j * phase), index, axis=1)
+        wave = np.take(np.exp(1j * phase), index, axis=1)
+        return amp[index] * np.conjugate(wave, out=wave, where=p < 0.0)
+    if family in (EigenFamily.MI, EigenFamily.T3):
+        full = np.take(_mi_norm(consts) * np.sqrt(ap) * np.sin(phase), index, axis=1)
+        if family is EigenFamily.T3:
+            full = np.where(np.where(tau >= 0.0, p > 0.0, p < 0.0), full, 0.0)
+        return full.astype(complex)
     raise ValueError(f"unknown family {family}")
 
 
@@ -438,9 +447,21 @@ def hermiticity_defect(op: OperatorMatrix) -> float:
     edge rows and columns on each side, where the one-sided stencils sit).
 
     The pattern is closed under transposition, so M^dagger is evaluated on it
-    too; an entry off the pattern is zero in both."""
+    too; an entry off the pattern is zero in both.  |M[j,k] - conj M[k,j]| is
+    the same number at (k, j), so a full pattern is visited on one triangle:
+    each interior column block [start, stop) against the rows below stop, at
+    every entry and its transpose."""
     n = op.grid.n
     defect = scale = 0.0
+    if op.width is None:
+        step = max(1, _BLOCK_ENTRIES // n)
+        for start in range(2, n - 2, step):
+            stop = min(start + step, n - 2)
+            rows, cols = np.arange(2, stop)[None, :], np.arange(start, stop)[:, None]
+            values, dagger = op.entries(rows, cols), np.conj(op.entries(cols, rows))
+            defect = max(defect, float(np.max(np.abs(values - dagger))))
+            scale = max(scale, float(np.max(np.abs(values))), float(np.max(np.abs(dagger))))
+        return defect / scale
     for rows, cols, inside, values in op.chunks():
         inside = inside & (rows >= 2) & (rows < n - 2) & (cols >= 2) & (cols < n - 2)
         dagger = np.conj(op.entries(cols, rows))
@@ -459,6 +480,20 @@ def _check_momentum_state(psi: WaveFunction) -> None:
         raise ValueError("expected a momentum-representation state")
 
 
+def _check_taus(taus, name: str, *, increasing: bool = False, nonnegative: bool = False) -> np.ndarray:
+    """taus as a float array, once every entry is finite and, on request, the
+    array is nonempty, 1-D and strictly increasing, and its entries are >= 0.
+    The one validator of the times a public function takes; raises ValueError."""
+    arr = np.asarray(taus, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {taus}")
+    if increasing and (arr.ndim != 1 or arr.size == 0 or np.any(np.diff(arr) <= 0.0)):
+        raise ValueError(f"{name} must be a nonempty, 1-D, strictly increasing array")
+    if nonnegative and np.any(arr < 0.0):
+        raise ValueError(f"{name} must be nonnegative")
+    return arr
+
+
 def overlap(psi: WaveFunction, family: EigenFamily, tau: float) -> complex:
     """<psi|phi_tau> by composite-Simpson quadrature on psi's grid."""
     _check_momentum_state(psi)
@@ -474,11 +509,7 @@ def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -
     per-tau evaluation bitwise.
     """
     _check_momentum_state(psi)
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if not np.all(np.isfinite(tau_grid)):
-        raise ValueError(f"tau_grid must be finite, got {tau_grid}")
-    if tau_grid.ndim != 1 or np.any(np.diff(tau_grid) <= 0.0):
-        raise ValueError("tau_grid must be 1-D and strictly increasing")
+    tau_grid = _check_taus(tau_grid, "tau_grid", increasing=True)
     w = simpson_weights(psi.grid.size, psi.dx)
     weighted = w * np.conj(psi.values)
     vals = np.empty(tau_grid.size)
@@ -488,19 +519,34 @@ def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -
     return Distribution(tau_grid, vals, family.value, {"norm": psi.norm_squared()})
 
 
-def kijowski_distribution(psi: WaveFunction, t: float) -> float:
-    """Kijowski arrival-time density (1/m)<psi_t| |p|^(1/2) delta(x) |p|^(1/2) |psi_t>.
+def kijowski_distribution(psi: WaveFunction, t: float | np.ndarray) -> float | np.ndarray:
+    """Kijowski arrival-time density (1/m)<psi_t| |p|^(1/2) delta(x) |p|^(1/2) |psi_t>,
+    for a scalar or 1-D array of times t.
 
     With the exact momentum-basis kernel <p|delta(x)|p'> = 1/(2 pi hbar) this
     is the rank-one form (1/(2 pi m hbar)) |integral dp |p|^(1/2) psi_t(p)|^2,
-    identical to |<psi|phi^AB_t>|^2.
+    identical to |<psi|phi^AB_t>|^2.  The phases are formed per _tau_blocks
+    block of times, on the half grid of _mirror_half, and each time's Simpson
+    sum is its own row sum, so a value equals the scalar call bitwise.
     """
     _check_momentum_state(psi)
+    ts = _check_taus(t, "t")
+    if ts.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array")
     m, hbar = psi.consts.mass, psi.consts.hbar
     p = psi.grid
-    evolved = np.exp(-1j * p**2 * t / (2.0 * m * hbar)) * psi.values
-    amp = integrate(np.sqrt(np.abs(p)) * evolved, psi.dx)
-    return abs(amp) ** 2 / (2.0 * math.pi * m * hbar)
+    w = simpson_weights(p.size, psi.dx)
+    root = np.sqrt(np.abs(p))
+    ap, index = _mirror_half(p)  # the phase depends on p^2 alone
+    flat = ts.reshape(-1)
+    amp = np.empty(flat.size, dtype=complex)
+    for start, block in _tau_blocks(flat, p.size):
+        phase = np.take(np.exp(-1j * ap**2 * block[:, None] / (2.0 * m * hbar)), index, axis=1)
+        amp[start : start + block.size] = np.sum(w * (root * (phase * psi.values)), axis=1)
+    # Python's abs and ** on each amplitude: numpy's complex abs and square
+    # round differently in the last digit
+    dens = [abs(a) ** 2 / (2.0 * math.pi * m * hbar) for a in amp.tolist()]
+    return dens[0] if ts.ndim == 0 else np.array(dens)
 
 
 def kinetic_energy_density(psi: WaveFunction) -> tuple[float, float]:
@@ -607,7 +653,7 @@ def current_expectation(psi: WaveFunction, t: float | np.ndarray) -> float | np.
     weights, as J_CURRENT does, so the two agree to rounding.
     """
     _check_momentum_state(psi)
-    ts = np.asarray(t, dtype=float)
+    ts = _check_taus(t, "t")
     j = _free_currents(psi.values[:, None], psi.grid, psi.dx, ts.reshape(-1), psi.consts)
     return float(j[0, 0]) if ts.ndim == 0 else j[:, 0].reshape(ts.shape)
 
@@ -634,35 +680,39 @@ def solve_eigen_ode(tau: float, grid: GridSpec, consts: PhysConsts = PhysConsts(
     half = p[grid.n // 2 :]
     kappa = tau / (m * hbar)
 
-    def rhs(pp: float, y: np.ndarray) -> np.ndarray:
-        return np.array([y[1], (2.0 / pp) * y[1] - (kappa * pp) ** 2 * y[0]])
+    def rhs(pp: float, y0: float, y1: float) -> tuple[float, float]:
+        return y1, (2.0 / pp) * y1 - (kappa * pp) ** 2 * y0
 
     # step resolving the local phase dz/dp = kappa p; RK4 phase error per
     # radian ~ (kappa p h)^4, kept below ~1e-10 over the full sweep
     h_target = min(grid.dp / 8.0, 4e-3 / (kappa * grid.p_max))
     if h_target < 1e-9 * grid.p_max:
         raise RuntimeError(f"step size underflow for tau = {tau} on this grid")
-    p0 = half[0]
+    p0 = float(half[0])
     a = -(kappa**2) / 28.0
-    y = np.array([p0**3 * (1.0 + a * p0**4), 3.0 * p0**2 + 7.0 * a * p0**6])
+    # the state (y0, y1) = (u, u') is stepped as Python floats: the same IEEE
+    # operations, in the same order, as on a 2-vector, without numpy's
+    # per-call overhead
+    y0, y1 = p0**3 * (1.0 + a * p0**4), 3.0 * p0**2 + 7.0 * a * p0**6
     u = np.empty(half.size)
     du = np.empty(half.size)
-    u[0], du[0] = y
+    u[0], du[0] = y0, y1
     for i in range(half.size - 1):
-        span = half[i + 1] - half[i]
+        span = float(half[i + 1] - half[i])
         steps = max(1, int(math.ceil(span / h_target)))
         h = span / steps
-        pp = half[i]
+        pp = float(half[i])
         for _ in range(steps):
-            k1 = rhs(pp, y)
-            k2 = rhs(pp + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(pp + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(pp + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = rhs(pp, y0, y1)
+            k2 = rhs(pp + 0.5 * h, y0 + 0.5 * h * k1[0], y1 + 0.5 * h * k1[1])
+            k3 = rhs(pp + 0.5 * h, y0 + 0.5 * h * k2[0], y1 + 0.5 * h * k2[1])
+            k4 = rhs(pp + h, y0 + h * k3[0], y1 + h * k3[1])
+            y0 = y0 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            y1 = y1 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
             pp += h
-        if not np.all(np.isfinite(y)):
+        if not (math.isfinite(y0) and math.isfinite(y1)):
             raise RuntimeError("eigenvalue ODE integration failed (non-finite state)")
-        u[i + 1], du[i + 1] = y
+        u[i + 1], du[i + 1] = y0, y1
     phi_half = (m * hbar / (tau * half)) * du + 1j * u
     values = np.concatenate([np.conj(phi_half[::-1]), phi_half])
     return WaveFunction(Representation.MOMENTUM, p, values, consts)

@@ -41,6 +41,27 @@ class TestDeterminism:
         assert set(payload) == {"config", "columns", "rows", "checks"}
 
 
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        from qarrival.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_keeps_runs_apart(self, capsys):
+        # the zeno preset fills its defaults into the parsed arguments; a later
+        # run parses afresh and sees none of them
+        from qarrival.cli import main
+
+        assert main(["classical", "--format", "json"]) == 0
+        first = capsys.readouterr().out
+        assert main(["measure", "--mode", "zeno", "--n", "256", "--p-max", "8", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["p0"] == 0.3
+        assert main(["classical", "--format", "json"]) == 0
+        again = capsys.readouterr().out
+        assert again == first
+        assert json.loads(again)["config"]["p0"] == 10.0
+
+
 class TestExitCodes:
     def test_invalid_family_exits_2(self):
         res = run_cli("distribution", "--family", "bogus", *SMALL)

@@ -354,6 +354,14 @@ class TestSmallTimeCurrentLaw:
         with pytest.raises(ValueError):
             small_time_current_law(reflected_packet, np.array([0.0, 0.01, 0.02]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_samples(self, reflected_packet, bad, capfd):
+        # before the fit: a NaN reached the least-squares solve, which printed
+        # LAPACK errors and raised LinAlgError
+        with pytest.raises(ValueError, match="tau_samples must be finite"):
+            small_time_current_law(reflected_packet, np.array([0.01, 0.02, bad]))
+        assert capfd.readouterr().err == ""
+
 
 class TestClassicalOracles:
     def test_arrival_examples(self):

@@ -113,6 +113,18 @@ class TestBessel:
                 envelope = np.maximum(np.abs(exact), np.sqrt(2.0 / (math.pi * z)))
                 assert np.max(np.abs(z**nu * row - exact) / envelope) <= 2e-14
 
+    @pytest.mark.parametrize("table", ["_BESSEL_LOW", "_BESSEL_HIGH"])
+    def test_clenshaw_equals_textbook_recurrence(self, table):
+        # the in-place, buffer-rotating sum equals b_k = c_k + 2x b_(k+1) - b_(k+2) bitwise
+        coefs = getattr(numerics, table)
+        x = np.linspace(-1.0, 1.0, 301).reshape(7, 43)
+        c = coefs[:, :, None, None]
+        b1, b2 = c[:, -1], 0.0
+        for k in range(coefs.shape[1] - 2, 0, -1):
+            b1, b2 = c[:, k] + 2.0 * x * b1 - b2, b1
+        expected = c[:, 0] + x * b1 - b2
+        assert numerics._clenshaw(coefs, x).tobytes() == expected.tobytes()
+
     def test_modulation_against_mpmath(self):
         z = np.concatenate([np.linspace(8.0, 12.0, 20, endpoint=False), np.geomspace(12.0, 1e5, 80)])
         pq = _hankel_modulation(z)

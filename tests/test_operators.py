@@ -11,6 +11,7 @@ from qarrival import (
     GaussianSpec,
     GridSpec,
     OperatorKind,
+    OperatorMatrix,
     build_operator,
     completeness_check,
     current_expectation,
@@ -19,6 +20,7 @@ from qarrival import (
     eigenstate,
     eigenstate_values,
     hermiticity_defect,
+    integrate,
     kijowski_distribution,
     kinetic_energy_density,
     make_gaussian,
@@ -101,6 +103,22 @@ class TestEigenstates:
         assert abs(val - lead) / abs(lead) < 1e-3
 
 
+def _full_grid_formula(family, taus, p, consts):
+    """AB, KDM, MI and T3 eigenstates from their formulas on every momentum of p."""
+    m, hbar = consts.mass, consts.hbar
+    ap, tau = np.abs(p), taus[:, None]
+    phase = p * p * tau / (2.0 * m * hbar)
+    norm = math.sqrt(2.0 / (math.pi * m * hbar))
+    if family is EigenFamily.AB:
+        return np.sqrt(ap / (2.0 * math.pi * m * hbar)) * np.exp(1j * phase)
+    if family is EigenFamily.KDM:
+        return np.sqrt(ap / (2.0 * math.pi * m * hbar)) * np.exp(1j * np.sign(p) * phase)
+    if family is EigenFamily.MI:
+        return (norm * np.sqrt(ap) * np.sin(phase)).astype(complex)
+    vals = norm * np.sqrt(ap) * np.sin(p * p * np.abs(tau) / (2.0 * m * hbar))
+    return np.where(np.where(tau >= 0.0, p > 0.0, p < 0.0), vals, 0.0).astype(complex)
+
+
 def _has_partial_last_block(taus, n):
     sizes = [block.size for _, block in _tau_blocks(taus, n)]
     return len(sizes) > 1 and sizes[-1] < sizes[0]
@@ -143,9 +161,32 @@ class TestEigenstateBlock:
         with pytest.raises(ValueError, match="tau >= 0"):
             distribution(fast_packet, family, np.linspace(-0.2, 0.5, 36))
 
-    def test_new_mirror_is_exact(self, grid, consts):
-        block = _eigenstate_block(EigenFamily.NEW, np.array([1e-4, 0.3, 0.7, 1.9]), grid.momenta(), consts)
-        assert np.array_equal(block[:, ::-1], np.conj(block))
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
+    def test_mirror_is_exact(self, family, grid, consts):
+        # phi(-p) = phi(p) (AB, MI), conj phi(p) (KDM, NEW); T3 maps tau -> -tau
+        taus = np.array([0.0, 1e-4, 0.3, 0.7, 1.9])
+        block = _eigenstate_block(family, taus, grid.momenta(), consts)
+        if family is EigenFamily.T3:
+            mirror = _eigenstate_block(family, -taus, grid.momenta(), consts)[:, ::-1]
+        else:
+            mirror = block[:, ::-1]
+        if family in (EigenFamily.KDM, EigenFamily.NEW):
+            mirror = np.conj(mirror)
+        assert np.array_equal(mirror, block)
+
+    @pytest.mark.parametrize("family", [EigenFamily.AB, EigenFamily.KDM, EigenFamily.MI, EigenFamily.T3],
+                             ids=lambda f: f.value)
+    def test_half_grid_equals_full_grid_formula(self, family, grid, consts, rng):
+        # byte for byte, so signed zeros too (tau = +-0 and an underflowing
+        # phase), and C-ordered like the formula's own result
+        taus = np.array([-0.9, -0.0, 0.0, 1e-320, 1e-4, 0.3, 1.9])
+        if family is EigenFamily.MI:
+            taus = taus[~np.signbit(taus)]
+        for p in (grid.momenta(), rng.permutation(grid.momenta())[:100], np.array([-1.5, 3.0, 1.5])):
+            block = _eigenstate_block(family, taus, p, consts)
+            ref = _full_grid_formula(family, taus, p, consts)
+            assert block.tobytes() == ref.tobytes()
+            assert block.flags.c_contiguous
 
     def test_new_on_unordered_momenta(self, grid, consts, rng):
         # the half-grid evaluation also serves momenta that are not a mirror grid
@@ -168,7 +209,7 @@ class TestEigenstateBlock:
 class TestBlockedSpectralCalls:
     """The blocked calls against per-tau reference loops (tests/util_pertau.py)."""
 
-    @pytest.mark.parametrize("family", [EigenFamily.NEW, EigenFamily.KDM], ids=lambda f: f.value)
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
     def test_distribution_equals_per_tau_loop(self, family, fast_packet):
         taus = np.linspace(0.0, 1.0, 201)  # the CLI default preset
         assert _has_partial_last_block(taus, fast_packet.grid.size)
@@ -294,11 +335,54 @@ class TestBandFormAgainstDense:
         expected = dense @ f
         assert np.max(np.abs(op.apply(f) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("n", [64, 1024])
+    # J_CURRENT's triangle is one column block at n <= 92, two at n = 130
+    @pytest.mark.parametrize("n", [6, 10, 64, 130, 1024])
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_hermiticity_defect_equals_dense(self, kind, n, consts):
         op, dense = self._pair(kind, n, consts)
         assert hermiticity_defect(op) == dense_hermiticity_defect(dense)
+
+    @staticmethod
+    def _full_pattern(mat, consts):
+        return OperatorMatrix(lambda j, k: mat[j, k], GridSpec(mat.shape[0], 40.0), consts, "planted", None)
+
+    @pytest.mark.parametrize("n", [40, 200])
+    @pytest.mark.parametrize("where", ["lower", "upper", "diagonal", "both"])
+    def test_planted_defect_found_at_dense_value(self, where, n, consts, rng):
+        # negative control: a hermitian matrix with one entry moved, in the
+        # lower triangle, the upper one, on the diagonal, or one of each
+        # (n = 200 spans five column blocks).  The moved entry is the largest,
+        # so it sets the scale too.
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mat = a + a.conj().T
+        planted = {"lower": [(n - 5, 3)], "upper": [(7, n - 4)], "diagonal": [(n // 2, n // 2)],
+                   "both": [(n - 5, 3), (7, n - 4)]}[where]
+        for size, (j, k) in enumerate(planted, 1):
+            mat[j, k] += 40j * size
+        defect = hermiticity_defect(self._full_pattern(mat, consts))
+        assert defect == dense_hermiticity_defect(mat)
+        assert defect >= 0.5
+
+    def test_defect_outside_interior_ignored(self, consts, rng):
+        a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        mat = a + a.conj().T
+        mat[1, 20] += 5.0
+        mat[20, 38] += 5.0
+        assert hermiticity_defect(self._full_pattern(mat, consts)) == 0.0
+
+    def test_current_check_visits_half_the_pairs(self, consts):
+        n = 1024
+        op = build_operator(OperatorKind.J_CURRENT, GridSpec(n, 40.0), consts, t=0.3)
+        sizes = []
+
+        def counted(j, k):
+            sizes.append(np.broadcast(j, k).size)
+            return op.entries(j, k)
+
+        hermiticity_defect(OperatorMatrix(counted, op.grid, consts, op.kind, None))
+        # each visited pair costs two evaluations, the entry and its
+        # transpose, so about n^2 evaluations mean about n^2 / 2 pairs
+        assert sum(sizes) <= 1.01 * n**2
 
     @pytest.mark.parametrize(
         "left, right",
@@ -383,6 +467,28 @@ class TestKijowski:
         vals = np.array([kijowski_distribution(psi, float(t)) for t in taus])
         assert abs(taus[np.argmax(vals)] - 0.5) <= 0.025  # within 5%
 
+    def test_array_equals_scalar_calls(self, fast_packet):
+        taus = np.linspace(0.0, 1.0, 201)  # the CLI default preset
+        assert _has_partial_last_block(taus, fast_packet.grid.size)
+        vals = kijowski_distribution(fast_packet, taus)
+        assert vals.shape == taus.shape
+        assert np.array_equal(vals, [kijowski_distribution(fast_packet, float(t)) for t in taus])
+        assert isinstance(kijowski_distribution(fast_packet, 0.5), float)
+        # and the rank-one formula, one Simpson integral per time
+        p = fast_packet.grid
+        for t in taus[::20]:
+            amp = integrate(np.sqrt(np.abs(p)) * (np.exp(-1j * p**2 * t / 2.0) * fast_packet.values), fast_packet.dx)
+            assert vals[np.searchsorted(taus, t)] == abs(amp) ** 2 / (2.0 * math.pi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([0.1, math.nan])], ids=["nan", "inf", "nan_entry"])
+    def test_non_finite_time_rejected(self, fast_packet, bad):
+        with pytest.raises(ValueError, match="t must be finite"):
+            kijowski_distribution(fast_packet, bad)
+
+    def test_two_dimensional_times_rejected(self, fast_packet):
+        with pytest.raises(ValueError, match="1-D"):
+            kijowski_distribution(fast_packet, np.zeros((2, 2)))
+
     def test_phase_covariance_kdm(self, fast_packet):
         # for a positive-momentum packet, |<e^{-iHt} psi|phi_tau>| = |<psi|phi_{tau+t}>|
         t = 0.2
@@ -400,6 +506,11 @@ class TestKijowski:
 
 
 class TestCurrentExpectation:
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, np.array([0.1, math.nan])], ids=["nan", "inf", "nan_entry"])
+    def test_non_finite_time_rejected(self, fast_packet, bad):
+        with pytest.raises(ValueError, match="t must be finite"):
+            current_expectation(fast_packet, bad)
+
     def test_reflected_zero_at_t0_position(self, reflected_spec, reflected_grid):
         # on the construction samples psi(0) = 0 exactly, so J(0) = 0 exactly
         pos = reflected_position_state(reflected_spec, reflected_grid)
@@ -530,6 +641,36 @@ class TestKineticEnergyDensity:
         assert signed == pytest.approx(absolute, rel=1e-10)
 
 
+def _ode_vector_steps(tau, grid, consts):
+    """solve_eigen_ode's RK4 march with the state (u, u') as a numpy 2-vector."""
+    m, hbar = consts.mass, consts.hbar
+    half = grid.momenta()[grid.n // 2 :]
+    kappa = tau / (m * hbar)
+
+    def rhs(pp, y):
+        return np.array([y[1], (2.0 / pp) * y[1] - (kappa * pp) ** 2 * y[0]])
+
+    h_target = min(grid.dp / 8.0, 4e-3 / (kappa * grid.p_max))
+    p0, a = half[0], -(kappa**2) / 28.0
+    y = np.array([p0**3 * (1.0 + a * p0**4), 3.0 * p0**2 + 7.0 * a * p0**6])
+    u, du = np.empty(half.size), np.empty(half.size)
+    u[0], du[0] = y
+    for i in range(half.size - 1):
+        steps = max(1, int(math.ceil((half[i + 1] - half[i]) / h_target)))
+        h = (half[i + 1] - half[i]) / steps
+        pp = half[i]
+        for _ in range(steps):
+            k1 = rhs(pp, y)
+            k2 = rhs(pp + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(pp + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(pp + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            pp += h
+        u[i + 1], du[i + 1] = y
+    phi_half = (m * hbar / (tau * half)) * du + 1j * u
+    return np.concatenate([np.conj(phi_half[::-1]), phi_half])
+
+
 class TestEigenvalueOde:
     @pytest.mark.parametrize("tau", [0.2, 1.0, 5.0])
     def test_correlation_with_closed_form(self, tau, consts):
@@ -569,6 +710,11 @@ class TestEigenvalueOde:
     def test_rejects_nonpositive_tau(self, consts):
         with pytest.raises(ValueError):
             solve_eigen_ode(0.0, GridSpec(64, 4.0), consts)
+
+    @pytest.mark.parametrize("tau", [0.2, 3.0])
+    def test_float_steps_equal_vector_steps(self, tau, consts):
+        grid = GridSpec(48, 4.0)
+        assert solve_eigen_ode(tau, grid, consts).values.tobytes() == _ode_vector_steps(tau, grid, consts).tobytes()
 
 
 class TestCompleteness:
