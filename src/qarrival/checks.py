@@ -101,8 +101,8 @@ def _bessel_table_gap(z: np.ndarray) -> np.ndarray:
     nu = -1/4, 3/4 (first axis); both tables are fitted on z in [8, 12]."""
     nu = np.array([[-0.25], [0.75]])
     omega = z - nu * math.pi / 2.0 - math.pi / 4.0
-    pq = numerics._hankel_modulation(z)
-    high = np.sqrt(2.0 / (math.pi * z)) * (pq.real * np.cos(omega) - pq.imag * np.sin(omega))
+    p, q = numerics._hankel_modulation(z)
+    high = np.sqrt(2.0 / (math.pi * z)) * (p * np.cos(omega) - q * np.sin(omega))
     return z**nu * numerics._bessel_scaled(z) - high
 
 
@@ -114,8 +114,8 @@ def _eigenstate_checks(grid: GridSpec, consts: PhysConsts) -> dict:
     # both tables at z = 10 itself, at the momentum where tau = 0.7 reaches it
     tau, z = 0.7, np.array([numerics.BESSEL_SWITCHOVER])
     low_amp, high_amp = operators._new_amplitudes(np.sqrt(2.0 * consts.mass * consts.hbar * z / tau), tau, consts)
-    lo = operators._new_low_table(z, low_amp)[0]
-    hi = operators._new_high_table(z, high_amp)[0]
+    lo = complex(*(part[0] for part in operators._new_low_table(z, low_amp)))
+    hi = complex(*(part[0] for part in operators._new_high_table(z, high_amp)))
     values["new_branch_seam"] = abs(lo - hi) / abs(lo)
     values["bessel_branch_window"] = np.max(np.abs(_bessel_table_gap(np.linspace(8.0, 12.0, 50))))
     return values

@@ -13,11 +13,12 @@ an exact permutation.
 
 The NEW eigenstates need J_nu at two orders only, nu = -1/4 and 3/4.  Both
 come from two Chebyshev tables evaluated by Clenshaw's recurrence with a
-fixed degree: below z = 10 the entire function z^(-nu) J_nu(z) in (z/10)^2
-(DLMF 10.2.2), at and above it the Hankel modulation P + iQ in 10/z
-(DLMF 10.17).  tools/bessel_tables.py generates both with mpmath; they
-agree to better than 1e-9 on the overlap window z in [8, 12] and err by
-about 2e-15 of max(|J_nu|, sqrt(2/(pi z))) against mpmath.
+fixed degree, one real series at a time: below z = 10 the entire function
+z^(-nu) J_nu(z) in (z/10)^2 (DLMF 10.2.2), at and above it the Hankel
+modulation P + iQ in 10/z (DLMF 10.17), P and Q as separate real series.
+tools/bessel_tables.py generates both with mpmath; they agree to better than
+1e-9 on the overlap window z in [8, 12] and err by about 2e-15 of
+max(|J_nu|, sqrt(2/(pi z))) against mpmath.
 """
 
 from __future__ import annotations
@@ -121,36 +122,53 @@ _BESSEL_HIGH = np.array([
 ])
 
 
-def _clenshaw(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k coefs[:, k] T_k(x) by Clenshaw's recurrence, all rows of coefs in
-    one pass; shape (rows,) + x.shape.  Each step b_k = c_k + 2x b_(k+1) - b_(k+2)
-    is formed in place in one of three rotating buffers."""
-    c = coefs.reshape(coefs.shape + (1,) * x.ndim)
+# The tables as real series of Python floats, for _clenshaw: the low table's
+# two orders, then the high table's P for both orders and its Q for both.
+_LOW_ROWS = tuple(tuple(row.tolist()) for row in _BESSEL_LOW)
+_HIGH_ROWS = tuple(tuple(row.tolist()) for row in (*_BESSEL_HIGH.real, *_BESSEL_HIGH.imag))
+
+
+def _clenshaw(rows: tuple[tuple[float, ...], ...], x: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k(x) for each real series c of rows at the float array x
+    (contiguous and 1-D, for speed); shape (len(rows),) + x.shape.
+
+    Clenshaw's recurrence (Clenshaw, MTAC 9, 118, 1955), one series at a time:
+    b_k = c_k + 2x b_(k+1) - b_(k+2) as three in-place operations, in that
+    order, on three rotating buffers, then c_0 + x b_1 - b_2.  The first two
+    steps take b_(N-1) = c_(N-1) as a scalar and skip subtracting b_N = 0.
+    """
     x2 = 2.0 * x
-    shape = coefs.shape[:1] + x.shape
-    b1 = np.empty(shape, dtype=np.result_type(coefs, x))
-    b1[...] = c[:, -1]
-    b2, t = np.zeros_like(b1), np.empty_like(b1)
-    for k in range(coefs.shape[1] - 2, 0, -1):
-        np.multiply(x2, b1, out=t)
-        t += c[:, k]
-        t -= b2
-        b1, b2, t = t, b1, b2
-    return c[:, 0] + x * b1 - b2
+    out = np.empty((len(rows),) + x.shape)
+    scratch = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    for c, res in zip(rows, out):
+        b2, b1, t = scratch
+        np.multiply(x2, c[-1], out=b2)
+        b2 += c[-2]
+        np.multiply(x2, b2, out=b1)
+        b1 += c[-3]
+        b1 -= c[-1]
+        for k in range(len(c) - 4, 0, -1):
+            np.multiply(x2, b1, out=t)
+            t += c[k]
+            t -= b2
+            b1, b2, t = t, b1, b2
+        np.multiply(x, b1, out=res)
+        res += c[0]
+        res -= b2
+    return out
 
 
 def _bessel_scaled(z: np.ndarray) -> np.ndarray:
     """z^(-nu) J_nu(z) for nu = -1/4, 3/4 (first axis), for 0 <= z < BESSEL_SWITCHOVER."""
-    return _clenshaw(_BESSEL_LOW, z * z / 72.0 - 1.0)
+    return _clenshaw(_LOW_ROWS, z * z / 72.0 - 1.0)
 
 
 def _hankel_modulation(z: np.ndarray) -> np.ndarray:
-    """P + iQ = sqrt(pi z/2) e^(-i omega) H1_nu(z), omega = z - nu pi/2 - pi/4,
-    for nu = -1/4, 3/4 (first axis), for z >= BESSEL_SWITCHOVER.
-
-    J_nu(z) = sqrt(2/(pi z)) (P cos omega - Q sin omega).
+    """(P, Q) for nu = -1/4, 3/4 (second axis), for z >= BESSEL_SWITCHOVER:
+    P + iQ = sqrt(pi z/2) e^(-i omega) H1_nu(z), omega = z - nu pi/2 - pi/4,
+    and J_nu(z) = sqrt(2/(pi z)) (P cos omega - Q sin omega).
     """
-    return _clenshaw(_BESSEL_HIGH, 16.0 / z - 1.0)
+    return _clenshaw(_HIGH_ROWS, 16.0 / z - 1.0).reshape((2, 2) + z.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -191,17 +191,19 @@ def _mi_norm(consts: PhysConsts) -> float:
     return math.sqrt(2.0 / (math.pi * consts.mass * consts.hbar))
 
 
-# Taus are evaluated in blocks of about this many (tau, p) samples: enough to
-# amortise the per-call numpy overhead (the fixed-degree Clenshaw sums make
-# about 100 array operations per block), few enough that a block's
-# temporaries stay below the peak memory of the per-tau evaluation (8192
-# raised peak RSS by ~0.5 MB on the spectral benchmark for a ~5% faster pass).
+# Taus are evaluated in blocks of about this many evaluated samples: (tau, |p|)
+# pairs of the half grid for the eigenstates, (t, p^2) pairs for the currents.
+# A NEW block makes about 300 numpy calls, so at 2048 samples their overhead
+# made NEW's distribution about 30% slower; 8192 was about 15% faster for it,
+# but not on the whole spectral benchmark, and raised its peak RSS by 0.4 MB;
+# 16384 was slower than 8192 again.
 _BLOCK_SAMPLES = 4096
 
 
-def _tau_blocks(taus: np.ndarray, n: int):
-    """Consecutive (start, taus[start:start + k]) blocks of about _BLOCK_SAMPLES samples."""
-    k = max(1, _BLOCK_SAMPLES // n)
+def _tau_blocks(taus: np.ndarray, samples: int):
+    """Consecutive (start, taus[start:start + k]) blocks of about _BLOCK_SAMPLES
+    evaluated samples, for `samples` per tau."""
+    k = max(1, _BLOCK_SAMPLES // samples)
     for start in range(0, taus.size, k):
         yield start, taus[start : start + k]
 
@@ -217,22 +219,23 @@ def _new_amplitudes(ap: np.ndarray, tau: np.ndarray, consts: PhysConsts) -> tupl
     return low, np.sqrt(ap / (2.0 * math.pi * m * hbar))
 
 
-def _new_low_table(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """NEW-family eigenstate from the low Bessel table, given its prefactor."""
-    f = _bessel_scaled(z)
-    return amp * (f[0] + 1j * z * f[1])
+def _new_low_table(z: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the NEW-family eigenstate from the low Bessel
+    table, given its prefactor."""
+    f0, f1 = _bessel_scaled(z)
+    return amp * f0, amp * (z * f1)
 
 
-def _new_high_table(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """NEW-family eigenstate from the high (Hankel) table, given its prefactor."""
+def _new_high_table(z: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the NEW-family eigenstate from the high
+    (Hankel) table, given its prefactor."""
     # J_nu(z) = sqrt(2/(pi z)) (P cos omega - Q sin omega).  With A = z - pi/8
     # the two phases omega are A and A - pi/2, so
     # J_{-1/4} + i J_{3/4} = sqrt(2/(pi z)) ((P1 + i Q2) cos A - (Q1 - i P2) sin A).
-    pq = _hankel_modulation(z)
-    (p1, p2), (q1, q2) = pq.real, pq.imag
+    (p1, p2), (q1, q2) = _hankel_modulation(z)
     phase = z - math.pi / 8.0
     cos, sin = np.cos(phase), np.sin(phase)
-    return amp * ((p1 * cos - q1 * sin) + 1j * (q2 * cos + p2 * sin))
+    return amp * (p1 * cos - q1 * sin), amp * (q2 * cos + p2 * sin)
 
 
 def _mirror_half(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +251,9 @@ def _mirror_half(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _new_eigenstate_half(taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -> np.ndarray:
     """NEW-family eigenstates at |p| = ap for taus >= 0, one row per tau; the
-    low Bessel table below the switchover z = 10, the high table at and above it."""
+    low Bessel table below the switchover z = 10, the high table at and above it.
+    Each table's samples are gathered into one contiguous array, and the real
+    and imaginary parts are written straight into the complex result."""
     m, hbar = consts.mass, consts.hbar
     half = np.zeros((taus.size, ap.size), dtype=complex)
     # phi_tau ~ tau^(1/4) -> 0, so rows with tau = 0 stay zero
@@ -257,12 +262,13 @@ def _new_eigenstate_half(taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -
     z = ap * ap * tau / (2.0 * m * hbar)
     low_amp, high_amp = _new_amplitudes(ap, tau, consts)
     out = np.empty(z.shape, dtype=complex)
+    re, im = out.real, out.imag
     lo = z < BESSEL_SWITCHOVER
     if lo.any():
-        out[lo] = _new_low_table(z[lo], low_amp[lo])
+        re[lo], im[lo] = _new_low_table(z[lo], low_amp[lo])
     hi = ~lo
     if hi.any():
-        out[hi] = _new_high_table(z[hi], np.broadcast_to(high_amp, z.shape)[hi])
+        re[hi], im[hi] = _new_high_table(z[hi], np.broadcast_to(high_amp, z.shape)[hi])
     half[rows] = out
     return half
 
@@ -315,9 +321,9 @@ def _eigenstate_block(family: EigenFamily, taus: np.ndarray, p: np.ndarray, cons
 def eigenstate_values(family: EigenFamily, tau: float, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
     """Eigenstate phi_tau sampled on an array of momenta (no p = 0 allowed).
 
-    The one-row call of the block evaluator; tau is a scalar.
+    The one-row call of the block evaluator; tau is a finite scalar.
     """
-    return _eigenstate_block(family, np.array([float(tau)]), p, consts)[0]
+    return _eigenstate_block(family, np.array([float(_check_taus(tau, "tau"))]), p, consts)[0]
 
 
 def eigenstate(family: EigenFamily, tau: float, p: float, consts: PhysConsts = PhysConsts()) -> complex:
@@ -513,7 +519,7 @@ def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -
     w = simpson_weights(psi.grid.size, psi.dx)
     weighted = w * np.conj(psi.values)
     vals = np.empty(tau_grid.size)
-    for start, taus in _tau_blocks(tau_grid, psi.grid.size):
+    for start, taus in _tau_blocks(tau_grid, _mirror_half(psi.grid)[0].size):
         for i, phi in enumerate(_eigenstate_block(family, taus, psi.grid, psi.consts), start):
             vals[i] = abs(np.sum(weighted * phi)) ** 2
     return Distribution(tau_grid, vals, family.value, {"norm": psi.norm_squared()})
@@ -540,7 +546,7 @@ def kijowski_distribution(psi: WaveFunction, t: float | np.ndarray) -> float | n
     ap, index = _mirror_half(p)  # the phase depends on p^2 alone
     flat = ts.reshape(-1)
     amp = np.empty(flat.size, dtype=complex)
-    for start, block in _tau_blocks(flat, p.size):
+    for start, block in _tau_blocks(flat, ap.size):
         phase = np.take(np.exp(-1j * ap**2 * block[:, None] / (2.0 * m * hbar)), index, axis=1)
         amp[start : start + block.size] = np.sum(w * (root * (phase * psi.values)), axis=1)
     # Python's abs and ** on each amplitude: numpy's complex abs and square
@@ -737,7 +743,7 @@ def completeness_check(
     block, which moves the error in its last digits against a per-tau loop.
     """
     _check_momentum_state(psi)
-    lo, hi = float(tau_range[0]), float(tau_range[1])
+    lo, hi = _check_taus(tau_range, "tau_range").tolist()
     if not hi > lo:
         raise ValueError("tau_range must be increasing")
     if tau_n < 9:
@@ -753,7 +759,7 @@ def completeness_check(
     target = np.conj(wp * psi.values)
     rec = np.zeros(p.size, dtype=complex)
     mass = 0.0
-    for start, block in _tau_blocks(taus, p.size):
+    for start, block in _tau_blocks(taus, _mirror_half(p)[0].size):
         phi = _eigenstate_block(family, block, p, psi.consts)
         w = wt[start : start + block.size]
         for s in sectors:

@@ -81,7 +81,7 @@ def table_j(nu, z):
             return z**order * _bessel_scaled(np.array([z]))[row, 0]
         if nu == order or (nu == -order and z >= 8.0):
             omega = z - order * math.pi / 2.0 - math.pi / 4.0
-            pq = _hankel_modulation(np.array([z]))[row, 0]
+            pq = complex(*_hankel_modulation(np.array([z]))[:, row, 0])
             h1 = math.sqrt(2.0 / (math.pi * z)) * pq * complex(math.cos(omega), math.sin(omega))
             if nu == order:
                 return h1.real
@@ -115,21 +115,27 @@ class TestBessel:
 
     @pytest.mark.parametrize("table", ["_BESSEL_LOW", "_BESSEL_HIGH"])
     def test_clenshaw_equals_textbook_recurrence(self, table):
-        # the in-place, buffer-rotating sum equals b_k = c_k + 2x b_(k+1) - b_(k+2) bitwise
+        # each real series of the table (the high table's P rows, then its Q
+        # rows), summed one at a time in place with rotating buffers, equals
+        # b_k = c_k + 2x b_(k+1) - b_(k+2) bitwise
         coefs = getattr(numerics, table)
-        x = np.linspace(-1.0, 1.0, 301).reshape(7, 43)
-        c = coefs[:, :, None, None]
-        b1, b2 = c[:, -1], 0.0
-        for k in range(coefs.shape[1] - 2, 0, -1):
-            b1, b2 = c[:, k] + 2.0 * x * b1 - b2, b1
-        expected = c[:, 0] + x * b1 - b2
-        assert numerics._clenshaw(coefs, x).tobytes() == expected.tobytes()
+        series = [*coefs] if table == "_BESSEL_LOW" else [*coefs.real, *coefs.imag]
+        rows = numerics._LOW_ROWS if table == "_BESSEL_LOW" else numerics._HIGH_ROWS
+        x = np.linspace(-1.0, 1.0, 301)
+        result = numerics._clenshaw(rows, x)
+        assert result.shape == (len(series), x.size)
+        for c, got in zip(series, result):
+            b1, b2 = c[-1], 0.0
+            for k in range(c.size - 2, 0, -1):
+                b1, b2 = c[k] + 2.0 * x * b1 - b2, b1
+            expected = c[0] + x * b1 - b2
+            assert got.tobytes() == expected.tobytes()
 
     def test_modulation_against_mpmath(self):
         z = np.concatenate([np.linspace(8.0, 12.0, 20, endpoint=False), np.geomspace(12.0, 1e5, 80)])
-        pq = _hankel_modulation(z)
+        p, q = _hankel_modulation(z)
         with mpmath.workdps(30):
-            for nu, row in zip(self.ORDERS, pq):
+            for nu, row in zip(self.ORDERS, p + 1j * q):
                 exact = np.array([_modulation_oracle(nu, x) for x in z])
                 assert np.max(np.abs(row - exact)) <= 5e-15
 

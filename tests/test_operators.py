@@ -1,6 +1,7 @@
 """Eigenstate families, operator matrices, distributions, and structural checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qarrival import (
     GridSpec,
     OperatorKind,
     OperatorMatrix,
+    PhysConsts,
     build_operator,
     completeness_check,
     current_expectation,
@@ -25,11 +27,18 @@ from qarrival import (
     kinetic_energy_density,
     make_gaussian,
     new_low_momentum_slope,
+    numerics,
     overlap,
     simpson_weights,
     solve_eigen_ode,
 )
-from qarrival.operators import _eigenstate_block, _free_current_integrals, _tau_blocks
+from qarrival.operators import (
+    _eigenstate_block,
+    _free_current_integrals,
+    _mirror_half,
+    _new_eigenstate_half,
+    _tau_blocks,
+)
 from qarrival.states import (
     Representation,
     WaveFunction,
@@ -37,6 +46,7 @@ from qarrival.states import (
     reflected_position_state,
     value_at_origin,
 )
+import util_new_oracle as oracle
 from test_numerics import brute_series_j
 from util_current import stencil_current
 from util_dense import dense_hermiticity_defect, dense_operator
@@ -119,8 +129,9 @@ def _full_grid_formula(family, taus, p, consts):
     return np.where(np.where(tau >= 0.0, p > 0.0, p < 0.0), vals, 0.0).astype(complex)
 
 
-def _has_partial_last_block(taus, n):
-    sizes = [block.size for _, block in _tau_blocks(taus, n)]
+def _has_partial_last_block(taus, p):
+    # blocks count the samples evaluated per tau, the half grid's |p|
+    sizes = [block.size for _, block in _tau_blocks(taus, _mirror_half(p)[0].size)]
     return len(sizes) > 1 and sizes[-1] < sizes[0]
 
 
@@ -206,15 +217,92 @@ class TestEigenstateBlock:
             assert np.array_equal(block[:, j], single)
 
 
+class TestNewAgainstComplexOracle:
+    """The real-row NEW evaluator against its earlier complex form
+    (tests/util_new_oracle.py), byte for byte."""
+
+    def test_tables_equal_complex_clenshaw(self):
+        z_low = np.linspace(0.0, 12.0, 97)
+        z_high = np.concatenate([np.linspace(8.0, 12.0, 41), np.geomspace(12.0, 1e5, 60)])
+        expected = oracle.clenshaw_2d(numerics._BESSEL_LOW, z_low * z_low / 72.0 - 1.0)
+        assert numerics._bessel_scaled(z_low).tobytes() == expected.tobytes()
+        pq = oracle.clenshaw_2d(numerics._BESSEL_HIGH, 16.0 / z_high - 1.0)
+        p, q = numerics._hankel_modulation(z_high)
+        assert p.tobytes() == pq.real.tobytes()
+        assert q.tobytes() == pq.imag.tobytes()
+
+    @pytest.mark.parametrize(
+        "taus,ap",
+        [
+            # both tables across the default half grid, rows that cross z = 10
+            (np.linspace(0.0, 1.0, 201), GridSpec(1024, 40.0).momenta()[512:]),
+            # one row through z = 10 exactly (at unit constants), at |p| = 2 and tau = 5
+            (np.array([5.0]), np.array([1.0, 1.5, 2.0, 2.5, 3.0])),
+            # tau = 0, a subnormal tau and z far into each table
+            (np.array([0.0, 1e-320, 1e-8, 0.3, 40.0]), np.geomspace(1e-3, 60.0, 77)),
+        ],
+        ids=["half_grid", "z_exactly_10", "tau_0_and_subnormal"],
+    )
+    @pytest.mark.parametrize("consts", [PhysConsts(), PhysConsts(2.0, 0.5)], ids=["unit", "m2_hbar_half"])
+    def test_half_equals_oracle(self, taus, ap, consts):
+        expected = oracle.new_eigenstate_half(taus, ap, consts)
+        assert _new_eigenstate_half(taus, ap, consts).tobytes() == expected.tobytes()
+
+    def test_non_mirror_grid_equals_oracle(self, grid, consts, rng):
+        p = rng.permutation(grid.momenta())[:300]
+        taus = np.array([0.0, 1e-320, 1e-4, 0.3, 0.7, 1.9])
+        expected = oracle.new_eigenstate_half(taus, np.abs(p), consts)
+        np.conjugate(expected, out=expected, where=p < 0.0)
+        assert _eigenstate_block(EigenFamily.NEW, taus, p, consts).tobytes() == expected.tobytes()
+
+
+class TestNonFiniteTau:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg_inf"])
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
+    def test_eigenstates_and_overlap_reject(self, family, bad, grid, consts, fast_packet):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="tau must be finite"):
+                eigenstate_values(family, bad, grid.momenta(), consts)
+            with pytest.raises(ValueError, match="tau must be finite"):
+                eigenstate(family, bad, 1.5, consts)
+            with pytest.raises(ValueError, match="tau must be finite"):
+                overlap(fast_packet, family, bad)
+
+    @pytest.mark.parametrize(
+        "window", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)], ids=["inf_end", "neg_inf_start", "nan_end"]
+    )
+    def test_completeness_window_rejected(self, window, fast_packet):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="tau_range must be finite"):
+                completeness_check(EigenFamily.KDM, fast_packet, window, 101)
+
+
 class TestBlockedSpectralCalls:
     """The blocked calls against per-tau reference loops (tests/util_pertau.py)."""
 
     @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
     def test_distribution_equals_per_tau_loop(self, family, fast_packet):
         taus = np.linspace(0.0, 1.0, 201)  # the CLI default preset
-        assert _has_partial_last_block(taus, fast_packet.grid.size)
+        assert _has_partial_last_block(taus, fast_packet.grid)
         dist = distribution(fast_packet, family, taus)
         assert np.array_equal(dist.values, distribution_per_tau(fast_packet, family, taus))
+
+    def test_blocks_count_half_grid_samples(self, fast_packet, monkeypatch):
+        # 4096 samples per block are 8 taus of the 512-sample half grid at n = 1024
+        sizes = []
+
+        def counting(family, taus, p, consts):
+            sizes.append(taus.size)
+            return _eigenstate_block(family, taus, p, consts)
+
+        monkeypatch.setattr("qarrival.operators._eigenstate_block", counting)
+        distribution(fast_packet, EigenFamily.NEW, np.linspace(0.0, 1.0, 201))
+        assert sizes == [8] * 25 + [1]
+        sizes.clear()
+        completeness_check(EigenFamily.NEW, fast_packet, (0.0, 1.0), 21)
+        assert sizes == [8, 8, 5]
 
     @pytest.mark.parametrize(
         "family,window",
@@ -224,7 +312,7 @@ class TestBlockedSpectralCalls:
     def test_completeness_equals_per_tau_loop(self, family, window, fast_spec):
         psi = make_gaussian(fast_spec, GridSpec(512, 20.0))
         tau_n = 401
-        assert _has_partial_last_block(np.zeros(tau_n), psi.grid.size)
+        assert _has_partial_last_block(np.zeros(tau_n), psi.grid)
         err = completeness_check(family, psi, window, tau_n)
         ref = completeness_per_tau(family, psi, window, tau_n)
         assert abs(err - ref) <= 1e-12 * ref
@@ -469,7 +557,7 @@ class TestKijowski:
 
     def test_array_equals_scalar_calls(self, fast_packet):
         taus = np.linspace(0.0, 1.0, 201)  # the CLI default preset
-        assert _has_partial_last_block(taus, fast_packet.grid.size)
+        assert _has_partial_last_block(taus, fast_packet.grid)
         vals = kijowski_distribution(fast_packet, taus)
         assert vals.shape == taus.shape
         assert np.array_equal(vals, [kijowski_distribution(fast_packet, float(t)) for t in taus])
