@@ -227,6 +227,7 @@ def write_table(
     rows: list[list[float]],
     checks: dict | None = None,
 ) -> None:
+    """Write rows of Python floats as CSV (each cell its repr) or JSON."""
     if fmt == "json":
         payload = {
             "config": asdict(cfg),
@@ -240,8 +241,7 @@ def write_table(
     if checks:
         lines.append(f"# checks: {json.dumps(checks, sort_keys=True, separators=(',', ':'))}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -264,8 +264,7 @@ def cmd_distribution(cfg: RunConfig, out: str | None, fmt: str) -> int:
         ked_curve = coef * np.sqrt(np.abs(taus)) * ked_abs / (cfg.mass**1.5 * cfg.hbar**0.5)
         columns += ["pi_kijowski", "ked_sqrt_law"]
         cols += [kij, ked_curve]
-    rows = [[c[i] for c in cols] for i in range(len(taus))]
-    write_table(out, fmt, cfg, columns, rows)
+    write_table(out, fmt, cfg, columns, np.column_stack(cols).tolist())
     return EXIT_OK
 
 
@@ -308,7 +307,7 @@ def cmd_measure(cfg: RunConfig, out: str | None, fmt: str, args: argparse.Namesp
     if cfg.mode == "crossing":
         taus = cfg.tau_grid()
         res = crossing_probability(cfg.state(), taus)
-        rows = [[float(t), float(a), float(b)] for t, a, b in zip(taus, res.projector_form, res.current_form)]
+        rows = np.column_stack([taus, res.projector_form, res.current_form]).tolist()
         write_table(out, fmt, cfg, ["tau", "p_projector", "p_current"], rows)
         return EXIT_OK
     if cfg.mode == "zeno":
@@ -327,7 +326,7 @@ def cmd_measure(cfg: RunConfig, out: str | None, fmt: str, args: argparse.Namesp
                 "here without being asserted"
             ),
         }
-        rows = [[float(t), float(v), float(v / math.sqrt(t))] for t, v in zip(taus, fit.current)]
+        rows = np.column_stack([taus, fit.current, fit.current / np.sqrt(taus)]).tolist()
         write_table(out, fmt, cfg, ["tau", "current", "current_over_sqrt_tau"], rows, checks)
         return EXIT_OK
     # conditional
@@ -347,8 +346,7 @@ def cmd_measure(cfg: RunConfig, out: str | None, fmt: str, args: argparse.Namesp
     psi = WaveFunction(Representation.POSITION, x, vals_n, consts)
     centers = np.arange(delta, args.x_extent / 2.0, delta / 2.0)
     cond = conditional_distribution(psi, (xbar1, t1, delta), t2, centers, delta)
-    rows = [[float(c), float(v)] for c, v in zip(centers, cond)]
-    write_table(out, fmt, cfg, ["xbar2", "p_conditional"], rows)
+    write_table(out, fmt, cfg, ["xbar2", "p_conditional"], np.column_stack([centers, cond]).tolist())
     return EXIT_OK
 
 
@@ -356,8 +354,7 @@ def cmd_spectrum(cfg: RunConfig, out: str | None, fmt: str) -> int:
     grid = cfg.grid()
     p = grid.momenta()
     phi = eigenstate_values(EigenFamily(cfg.family), cfg.tau, p, cfg.consts())
-    rows = [[float(pk), float(v.real), float(v.imag)] for pk, v in zip(p, phi)]
-    write_table(out, fmt, cfg, ["p", "re_phi", "im_phi"], rows)
+    write_table(out, fmt, cfg, ["p", "re_phi", "im_phi"], np.column_stack([p, phi.real, phi.imag]).tolist())
     return EXIT_OK
 
 

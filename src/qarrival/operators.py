@@ -239,14 +239,30 @@ def _new_high_table(z: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _mirror_half(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|p| on the upper half of a mirror-symmetric grid (|p| a palindrome) and
-    the index that expands a row over it to p; on any other grid, |p| itself
-    and the identity index."""
+    """|p| on the upper half of a mirror grid (p[k] = -p[n-1-k] for k < n // 2;
+    an odd grid's middle sample is its own mirror) and the index that expands
+    a row over it to p; on any other grid, |p| itself and the identity index.
+    So a half-grid sample stands for at most one momentum of each sign."""
     n = p.size
+    if np.any(p == 0.0):
+        raise ValueError("eigenstates are not defined at p = 0")
     ap, k = np.abs(p), np.arange(n)
-    if np.array_equal(ap, ap[::-1]):
+    if np.array_equal(p[: n // 2], -p[::-1][: n // 2]):
         return ap[n // 2 :], np.maximum(k, n - 1 - k) - n // 2
     return ap, k
+
+
+def _fold(p: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The half grid of _mirror_half and `values` (last axis over p) folded
+    onto it, shape (..., 2, |p|.size): the values at +|p| and at -|p|, zero
+    where p has no such momentum.  On a mirror grid these are the upper half
+    and the reversed lower half; on any other grid each sample sits on its
+    own side, with zero on the other."""
+    ap, index = _mirror_half(p)
+    folded = np.zeros(values.shape[:-1] + (2, ap.size), dtype=values.dtype)
+    for side, on in enumerate((p > 0.0, p < 0.0)):
+        folded[..., side, index[on]] = values[..., on]
+    return ap, folded
 
 
 def _new_eigenstate_half(taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -> np.ndarray:
@@ -273,49 +289,107 @@ def _new_eigenstate_half(taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -
     return half
 
 
-def _eigenstate_block(family: EigenFamily, taus: np.ndarray, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
-    """Eigenstates phi_tau(p) for a 1-D array of taus, shape (taus.size, p.size).
-
-    Row k equals eigenstate_values(family, taus[k], p, consts) bitwise: every
-    step is elementwise in (tau, p) with the same operations in the same order,
-    and the NEW family's Bessel tables are summed to a fixed degree.
-
-    Every family depends on |p| alone up to an exact sign rule: phi(-p) =
-    phi(p) for AB and MI, conj phi(p) for KDM and NEW, and T3 is the MI form
-    on one sector.  So each is evaluated on _mirror_half's |p| and expanded.
-    KDM conjugates its exponential before the amplitude multiplies it, as the
-    full-grid formula does, so even the signed zeros of Im phi (at phase 0 or
-    an underflowed one) are that formula's.  The block is C-ordered, except
-    NEW's, which is F-ordered: the layout fixes the rounding of the sums over
-    p in completeness_check.
-    """
-    taus = np.asarray(taus, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if np.any(p == 0.0):
-        raise ValueError("eigenstates are not defined at p = 0")
+def _half_block(family: EigenFamily, taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -> np.ndarray:
+    """Eigenstates phi_tau(+|p|) at |p| = ap for a 1-D array of taus, shape
+    (taus.size, ap.size): complex for AB, KDM and NEW, real for MI and for T3,
+    which is the MI form at |tau| on the sector its caller applies.  Each
+    sample equals eigenstate_values' at p = +|p| bitwise (for T3 at tau < 0,
+    at p = -|p|): every step is elementwise in (tau, |p|), and the NEW
+    family's Bessel tables are summed to a fixed degree."""
     m, hbar = consts.mass, consts.hbar
-    ap, index = _mirror_half(p)
-    tau = taus[:, None]
     if family is EigenFamily.NEW:
         if np.any(taus < 0.0):
             raise ValueError("NEW family eigenstates are implemented for tau >= 0")
-        full = _new_eigenstate_half(taus, ap, consts)[:, index]
-        return np.conjugate(full, out=full, where=p < 0.0)
+        return _new_eigenstate_half(taus, ap, consts)
     if family is EigenFamily.MI and np.any(taus < 0.0):
         raise ValueError("MI family is defined for tau >= 0 (spectrum of m|x|/|p|)")
+    tau = taus[:, None]
     phase = ap * ap * (np.abs(tau) if family is EigenFamily.T3 else tau) / (2.0 * m * hbar)
     if family in (EigenFamily.AB, EigenFamily.KDM):
-        amp = np.sqrt(ap / (2.0 * math.pi * m * hbar))
-        if family is EigenFamily.AB:
-            return np.take(amp * np.exp(1j * phase), index, axis=1)
-        wave = np.take(np.exp(1j * phase), index, axis=1)
-        return amp[index] * np.conjugate(wave, out=wave, where=p < 0.0)
+        return np.sqrt(ap / (2.0 * math.pi * m * hbar)) * np.exp(1j * phase)
     if family in (EigenFamily.MI, EigenFamily.T3):
-        full = np.take(_mi_norm(consts) * np.sqrt(ap) * np.sin(phase), index, axis=1)
-        if family is EigenFamily.T3:
-            full = np.where(np.where(tau >= 0.0, p > 0.0, p < 0.0), full, 0.0)
-        return full.astype(complex)
+        return _mi_norm(consts) * np.sqrt(ap) * np.sin(phase)
     raise ValueError(f"unknown family {family}")
+
+
+def _eigenstate_block(family: EigenFamily, taus: np.ndarray, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
+    """Eigenstates phi_tau(p) for a 1-D array of taus, shape (taus.size, p.size),
+    C-ordered.  Row k equals eigenstate_values(family, taus[k], p, consts).
+
+    Every family depends on |p| alone up to an exact sign rule: phi(-p) =
+    phi(p) for AB and MI, conj phi(p) for KDM and NEW, and T3 is the MI form
+    on one sector.  So each is evaluated on _mirror_half's |p| by _half_block
+    and expanded; this is the one place that expands to the full grid.  KDM
+    conjugates its exponential before the amplitude multiplies it, as the
+    full-grid formula does, so even the signed zeros of Im phi (at phase 0 or
+    an underflowed one) are that formula's.
+    """
+    taus = np.asarray(taus, dtype=float)
+    p = np.asarray(p, dtype=float)
+    ap, index = _mirror_half(p)
+    if family is EigenFamily.KDM:
+        m, hbar = consts.mass, consts.hbar
+        wave = np.take(np.exp(1j * (ap * ap * taus[:, None] / (2.0 * m * hbar))), index, axis=1)
+        amp = np.sqrt(ap / (2.0 * math.pi * m * hbar))
+        return amp[index] * np.conjugate(wave, out=wave, where=p < 0.0)
+    full = np.take(_half_block(family, taus, ap, consts), index, axis=1)
+    if family is EigenFamily.NEW:
+        return np.conjugate(full, out=full, where=p < 0.0)
+    if family is EigenFamily.T3:
+        full = np.where(np.where(taus[:, None] >= 0.0, p > 0.0, p < 0.0), full, 0.0)
+    return full.astype(complex, copy=False)
+
+
+def _fold_weights(family: EigenFamily, folded: np.ndarray) -> np.ndarray:
+    """The rows u that _fold_overlaps sums each half-grid eigenstate phi
+    against, for a packet b folded by _fold into b+ and b- (its values at
+    +|p| and -|p|).  The mirror rules give <phi|b> = conj(sum phi conj b+) +
+    sum phi b- for KDM and NEW, conj(sum phi conj(b+ + b-)) for AB,
+    sum phi (b+ + b-) for the real MI, and sum phi b+ (tau >= 0) or
+    sum phi b- (tau < 0) for the real T3, whose rows u are split into their
+    real and imaginary parts."""
+    plus, minus = folded
+    if family in (EigenFamily.KDM, EigenFamily.NEW):
+        return np.stack([np.conj(plus), minus])
+    if family is EigenFamily.AB:
+        return np.conj(plus + minus)[None]
+    rows = np.stack([plus, minus]) if family is EigenFamily.T3 else (plus + minus)[None]
+    return np.stack([rows.real, rows.imag], axis=1).reshape(-1, rows.shape[1])
+
+
+def _fold_overlaps(family: EigenFamily, taus: np.ndarray, half: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """<phi_tau|b> for each tau of a _half_block, from the _fold_weights of b.
+    Each row is summed against each weight row on its own, so a row does not
+    depend on the rows beside it, and pairwise, as numpy's sum does: where the
+    two halves of an overlap cancel, a BLAS dot product lost up to 10x more
+    digits."""
+    sums = (half[:, None, :] * weights).sum(axis=2)
+    if family is EigenFamily.T3:
+        plus, minus = sums.view(complex).T
+        return np.where(taus < 0.0, minus, plus)
+    if family is EigenFamily.MI:
+        return sums.view(complex)[:, 0]
+    if family is EigenFamily.AB:
+        return np.conj(sums[:, 0])
+    return np.conj(sums[:, 0]) + sums[:, 1]
+
+
+def _fold_rows(family: EigenFamily, taus: np.ndarray, half: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_k g_k phi_tau_k at +|p| and at -|p|, shape (2, |p|.size), for the
+    taus of a _half_block, by the mirror rules of _fold_weights.  Sums over
+    the block's rows, not a BLAS matrix product: nothing else on the spectral
+    path calls BLAS, and its first call raises peak RSS by about 0.4 MB."""
+    if family is EigenFamily.T3:
+        neg = taus < 0.0
+        coefs = np.where([~neg, neg], g, 0.0)  # each tau reconstructs its own side
+    elif family in (EigenFamily.KDM, EigenFamily.NEW):
+        coefs = np.stack([g, np.conj(g)])  # phi(-|p|) = conj phi(+|p|)
+    else:
+        coefs = g[None]
+    rows = (coefs[:, :, None] * half).sum(axis=1)
+    if family in (EigenFamily.KDM, EigenFamily.NEW):
+        return np.stack([rows[0], np.conj(rows[1])])
+    return rows if family is EigenFamily.T3 else np.concatenate([rows, rows])
 
 
 def eigenstate_values(family: EigenFamily, tau: float, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
@@ -510,18 +584,19 @@ def overlap(psi: WaveFunction, family: EigenFamily, tau: float) -> complex:
 def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -> Distribution:
     """Pi(tau_k) = |<psi|phi_tau_k>|^2.
 
-    The eigenstates are evaluated in blocks of taus; each overlap is then its
-    own Simpson sum, so a value does not depend on the blocking and equals a
-    per-tau evaluation bitwise.
+    The Simpson-weighted packet is folded onto the half grid once (_fold), the
+    eigenstates are evaluated there in blocks of taus, and each overlap is its
+    own dot product over |p| (_fold_overlaps).  So a value equals a one-tau
+    call bitwise, and equals the full-grid sum to rounding.
     """
     _check_momentum_state(psi)
     tau_grid = _check_taus(tau_grid, "tau_grid", increasing=True)
-    w = simpson_weights(psi.grid.size, psi.dx)
-    weighted = w * np.conj(psi.values)
+    ap, folded = _fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values)
+    weights = _fold_weights(family, folded)
     vals = np.empty(tau_grid.size)
-    for start, taus in _tau_blocks(tau_grid, _mirror_half(psi.grid)[0].size):
-        for i, phi in enumerate(_eigenstate_block(family, taus, psi.grid, psi.consts), start):
-            vals[i] = abs(np.sum(weighted * phi)) ** 2
+    for start, taus in _tau_blocks(tau_grid, ap.size):
+        half = _half_block(family, taus, ap, psi.consts)
+        vals[start : start + taus.size] = np.abs(_fold_overlaps(family, taus, half, weights)) ** 2
     return Distribution(tau_grid, vals, family.value, {"norm": psi.norm_squared()})
 
 
@@ -531,9 +606,11 @@ def kijowski_distribution(psi: WaveFunction, t: float | np.ndarray) -> float | n
 
     With the exact momentum-basis kernel <p|delta(x)|p'> = 1/(2 pi hbar) this
     is the rank-one form (1/(2 pi m hbar)) |integral dp |p|^(1/2) psi_t(p)|^2,
-    identical to |<psi|phi^AB_t>|^2.  The phases are formed per _tau_blocks
-    block of times, on the half grid of _mirror_half, and each time's Simpson
-    sum is its own row sum, so a value equals the scalar call bitwise.
+    identical to |<psi|phi^AB_t>|^2.  The phase exp(-i p^2 t / 2 m hbar) is
+    even in p, so it is summed over |p|, as AB's overlap is, against
+    w |p|^(1/2) psi folded once onto the half grid, in _tau_blocks blocks of
+    times, each time its own dot product.  So a value equals a one-time call
+    bitwise, and equals the full-grid sum to rounding.
     """
     _check_momentum_state(psi)
     ts = _check_taus(t, "t")
@@ -542,13 +619,14 @@ def kijowski_distribution(psi: WaveFunction, t: float | np.ndarray) -> float | n
     m, hbar = psi.consts.mass, psi.consts.hbar
     p = psi.grid
     w = simpson_weights(p.size, psi.dx)
-    root = np.sqrt(np.abs(p))
-    ap, index = _mirror_half(p)  # the phase depends on p^2 alone
+    ap, folded = _fold(p, w * (np.sqrt(np.abs(p)) * psi.values))
+    weights = _fold_weights(EigenFamily.AB, folded)
     flat = ts.reshape(-1)
     amp = np.empty(flat.size, dtype=complex)
     for start, block in _tau_blocks(flat, ap.size):
-        phase = np.take(np.exp(-1j * ap**2 * block[:, None] / (2.0 * m * hbar)), index, axis=1)
-        amp[start : start + block.size] = np.sum(w * (root * (phase * psi.values)), axis=1)
+        # AB's rule sums conj(phase) against the packet
+        phase = np.exp(1j * ap**2 * block[:, None] / (2.0 * m * hbar))
+        amp[start : start + block.size] = _fold_overlaps(EigenFamily.AB, block, phase, weights)
     # Python's abs and ** on each amplitude: numpy's complex abs and square
     # round differently in the last digit
     dens = [abs(a) ** 2 / (2.0 * math.pi * m * hbar) for a in amp.tolist()]
@@ -738,9 +816,12 @@ def completeness_check(
     image delta(p+p') and the error is O(1) for any one-sided packet.  Warns
     when more than 1e-4 of the overlap mass lies outside the window.
 
-    The eigenstates are evaluated in blocks of taus; each block contributes
-    its overlaps c = <phi|psi> and its share of psi_rec by sums over the whole
-    block, which moves the error in its last digits against a per-tau loop.
+    The packet and its Simpson weights are folded onto the half grid once
+    (_fold), the eigenstates are evaluated there in blocks of taus, and each
+    block adds its overlaps c = <phi|psi> (_fold_overlaps) and its share of
+    psi_rec at +|p| and at -|p| by sums over the whole block; the error is a
+    sum over both halves.  So it equals a per-tau loop over the full grid to
+    rounding, and moves in its last digits whenever the block size changes.
     """
     _check_momentum_state(psi)
     lo, hi = _check_taus(tau_range, "tau_range").tolist()
@@ -751,20 +832,22 @@ def completeness_check(
     taus = np.linspace(lo, hi, tau_n)
     wt = simpson_weights(tau_n, taus[1] - taus[0])
     wp = simpson_weights(psi.grid.size, psi.dx)
-    p = psi.grid
-    sectors = [p > 0.0, p < 0.0] if family is EigenFamily.AB else [slice(None)]
-    # c_k = sum_j wp_j conj(phi_kj) psi_j = conj(sum_j phi_kj conj(wp_j psi_j)).
-    # The block products are numpy sums, not BLAS matmul: nothing else on the
-    # spectral path calls BLAS, and its first call raises peak RSS by ~0.3 MB.
-    target = np.conj(wp * psi.values)
-    rec = np.zeros(p.size, dtype=complex)
+    ap, (wp, values) = _fold(psi.grid, np.stack([wp, psi.values]))
+    wp = wp.real
+    target = wp * values
+    if family is EigenFamily.AB:
+        # the theta(+p) and theta(-p) sectors: each overlaps one side and rebuilds it
+        sectors = [(side, _fold_weights(family, target * np.eye(2)[side, :, None])) for side in (0, 1)]
+    else:
+        sectors = [(slice(None), _fold_weights(family, target))]
+    rec = np.zeros((2, ap.size), dtype=complex)
     mass = 0.0
-    for start, block in _tau_blocks(taus, _mirror_half(p)[0].size):
-        phi = _eigenstate_block(family, block, p, psi.consts)
+    for start, block in _tau_blocks(taus, ap.size):
+        half = _half_block(family, block, ap, psi.consts)
         w = wt[start : start + block.size]
-        for s in sectors:
-            c = np.conj(np.sum(phi[:, s] * target[s], axis=1))
-            rec[s] += np.sum((w * c)[:, None] * phi[:, s], axis=0)
+        for sides, weights in sectors:
+            c = _fold_overlaps(family, block, half, weights)
+            rec[sides] += _fold_rows(family, block, half, w * c)[sides]
             mass += float(np.sum(w * np.abs(c) ** 2))
 
     norm2 = psi.norm_squared()
@@ -773,7 +856,7 @@ def completeness_check(
             f"overlap mass outside tau_range: {1.0 - mass / norm2:.2e} (family {family.value})",
             stacklevel=2,
         )
-    err = math.sqrt(float(np.sum(wp * np.abs(rec - psi.values) ** 2)))
+    err = math.sqrt(float(np.sum(wp * np.abs(rec - values) ** 2)))
     return err / math.sqrt(norm2)
 
 

@@ -50,9 +50,16 @@ class WaveFunction:
             raise ValueError("grid must be 1-D with at least 3 samples")
         if values.shape != grid.shape:
             raise ValueError("values and grid must have matching shapes")
-        steps = np.diff(grid)
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        if not np.isfinite(grid).all():
+            raise ValueError("grid must be finite")
+        steps = grid[1:] - grid[:-1]
+        step = steps[0]
+        if not step > 0.0:
+            raise ValueError(f"grid must be increasing, got step {step}")
+        if np.abs(steps - step).max() > 1e-12 * step:
             raise ValueError("grid must be uniformly spaced")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 

@@ -34,7 +34,12 @@ from qarrival import (
 )
 from qarrival.operators import (
     _eigenstate_block,
+    _fold,
+    _fold_overlaps,
+    _fold_rows,
+    _fold_weights,
     _free_current_integrals,
+    _half_block,
     _mirror_half,
     _new_eigenstate_half,
     _tau_blocks,
@@ -279,6 +284,13 @@ class TestNonFiniteTau:
                 completeness_check(EigenFamily.KDM, fast_packet, window, 101)
 
 
+# The folded sums (distribution, completeness_check, kijowski_distribution)
+# against the full-grid per-tau sums, as a fraction of the oracle's peak; the
+# fold reorders the sums, which moved them by at most 2.2e-15 (the reflected
+# packet's cancelling overlaps; 1.3e-15 elsewhere) when pinned.
+FOLD_TOL = 4e-15
+
+
 class TestBlockedSpectralCalls:
     """The blocked calls against per-tau reference loops (tests/util_pertau.py)."""
 
@@ -287,22 +299,59 @@ class TestBlockedSpectralCalls:
         taus = np.linspace(0.0, 1.0, 201)  # the CLI default preset
         assert _has_partial_last_block(taus, fast_packet.grid)
         dist = distribution(fast_packet, family, taus)
-        assert np.array_equal(dist.values, distribution_per_tau(fast_packet, family, taus))
+        ref = distribution_per_tau(fast_packet, family, taus)
+        assert np.max(np.abs(dist.values - ref)) <= FOLD_TOL * ref.max()
+
+    @pytest.mark.parametrize(
+        "family,taus",
+        [(EigenFamily.NEW, np.geomspace(1e-6, 1e-5, 9)), (EigenFamily.AB, np.linspace(20.0, 120.0, 51))],
+        ids=["new_small_tau", "ab_late"],
+    )
+    def test_cancelling_overlaps_equal_per_tau_loop(self, family, taus, reflected_packet):
+        # the reflected packet's overlaps cancel between its p > 0 and p < 0
+        # halves (Pi ~ 3e-9 at tau = 1e-5); a BLAS dot product over |p| moved
+        # the NEW rows by 3.5e-14 of their peak, the pairwise sums by 2.2e-15
+        dist = distribution(reflected_packet, family, taus)
+        ref = distribution_per_tau(reflected_packet, family, taus)
+        assert np.max(np.abs(dist.values - ref)) <= FOLD_TOL * ref.max()
+
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
+    def test_distribution_rows_equal_one_tau_calls(self, family, fast_packet):
+        # the blocking does not matter: each value is its own sum over |p|
+        taus = np.linspace(0.0, 1.0, 201)
+        if family in (EigenFamily.KDM, EigenFamily.T3):
+            taus = np.linspace(-1.0, 1.0, 201)  # tau = 0 and, for T3, the p < 0 sector
+        vals = distribution(fast_packet, family, taus).values
+        for i, tau in enumerate(taus):
+            assert vals[i] == distribution(fast_packet, family, np.array([tau])).values[0]
 
     def test_blocks_count_half_grid_samples(self, fast_packet, monkeypatch):
         # 4096 samples per block are 8 taus of the 512-sample half grid at n = 1024
         sizes = []
 
-        def counting(family, taus, p, consts):
+        def counting(family, taus, ap, consts):
             sizes.append(taus.size)
-            return _eigenstate_block(family, taus, p, consts)
+            return _half_block(family, taus, ap, consts)
 
-        monkeypatch.setattr("qarrival.operators._eigenstate_block", counting)
+        monkeypatch.setattr("qarrival.operators._half_block", counting)
         distribution(fast_packet, EigenFamily.NEW, np.linspace(0.0, 1.0, 201))
         assert sizes == [8] * 25 + [1]
         sizes.clear()
         completeness_check(EigenFamily.NEW, fast_packet, (0.0, 1.0), 21)
         assert sizes == [8, 8, 5]
+
+    def test_fold_once_per_call(self, fast_packet, monkeypatch):
+        calls = []
+
+        def counting(p, values):
+            calls.append(p.size)
+            return _fold(p, values)
+
+        monkeypatch.setattr("qarrival.operators._fold", counting)
+        distribution(fast_packet, EigenFamily.KDM, np.linspace(0.0, 1.0, 201))
+        kijowski_distribution(fast_packet, np.linspace(0.0, 1.0, 201))
+        completeness_check(EigenFamily.AB, fast_packet, (-0.25, 1.25), 101)
+        assert calls == [fast_packet.grid.size] * 3
 
     @pytest.mark.parametrize(
         "family,window",
@@ -316,6 +365,81 @@ class TestBlockedSpectralCalls:
         err = completeness_check(family, psi, window, tau_n)
         ref = completeness_per_tau(family, psi, window, tau_n)
         assert abs(err - ref) <= 1e-12 * ref
+
+    def test_ab_completeness_on_both_sectors(self, consts):
+        # two packets meeting at x = 0 from either side at tau = 0.6: each AB
+        # sector reconstructs its own half of the grid
+        grid = GridSpec(512, 20.0)
+        right = make_gaussian(GaussianSpec(5.0, -3.0, 0.7, consts), grid)
+        left = make_gaussian(GaussianSpec(-5.0, 3.0, 0.7, consts), grid)
+        psi = WaveFunction(Representation.MOMENTUM, grid.momenta(), right.values + left.values, consts).normalized()
+        assert integrate(np.abs(psi.values[grid.momenta() < 0.0]) ** 2, psi.dx) > 0.4
+        err = completeness_check(EigenFamily.AB, psi, (-0.5, 2.0), 401)
+        ref = completeness_per_tau(EigenFamily.AB, psi, (-0.5, 2.0), 401)
+        assert err < 1e-2  # O(1) without the sector split
+        assert abs(err - ref) <= 1e-12 * ref
+
+
+class TestFold:
+    """The fold's sums over |p| against the full-grid sums over the expanded
+    eigenstates, on grids that are not the default one."""
+
+    TAUS = {
+        EigenFamily.MI: np.array([0.0, 1e-4, 0.3, 0.7, 1.9]),
+        EigenFamily.NEW: np.array([0.0, 1e-4, 0.3, 0.7, 1.9, 4.0]),
+    }
+    SIGNED = np.array([-1.9, -0.3, -0.0, 0.0, 1e-4, 0.3, 0.7, 1.9, 4.0])
+
+    @staticmethod
+    def grids(grid, rng):
+        p = grid.momenta()
+        return {
+            "default": p,
+            "permuted_partial": rng.permutation(p)[:100],
+            "odd_palindrome": np.array([-1.5, 3.0, 1.5]),
+            "one_sided": p[p.size // 2 + 7 :],
+        }
+
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
+    def test_overlaps_and_rows_equal_full_grid_sums(self, family, grid, consts, rng):
+        taus = self.TAUS.get(family, self.SIGNED)
+        for name, p in self.grids(grid, rng).items():
+            b = np.exp(-((np.abs(p) - 10.0) ** 2) / 8.0) * np.exp(1j * p)
+            b = b + 0.3j * rng.standard_normal(p.size)  # both momentum signs carry weight
+            ap, folded = _fold(p, b)
+            half = _half_block(family, taus, ap, consts)
+            full = _eigenstate_block(family, taus, p, consts)
+            # <phi_tau|b> for every tau
+            got = _fold_overlaps(family, taus, half, _fold_weights(family, folded))
+            ref = np.array([np.sum(np.conj(row) * b) for row in full])
+            assert np.max(np.abs(got - ref)) <= FOLD_TOL * np.max(np.abs(ref)), name
+            # sum_k g_k phi_tau_k, folded back onto each side of the grid
+            g = rng.standard_normal(taus.size) + 1j * rng.standard_normal(taus.size)
+            rows = _fold_rows(family, taus, half, g)
+            ref_rows = np.sum(g[:, None] * full, axis=0)
+            _, ref_folded = _fold(p, ref_rows)
+            missing = _fold(p, np.ones(p.size))[1] == 0.0  # sides with no momentum
+            assert np.max(np.abs(np.where(missing, 0.0, rows) - ref_folded)) <= FOLD_TOL * np.max(np.abs(ref_rows))
+
+    def test_fold_places_each_sample(self, grid, rng):
+        # each sample lands once, at its |p| on its own side; a mirror grid
+        # folds onto its distinct |p|, any other grid onto |p| itself
+        for name, p in self.grids(grid, rng).items():
+            values = rng.uniform(1.0, 2.0, p.size)
+            ap, (plus, minus) = _fold(p, values)
+            assert ap.size == (p.size if name == "permuted_partial" else np.unique(np.abs(p)).size), name
+            for v, q in zip(values, p):
+                assert v in (plus if q > 0.0 else minus)[ap == abs(q)], name
+            assert np.count_nonzero(plus) + np.count_nonzero(minus) == p.size, name
+
+    def test_mirror_half_needs_opposite_signs(self):
+        # |p| a palindrome with equal signs is not a mirror grid: each half-grid
+        # sample must stand for one momentum of each sign at most
+        p = np.array([1.0, 2.0, 1.0])
+        ap, index = _mirror_half(p)
+        assert np.array_equal(ap, p) and np.array_equal(index, np.arange(3))
+        with pytest.raises(ValueError, match="p = 0"):
+            _fold(np.array([-1.0, 0.0, 1.0]), np.ones(3))
 
 
 @pytest.fixture(scope="module")
@@ -562,11 +686,15 @@ class TestKijowski:
         assert vals.shape == taus.shape
         assert np.array_equal(vals, [kijowski_distribution(fast_packet, float(t)) for t in taus])
         assert isinstance(kijowski_distribution(fast_packet, 0.5), float)
-        # and the rank-one formula, one Simpson integral per time
+        # and the rank-one formula, one full-grid Simpson integral per time
         p = fast_packet.grid
-        for t in taus[::20]:
+
+        def rank_one(t):
             amp = integrate(np.sqrt(np.abs(p)) * (np.exp(-1j * p**2 * t / 2.0) * fast_packet.values), fast_packet.dx)
-            assert vals[np.searchsorted(taus, t)] == abs(amp) ** 2 / (2.0 * math.pi)
+            return abs(amp) ** 2 / (2.0 * math.pi)
+
+        ref = np.array([rank_one(t) for t in taus])
+        assert np.max(np.abs(vals - ref)) <= FOLD_TOL * ref.max()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([0.1, math.nan])], ids=["nan", "inf", "nan_entry"])
     def test_non_finite_time_rejected(self, fast_packet, bad):

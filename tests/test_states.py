@@ -24,6 +24,36 @@ from qarrival.operators import kinetic_energy_density
 from qarrival.states import REFLECTED_OVERSAMPLE, centered_position_grid, conjugate_position_grid
 
 
+class TestWaveFunctionValidation:
+    GRID = np.array([-1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "grid,values,message",
+        [
+            # dx = inf and norm inf before
+            ([-math.inf, 0.0, math.inf], [1.0, 1.0, 1.0], "grid must be finite"),
+            ([-1.0, math.nan, 1.0], [1.0, 1.0, 1.0], "grid must be finite"),
+            # failed only later, inside simpson_weights ("dx must be positive, got -1.0")
+            ([1.0, 0.0, -1.0], [1.0, 1.0, 1.0], "grid must be increasing, got step -1.0"),
+            ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], "grid must be increasing, got step 0.0"),
+            ([0.0, 1.0, 2.5], [1.0, 1.0, 1.0], "uniformly spaced"),
+            # norm nan before
+            (GRID, [1.0, math.nan, 1.0], "values must be finite"),
+            (GRID, [1.0, complex(0.0, math.inf), 1.0], "values must be finite"),
+        ],
+        ids=["inf_grid", "nan_grid", "decreasing", "constant", "non_uniform", "nan_value", "inf_value"],
+    )
+    def test_rejected(self, grid, values, message, consts):
+        with pytest.raises(ValueError, match=message):
+            WaveFunction(Representation.MOMENTUM, np.array(grid), np.array(values), consts)
+
+    def test_uniform_to_rounding_accepted(self, consts):
+        grid = np.linspace(-3.0, 7.0, 101)  # steps differ in their last bits
+        assert np.ptp(np.diff(grid)) > 0.0
+        psi = WaveFunction(Representation.POSITION, grid, np.ones(101), consts)
+        assert psi.dx == grid[1] - grid[0]
+
+
 class TestMakeGaussian:
     def test_symmetric_packet(self, consts):
         grid = GridSpec(512, 20.0)

@@ -16,6 +16,17 @@ checked by running this on the parent and on the change and diffing:
 `--root` names the checkout whose `src/` is imported (default: the one this
 script is in).  All presets run in one process, one after the other; the
 whole list takes about a second on 2 cores.
+
+`--compare ROOT` shows which digits moved instead.  It runs every preset on
+both checkouts, each in a fresh process, and prints one line per preset
+whose output differs: the largest absolute difference over the numeric
+cells of its CSV or JSON output, and the largest difference over a
+column's peak (max |value| of that column on ROOT's side), each with the
+column it is in.  A JSON column is the path to a number with the row index
+dropped; a check of `verify` is its own column.  Outputs whose shape or text
+differs, or whose exit code does, are reported as such.
+
+    python3 tools/output_digest.py --compare ../parent-checkout
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -51,22 +64,108 @@ def presets() -> list[list[str]]:
     return runs
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
-                        help="checkout whose src/ is imported (default: this one)")
-    args = parser.parse_args()
-    src = args.root.resolve() / "src"
+def sources(root: Path) -> Path:
+    """The src/ directory of a checkout; exits if it holds no qarrival."""
+    src = root.resolve() / "src"
     if not (src / "qarrival" / "__init__.py").is_file():
         raise SystemExit(f"error: no qarrival sources under {src}")
+    return src
+
+
+def run_presets(src: Path) -> list[tuple[list[str], int, str]]:
+    """(argv, exit code, stdout) of every preset, with qarrival imported from src."""
     sys.path.insert(0, str(src))
     from qarrival import cli
 
+    results = []
     for argv in presets():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
-        line = f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}  {' '.join(argv)}"
+        results.append((argv, code, out.getvalue()))
+    return results
+
+
+def _in_fresh_process(src: Path) -> list[tuple[list[str], int, str]]:
+    # each checkout imports its own `qarrival`, so each runs in its own interpreter
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(run_presets, (src,))
+
+
+def numeric_cells(text: str) -> dict | None:
+    """{column: [numbers]} of a CSV table or a JSON document; None for other text."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        try:
+            rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        except ValueError:
+            return None
+        return {name: [row[j] for row in rows] for j, name in enumerate(lines[0].split(","))} if lines else None
+    cells: dict = {}
+
+    def walk(node, path, rows_seen):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, path + (key,), rows_seen)
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                if isinstance(value, dict) and "name" in value:
+                    walk(value, path + (value["name"],), rows_seen)
+                else:  # the outermost list index is the row
+                    walk(value, path + ((i,) if rows_seen else ()), True)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            cells.setdefault("/".join(map(str, path)), []).append(float(node))
+
+    walk(doc, (), False)
+    return cells
+
+
+def moved_digits(base: str, change: str) -> str:
+    """How far the numeric cells of change moved from base."""
+    a, b = numeric_cells(base), numeric_cells(change)
+    if a is None or b is None or a.keys() != b.keys() or any(len(a[k]) != len(b[k]) for k in a):
+        return "output shape or text differs"
+    worst_abs, worst_rel = (0.0, ""), (0.0, "")
+    for column in a:
+        diff = max(abs(x - y) for x, y in zip(a[column], b[column]))
+        peak = max(abs(x) for x in a[column])
+        worst_abs = max(worst_abs, (diff, column))
+        if diff:
+            worst_rel = max(worst_rel, (diff / peak if peak else float("inf"), column))
+    if not worst_abs[0]:
+        return "numbers equal, text differs"
+    return f"max |d| {worst_abs[0]:.3g} ({worst_abs[1]}), max |d|/peak {worst_rel[0]:.3g} ({worst_rel[1]})"
+
+
+def compare(src: Path, other: Path) -> int:
+    base, change = _in_fresh_process(other), _in_fresh_process(src)
+    moved = 0
+    for (argv, code_a, out_a), (_, code_b, out_b) in zip(base, change):
+        if code_a != code_b:
+            note = f"exit {code_a} -> {code_b}"
+        elif out_a != out_b:
+            note = moved_digits(out_a, out_b)
+        else:
+            continue
+        moved += 1
+        print(f"{' '.join(argv)}  {note}", flush=True)
+    print(f"{moved} of {len(base)} presets differ")
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ is imported (default: this one)")
+    parser.add_argument("--compare", type=Path, metavar="ROOT",
+                        help="report the largest moves of each differing preset against this checkout")
+    args = parser.parse_args()
+    if args.compare is not None:
+        return compare(sources(args.root), sources(args.compare))
+    for argv, code, out in run_presets(sources(args.root)):
+        line = f"{hashlib.sha256(out.encode()).hexdigest()}  {' '.join(argv)}"
         print(line if code == 0 else f"{line}  [exit {code}]", flush=True)
     return 0
 
