@@ -192,7 +192,8 @@ def _mi_norm(consts: PhysConsts) -> float:
 
 
 # Taus are evaluated in blocks of about this many evaluated samples: (tau, |p|)
-# pairs of the half grid for the eigenstates, (t, p^2) pairs for the currents.
+# pairs of the half grid for the eigenstates (of its trimmed part, _trim, in
+# distribution and kijowski_distribution), (t, p^2) pairs for the currents.
 # A NEW block makes about 300 numpy calls, so at 2048 samples their overhead
 # made NEW's distribution about 30% slower; 8192 was about 15% faster for it,
 # but not on the whole spectral benchmark, and raised its peak RSS by 0.4 MB;
@@ -202,8 +203,8 @@ _BLOCK_SAMPLES = 4096
 
 def _tau_blocks(taus: np.ndarray, samples: int):
     """Consecutive (start, taus[start:start + k]) blocks of about _BLOCK_SAMPLES
-    evaluated samples, for `samples` per tau."""
-    k = max(1, _BLOCK_SAMPLES // samples)
+    evaluated samples, for `samples` per tau (none: one block of them)."""
+    k = max(1, _BLOCK_SAMPLES // max(samples, 1))
     for start in range(0, taus.size, k):
         yield start, taus[start : start + k]
 
@@ -295,12 +296,13 @@ def _half_block(family: EigenFamily, taus: np.ndarray, ap: np.ndarray, consts: P
     which is the MI form at |tau| on the sector its caller applies.  Each
     sample equals eigenstate_values' at p = +|p| bitwise (for T3 at tau < 0,
     at p = -|p|): every step is elementwise in (tau, |p|), and the NEW
-    family's Bessel tables are summed to a fixed degree."""
+    family's Bessel tables are summed to a fixed degree; a NEW row at tau < 0
+    is the conjugate of the row at |tau|."""
     m, hbar = consts.mass, consts.hbar
     if family is EigenFamily.NEW:
-        if np.any(taus < 0.0):
-            raise ValueError("NEW family eigenstates are implemented for tau >= 0")
-        return _new_eigenstate_half(taus, ap, consts)
+        # C T_NEW C = -T_NEW for the complex conjugation C, so phi_{-tau} = conj phi_tau
+        half = _new_eigenstate_half(np.abs(taus), ap, consts)
+        return np.conjugate(half, out=half, where=(taus < 0.0)[:, None])
     if family is EigenFamily.MI and np.any(taus < 0.0):
         raise ValueError("MI family is defined for tau >= 0 (spectrum of m|x|/|p|)")
     tau = taus[:, None]
@@ -357,13 +359,31 @@ def _fold_weights(family: EigenFamily, folded: np.ndarray) -> np.ndarray:
     return np.stack([rows.real, rows.imag], axis=1).reshape(-1, rows.shape[1])
 
 
+def _trim(ap: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The |p| of the half grid and the _fold_weights columns that an overlap
+    needs.  With m_k = max over the weight rows of |u_k|, the samples of
+    smallest m_k are dropped for as long as their summed m stays within
+    (eps/2) sum(m), so a dropped part of any overlap is at most
+    max|phi| (eps/2) sum(m), below the rounding bound of the pairwise sum over
+    the whole grid.  The kept weights are a C-ordered copy: numpy sums pairwise
+    only along a contiguous axis.  An all-zero packet keeps no sample."""
+    m = np.max(np.abs(weights), axis=0)
+    order = np.argsort(m, kind="stable")
+    # a mask keeps grid order without np.sort, whose first call on integers
+    # raised peak RSS by about 0.4 MB
+    keep = np.ones(ap.size, dtype=bool)
+    keep[order[np.cumsum(m[order]) <= 0.5 * np.finfo(float).eps * m.sum()]] = False
+    return ap[keep], np.ascontiguousarray(weights[:, keep])
+
+
 def _fold_overlaps(family: EigenFamily, taus: np.ndarray, half: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """<phi_tau|b> for each tau of a _half_block, from the _fold_weights of b.
     Each row is summed against each weight row on its own, so a row does not
     depend on the rows beside it, and pairwise, as numpy's sum does: where the
     two halves of an overlap cancel, a BLAS dot product lost up to 10x more
-    digits."""
-    sums = (half[:, None, :] * weights).sum(axis=2)
+    digits.  The product is formed C-ordered, whatever the layout of
+    `weights`, because numpy sums pairwise only along a contiguous axis."""
+    sums = np.multiply(half[:, None, :], weights, order="C").sum(axis=2)
     if family is EigenFamily.T3:
         plus, minus = sums.view(complex).T
         return np.where(taus < 0.0, minus, plus)
@@ -584,15 +604,17 @@ def overlap(psi: WaveFunction, family: EigenFamily, tau: float) -> complex:
 def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -> Distribution:
     """Pi(tau_k) = |<psi|phi_tau_k>|^2.
 
-    The Simpson-weighted packet is folded onto the half grid once (_fold), the
-    eigenstates are evaluated there in blocks of taus, and each overlap is its
-    own dot product over |p| (_fold_overlaps).  So a value equals a one-tau
-    call bitwise, and equals the full-grid sum to rounding.
+    The Simpson-weighted packet is folded onto the half grid once (_fold) and
+    the grid trimmed to the packet's support (_trim), the eigenstates are
+    evaluated there in blocks of taus, and each overlap is its own dot
+    product over the kept |p| (_fold_overlaps).  The kept samples depend on
+    the packet alone, so a value equals a one-tau call bitwise, and equals
+    the full-grid sum to rounding.  NEW takes taus of either sign.
     """
     _check_momentum_state(psi)
     tau_grid = _check_taus(tau_grid, "tau_grid", increasing=True)
     ap, folded = _fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values)
-    weights = _fold_weights(family, folded)
+    ap, weights = _trim(ap, _fold_weights(family, folded))
     vals = np.empty(tau_grid.size)
     for start, taus in _tau_blocks(tau_grid, ap.size):
         half = _half_block(family, taus, ap, psi.consts)
@@ -608,9 +630,10 @@ def kijowski_distribution(psi: WaveFunction, t: float | np.ndarray) -> float | n
     is the rank-one form (1/(2 pi m hbar)) |integral dp |p|^(1/2) psi_t(p)|^2,
     identical to |<psi|phi^AB_t>|^2.  The phase exp(-i p^2 t / 2 m hbar) is
     even in p, so it is summed over |p|, as AB's overlap is, against
-    w |p|^(1/2) psi folded once onto the half grid, in _tau_blocks blocks of
-    times, each time its own dot product.  So a value equals a one-time call
-    bitwise, and equals the full-grid sum to rounding.
+    w |p|^(1/2) psi folded once onto the half grid and trimmed to its
+    support (_trim), in _tau_blocks blocks of times, each time its own dot
+    product.  So a value equals a one-time call bitwise, and equals the
+    full-grid sum to rounding.
     """
     _check_momentum_state(psi)
     ts = _check_taus(t, "t")
@@ -620,7 +643,7 @@ def kijowski_distribution(psi: WaveFunction, t: float | np.ndarray) -> float | n
     p = psi.grid
     w = simpson_weights(p.size, psi.dx)
     ap, folded = _fold(p, w * (np.sqrt(np.abs(p)) * psi.values))
-    weights = _fold_weights(EigenFamily.AB, folded)
+    ap, weights = _trim(ap, _fold_weights(EigenFamily.AB, folded))
     flat = ts.reshape(-1)
     amp = np.empty(flat.size, dtype=complex)
     for start, block in _tau_blocks(flat, ap.size):

@@ -153,6 +153,21 @@ class TestDistributionPresets:
         ratios = rows[:, 1] / np.sqrt(rows[:, 0])
         assert (ratios.max() - ratios.min()) / ratios.mean() <= 0.02
 
+    def test_new_family_at_negative_tau(self, capsys):
+        # phi_{-tau} = conj phi_tau, so NEW runs over the whole tau line
+        from qarrival.cli import main
+
+        assert main(["distribution", "--family", "new", "--tau-min", "-1", "--tau-max", "1", "--format", "json"]) == 0
+        rows = np.array(json.loads(capsys.readouterr().out)["rows"])
+        assert rows[0, 0] == -1.0 and rows[np.argmax(rows[:, 1]), 0] == pytest.approx(0.5, abs=0.02)
+        spectra = []
+        for tau in ("0.5", "-0.5"):
+            assert main(["spectrum", "--family", "new", "--tau", tau, "--format", "json"]) == 0
+            spectra.append(np.array(json.loads(capsys.readouterr().out)["rows"]))
+        forward, backward = spectra
+        assert np.array_equal(backward[:, :2], forward[:, :2])
+        assert np.array_equal(backward[:, 2], -forward[:, 2])
+
     def test_reference_columns(self, tmp_path):
         out = tmp_path / "ref.json"
         res = run_cli(

@@ -43,6 +43,7 @@ from qarrival.operators import (
     _mirror_half,
     _new_eigenstate_half,
     _tau_blocks,
+    _trim,
 )
 from qarrival.states import (
     Representation,
@@ -69,10 +70,9 @@ class TestEigenstates:
         with pytest.raises(ValueError):
             eigenstate(EigenFamily.AB, 0.5, 0.0, consts)
 
-    def test_negative_tau_rejected_for_mi_new(self, consts):
-        for fam in (EigenFamily.MI, EigenFamily.NEW):
-            with pytest.raises(ValueError):
-                eigenstate(fam, -0.5, 1.0, consts)
+    def test_negative_tau_rejected_for_mi(self, consts):
+        with pytest.raises(ValueError):
+            eigenstate(EigenFamily.MI, -0.5, 1.0, consts)
 
     def test_t3_sectors(self, consts):
         assert eigenstate(EigenFamily.T3, 0.5, -1.0, consts) == 0.0
@@ -134,9 +134,15 @@ def _full_grid_formula(family, taus, p, consts):
     return np.where(np.where(tau >= 0.0, p > 0.0, p < 0.0), vals, 0.0).astype(complex)
 
 
-def _has_partial_last_block(taus, p):
-    # blocks count the samples evaluated per tau, the half grid's |p|
-    sizes = [block.size for _, block in _tau_blocks(taus, _mirror_half(p)[0].size)]
+def _kept_samples(psi, family):
+    """The |p| that distribution keeps for psi: the half grid trimmed by _trim."""
+    ap, folded = _fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values)
+    return _trim(ap, _fold_weights(family, folded))[0].size
+
+
+def _has_partial_last_block(taus, samples):
+    # blocks count the samples evaluated per tau
+    sizes = [block.size for _, block in _tau_blocks(taus, samples)]
     return len(sizes) > 1 and sizes[-1] < sizes[0]
 
 
@@ -170,12 +176,29 @@ class TestEigenstateBlock:
         assert np.array_equal(block[0], np.zeros(grid.n))
         assert np.all(block[1] != 0.0)
 
-    @pytest.mark.parametrize("family", [EigenFamily.MI, EigenFamily.NEW], ids=lambda f: f.value)
+    @pytest.mark.parametrize("family", [EigenFamily.MI], ids=lambda f: f.value)
     def test_negative_tau_rejected(self, family, grid, consts, fast_packet):
         with pytest.raises(ValueError, match="tau >= 0"):
             _eigenstate_block(family, np.array([0.3, -0.1, 0.5]), grid.momenta(), consts)
         with pytest.raises(ValueError, match="tau >= 0"):
             distribution(fast_packet, family, np.linspace(-0.2, 0.5, 36))
+
+    def test_new_negative_tau_is_conjugate(self, grid, consts):
+        # C T_NEW C = -T_NEW, so phi_{-tau} = conj phi_tau, bitwise (tau = -0 gives tau = 0's zero row)
+        taus = np.array([0.0, 1e-4, 0.01, 0.3, 0.7, 1.9])
+        block = _eigenstate_block(EigenFamily.NEW, taus, grid.momenta(), consts)
+        assert np.array_equal(_eigenstate_block(EigenFamily.NEW, -taus, grid.momenta(), consts), np.conj(block))
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_new_time_reversal(self, n, fast_spec):
+        # Pi_psi(-tau) = Pi_{conj psi}(tau) exactly: |<psi|phi_{-tau}>| = |<conj psi|phi_tau>|
+        psi = make_gaussian(fast_spec, GridSpec(n, 40.0))
+        flipped = WaveFunction(Representation.MOMENTUM, psi.grid, np.conj(psi.values), psi.consts)
+        half = np.linspace(0.0, 1.0, 101)
+        taus = np.concatenate([-half[:0:-1], half])
+        forward = distribution(psi, EigenFamily.NEW, taus).values
+        assert np.array_equal(forward, distribution(flipped, EigenFamily.NEW, -taus[::-1]).values[::-1])
+        assert taus[np.argmax(forward)] == pytest.approx(0.5, abs=0.02)
 
     @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
     def test_mirror_is_exact(self, family, grid, consts):
@@ -297,7 +320,7 @@ class TestBlockedSpectralCalls:
     @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
     def test_distribution_equals_per_tau_loop(self, family, fast_packet):
         taus = np.linspace(0.0, 1.0, 201)  # the CLI default preset
-        assert _has_partial_last_block(taus, fast_packet.grid)
+        assert _has_partial_last_block(taus, _kept_samples(fast_packet, family))
         dist = distribution(fast_packet, family, taus)
         ref = distribution_per_tau(fast_packet, family, taus)
         assert np.max(np.abs(dist.values - ref)) <= FOLD_TOL * ref.max()
@@ -326,7 +349,8 @@ class TestBlockedSpectralCalls:
             assert vals[i] == distribution(fast_packet, family, np.array([tau])).values[0]
 
     def test_blocks_count_half_grid_samples(self, fast_packet, monkeypatch):
-        # 4096 samples per block are 8 taus of the 512-sample half grid at n = 1024
+        # 4096 samples per block are 14 taus of the 277 kept |p| in distribution,
+        # 8 taus of the whole 512-sample half grid at n = 1024 in completeness_check
         sizes = []
 
         def counting(family, taus, ap, consts):
@@ -335,7 +359,7 @@ class TestBlockedSpectralCalls:
 
         monkeypatch.setattr("qarrival.operators._half_block", counting)
         distribution(fast_packet, EigenFamily.NEW, np.linspace(0.0, 1.0, 201))
-        assert sizes == [8] * 25 + [1]
+        assert sizes == [14] * 14 + [5]
         sizes.clear()
         completeness_check(EigenFamily.NEW, fast_packet, (0.0, 1.0), 21)
         assert sizes == [8, 8, 5]
@@ -361,7 +385,7 @@ class TestBlockedSpectralCalls:
     def test_completeness_equals_per_tau_loop(self, family, window, fast_spec):
         psi = make_gaussian(fast_spec, GridSpec(512, 20.0))
         tau_n = 401
-        assert _has_partial_last_block(np.zeros(tau_n), psi.grid)
+        assert _has_partial_last_block(np.zeros(tau_n), _mirror_half(psi.grid)[0].size)
         err = completeness_check(family, psi, window, tau_n)
         ref = completeness_per_tau(family, psi, window, tau_n)
         assert abs(err - ref) <= 1e-12 * ref
@@ -440,6 +464,111 @@ class TestFold:
         assert np.array_equal(ap, p) and np.array_equal(index, np.arange(3))
         with pytest.raises(ValueError, match="p = 0"):
             _fold(np.array([-1.0, 0.0, 1.0]), np.ones(3))
+
+
+class TestTrim:
+    """distribution and kijowski_distribution sum over the half grid trimmed to
+    the packet's support (_trim); completeness_check keeps every |p|."""
+
+    # packet fixture: its tau window
+    WINDOWS = {"fast_packet": (0.0, 1.0), "slow_packet": (0.0, 2.0), "reflected_packet": (20.0, 120.0)}
+
+    @pytest.fixture(scope="class")
+    def slow_packet(self, consts, grid):
+        # the spectral benchmark's slow packet: it overlaps x = 0 at tau = 0
+        return make_gaussian(GaussianSpec(p0=1.0, x0=-0.5, sigma_p=1.0, consts=consts), grid)
+
+    @staticmethod
+    def _kijowski_full_grid(psi, taus):
+        p, m, hbar = psi.grid, psi.consts.mass, psi.consts.hbar
+        amps = [integrate(np.sqrt(np.abs(p)) * np.exp(-1j * p**2 * t / (2.0 * m * hbar)) * psi.values, psi.dx)
+                for t in taus]
+        return np.abs(amps) ** 2 / (2.0 * math.pi * m * hbar)
+
+    @pytest.mark.parametrize("packet", list(WINDOWS))
+    def test_matches_full_grid_oracle(self, packet, request):
+        psi = request.getfixturevalue(packet)
+        taus = np.linspace(*self.WINDOWS[packet], 101)
+        kept = _kept_samples(psi, EigenFamily.AB)
+        half = psi.grid.size // 2
+        assert kept == half if packet == "reflected_packet" else kept < half
+        for family in EigenFamily:
+            ref = distribution_per_tau(psi, family, taus)
+            got = distribution(psi, family, taus).values
+            assert np.max(np.abs(got - ref)) <= FOLD_TOL * ref.max(), family
+        ref = self._kijowski_full_grid(psi, taus)
+        assert np.max(np.abs(kijowski_distribution(psi, taus) - ref)) <= FOLD_TOL * ref.max()
+
+    def test_trimmed_once_per_overlap_call(self, fast_packet, monkeypatch):
+        # distribution and kijowski_distribution trim; completeness_check's
+        # reconstruction needs every |p|
+        calls = []
+
+        def counting(ap, weights):
+            calls.append(ap.size)
+            return _trim(ap, weights)
+
+        monkeypatch.setattr("qarrival.operators._trim", counting)
+        distribution(fast_packet, EigenFamily.NEW, np.linspace(0.0, 1.0, 21))
+        kijowski_distribution(fast_packet, np.linspace(0.0, 1.0, 21))
+        completeness_check(EigenFamily.KDM, fast_packet, (-0.25, 1.25), 101)
+        assert calls == [fast_packet.grid.size // 2] * 2
+
+    def test_kept_count_pinned(self, fast_packet):
+        assert [_kept_samples(fast_packet, family) for family in EigenFamily] == [277] * len(EigenFamily)
+
+    @pytest.mark.parametrize("packet", list(WINDOWS))
+    def test_dropped_mass_within_half_eps(self, packet, request):
+        # the dropped samples are the smallest, and their summed m stays within (eps/2) sum(m)
+        psi = request.getfixturevalue(packet)
+        ap, folded = _fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values)
+        for family in EigenFamily:
+            weights = _fold_weights(family, folded)
+            kept_ap, kept = _trim(ap, weights)
+            assert kept.flags.c_contiguous
+            m = np.max(np.abs(weights), axis=0)
+            dropped = ~np.isin(ap, kept_ap)
+            assert np.array_equal(kept, weights[:, ~dropped])
+            assert np.sum(m[dropped]) <= 0.5 * np.finfo(float).eps * np.sum(m)
+            assert np.max(m[dropped], initial=0.0) <= np.min(m[~dropped])
+
+    def test_full_support_is_untrimmed_bitwise(self, consts, grid, monkeypatch):
+        # sigma_p = 4 fills the grid: every sample is kept, and the sums are the untrimmed ones
+        psi = make_gaussian(GaussianSpec(p0=10.0, x0=-5.0, sigma_p=4.0, consts=consts), grid)
+        taus = np.linspace(0.0, 1.0, 201)
+        assert all(_kept_samples(psi, family) == grid.n // 2 for family in EigenFamily)
+        trimmed = [distribution(psi, family, taus).values for family in EigenFamily]
+        trimmed.append(kijowski_distribution(psi, taus))
+        monkeypatch.setattr("qarrival.operators._trim", lambda ap, weights: (ap, weights))
+        untrimmed = [distribution(psi, family, taus).values for family in EigenFamily]
+        untrimmed.append(kijowski_distribution(psi, taus))
+        for got, ref in zip(trimmed, untrimmed):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_zero_packet_returns_zeros(self, consts, grid):
+        psi = WaveFunction(Representation.MOMENTUM, grid.momenta(), np.zeros(grid.n, dtype=complex), consts)
+        taus = np.linspace(0.0, 1.0, 201)
+        assert _kept_samples(psi, EigenFamily.KDM) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in EigenFamily:
+                assert np.array_equal(distribution(psi, family, taus).values, np.zeros(taus.size)), family
+            assert np.array_equal(kijowski_distribution(psi, taus), np.zeros(taus.size))
+
+    @pytest.mark.parametrize("family", [EigenFamily.KDM, EigenFamily.MI, EigenFamily.T3, EigenFamily.NEW],
+                             ids=lambda f: f.value)
+    def test_overlaps_of_any_weight_layout(self, family, fast_packet):
+        # boolean-indexed weight rows (AB has one row, which stays contiguous)
+        # are not C-ordered, and sum as their contiguous copy does
+        ap, folded = _fold(fast_packet.grid, simpson_weights(fast_packet.grid.size, fast_packet.dx) * fast_packet.values)
+        mask = np.abs(folded[0]) > 1e-12
+        weights = _fold_weights(family, folded)[:, mask]
+        assert not weights.flags.c_contiguous
+        taus = np.linspace(0.0, 1.0, 15)
+        half = _half_block(family, taus, ap[mask], fast_packet.consts)
+        got = _fold_overlaps(family, taus, half, weights)
+        ref = _fold_overlaps(family, taus, half, np.ascontiguousarray(weights))
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -681,7 +810,7 @@ class TestKijowski:
 
     def test_array_equals_scalar_calls(self, fast_packet):
         taus = np.linspace(0.0, 1.0, 201)  # the CLI default preset
-        assert _has_partial_last_block(taus, fast_packet.grid)
+        assert _has_partial_last_block(taus, _kept_samples(fast_packet, EigenFamily.AB))
         vals = kijowski_distribution(fast_packet, taus)
         assert vals.shape == taus.shape
         assert np.array_equal(vals, [kijowski_distribution(fast_packet, float(t)) for t in taus])

@@ -5,9 +5,10 @@ Each line reads `<sha256 of stdout>  <argv>`, with `  [exit N]` appended when
 the command does not exit 0.  The presets cover every subcommand: `verify` at
 several grid sizes; `spectrum` for all families at four taus; `distribution`
 for all families as CSV, JSON and with the Kijowski reference, plus negative,
-log-spaced and reflected-packet windows; every `measure` mode; and
-`classical`.  A change that should leave every output byte-identical is
-checked by running this on the parent and on the change and diffing:
+log-spaced and reflected-packet windows and a packet that fills the grid;
+every `measure` mode; and `classical`.  A change that should leave every
+output byte-identical is checked by running this on the parent and on the
+change and diffing:
 
     python3 tools/output_digest.py > change.txt
     python3 tools/output_digest.py --root ../parent-checkout > parent.txt
@@ -51,8 +52,10 @@ def presets() -> list[list[str]]:
         runs += [["distribution", "--family", f],
                  ["distribution", "--family", f, "--format", "json"],
                  ["distribution", "--family", f, "--with-reference"]]
-    runs += [["distribution", "--family", f, "--tau-min", "-1", "--tau-max", "1"] for f in ("kdm", "t3")]
+    runs += [["distribution", "--family", f, "--tau-min", "-1", "--tau-max", "1"] for f in ("kdm", "t3", "new")]
     runs += [
+        # a packet that fills the grid, so every |p| is summed
+        ["distribution", "--family", "new", "--sigma-p", "4"],
         ["distribution", "--family", "new", "--tau-min", "1e-6", "--tau-max", "1e-2", "--tau-count", "41",
          "--tau-spacing", "log", "--with-reference"],
         ["distribution", "--family", "new", *REFLECTED, "--tau-min", "1e-6", "--tau-max", "1e-5",
