@@ -28,7 +28,7 @@ nonzero pattern only: at most nine diagonals of the stencil band and nine
 anti-diagonals that R mirrors them onto, stored as two bands of shape (9, n)
 or less, so building, applying and checking one costs O(n).  The rank-two
 current J is the one full pattern; it is evaluated a block at a time.  No
-n x n array is formed except by OperatorMatrix.matrix, on request.
+n x n array is formed.
 """
 
 from __future__ import annotations
@@ -93,6 +93,8 @@ class OperatorMatrix:
     k = n - 1 - j + o, |o| <= w, stored as `diag` and `anti` of shape
     (2w + 1, n):  diag[w + o, j] = M[j, j + o], anti[w + o, j] = M[j, n - 1 - j + o],
     zero where that entry is outside the matrix or, in `anti`, in `diag`.
+    The pattern is closed under transposition: M[k, j] of a stencil entry is
+    stored at diag[w - o, k], of a reflected one at anti[w + o, k].
     With width None the pattern is the full matrix, evaluated a block of
     columns at a time and never stored.
     """
@@ -130,15 +132,6 @@ class OperatorMatrix:
         yield rows, np.clip(stencil, 0, n - 1), (stencil >= 0) & (stencil < n), self.diag
         inside = (reflected >= 0) & (reflected < n) & (np.abs(reflected - rows) > w)
         yield rows, np.clip(reflected, 0, n - 1), inside, self.anti
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense n x n matrix, assembled from the pattern (for tests)."""
-        mat = np.zeros((self.grid.n, self.grid.n), dtype=complex)
-        for rows, cols, inside, values in self.chunks():
-            rows, cols, inside, values = np.broadcast_arrays(rows, cols, inside, values)
-            mat[rows[inside], cols[inside]] = values[inside]
-        return mat
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """The matrix-vector product M f, one pass over the pattern."""
@@ -530,12 +523,14 @@ def build_operator(
     elif kind is OperatorKind.J_CURRENT:
         if t is None:
             raise ValueError("J_CURRENT requires the evaluation time t")
+        # (p delta + delta p) / 2m, delta = (dp / 2 pi hbar) v w^T, as (p c) w^T + c (p w)^T
         v = np.exp(1j * p**2 * t / (2.0 * m * hbar))
         w = np.conj(v)
+        c = (grid.dp / (2.0 * math.pi * hbar)) / (2.0 * m) * v
+        pc, pw = p * c, p * w
 
         def entries(j, k):  # rank two, so every entry is nonzero
-            delta = (grid.dp / (2.0 * math.pi * hbar)) * (v[j] * w[k])
-            return (p[j] * delta + delta * p[k]) / (2.0 * m)
+            return pc[j] * w[k] + c[j] * pw[k]
 
     else:
         raise ValueError(f"unknown operator kind {kind}")
@@ -546,11 +541,13 @@ def hermiticity_defect(op: OperatorMatrix) -> float:
     """max |M - M^dagger| / max |M| on the interior sub-block (without the two
     edge rows and columns on each side, where the one-sided stencils sit).
 
-    The pattern is closed under transposition, so M^dagger is evaluated on it
-    too; an entry off the pattern is zero in both.  |M[j,k] - conj M[k,j]| is
-    the same number at (k, j), so a full pattern is visited on one triangle:
-    each interior column block [start, stop) against the rows below stop, at
-    every entry and its transpose."""
+    The pattern is closed under transposition, so M^dagger lies on it too; an
+    entry off the pattern is zero in both.  A banded operator reads each
+    transpose from its stored bands and evaluates no entry.  A full pattern
+    is evaluated on one triangle, since |M[j,k] - conj M[k,j]| is the same
+    number at (k, j): each interior column block [start, stop) against the
+    rows below stop, at every entry and its transpose.  An all-zero interior
+    is hermitian, with defect 0."""
     n = op.grid.n
     defect = scale = 0.0
     if op.width is None:
@@ -561,13 +558,13 @@ def hermiticity_defect(op: OperatorMatrix) -> float:
             values, dagger = op.entries(rows, cols), np.conj(op.entries(cols, rows))
             defect = max(defect, float(np.max(np.abs(values - dagger))))
             scale = max(scale, float(np.max(np.abs(values))), float(np.max(np.abs(dagger))))
-        return defect / scale
-    for rows, cols, inside, values in op.chunks():
-        inside = inside & (rows >= 2) & (rows < n - 2) & (cols >= 2) & (cols < n - 2)
-        dagger = np.conj(op.entries(cols, rows))
-        defect = max(defect, float(np.max(np.abs(values - dagger), where=inside, initial=0.0)))
-        scale = max(scale, float(np.max(np.abs(values), where=inside, initial=0.0)))
-    return defect / scale
+    else:
+        for (rows, cols, inside, values), transposed in zip(op.chunks(), (op.diag[::-1], op.anti)):
+            inside = inside & (rows >= 2) & (rows < n - 2) & (cols >= 2) & (cols < n - 2)
+            dagger = np.conj(np.take_along_axis(transposed, cols, axis=1))
+            defect = max(defect, float(np.max(np.abs(values - dagger), where=inside, initial=0.0)))
+            scale = max(scale, float(np.max(np.abs(values), where=inside, initial=0.0)))
+    return defect / scale if scale else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from qarrival import GridSpec, checks
+from qarrival import GridSpec, OperatorKind, OperatorMatrix, checks, operators
 
 # (name, tolerance, larger_is_pass) of every check, in report order, at
 # hbar = 1.  The registry may not loosen, drop or reorder a check silently.
@@ -55,3 +55,28 @@ def test_report_holds_no_dense_operator(fast_spec):
         tracemalloc.stop()
     assert all(check["pass"] for check in report)
     assert peak < 32 * 2**20
+
+
+def test_operator_checks_evaluate_banded_entries_once(consts, monkeypatch):
+    """Each banded operator of the hermiticity and constructions checks
+    evaluates its entry formula once per band, at construction, and never
+    again: both checks read its stored bands."""
+    build = operators.build_operator
+    calls = {}
+
+    def counted_build(kind, *args, **kwargs):
+        op = build(kind, *args, **kwargs)
+        if op.width is None or kind in (OperatorKind.R, OperatorKind.SIGN_P):
+            return op  # R and SIGN_P are evaluated by the reflection checks
+
+        def counted(j, k):
+            calls[kind] = calls.get(kind, 0) + 1
+            return op.entries(j, k)
+
+        return OperatorMatrix(counted, op.grid, op.consts, op.kind, op.width)
+
+    monkeypatch.setattr(operators, "build_operator", counted_build)
+    values = checks._operator_checks(GridSpec(64, 40.0), consts, 0.2)
+    banded = [kind for kind in checks.HERMITIAN.values() if kind is not OperatorKind.J_CURRENT]
+    assert calls == dict.fromkeys(banded, 2)
+    assert values["t_new_constructions_agree"] <= checks.CHECKS["t_new_constructions_agree"][0]

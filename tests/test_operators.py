@@ -33,6 +33,7 @@ from qarrival import (
     solve_eigen_ode,
 )
 from qarrival.operators import (
+    BAND_WIDTH,
     _eigenstate_block,
     _fold,
     _fold_overlaps,
@@ -55,7 +56,7 @@ from qarrival.states import (
 import util_new_oracle as oracle
 from test_numerics import brute_series_j
 from util_current import stencil_current
-from util_dense import dense_hermiticity_defect, dense_operator
+from util_dense import dense_current_delta_form, dense_hermiticity_defect, dense_matrix, dense_operator
 from util_pertau import completeness_per_tau, distribution_per_tau
 from util_spectral import chebyshev_nodes_and_diff
 
@@ -638,7 +639,7 @@ class TestOperatorMatrices:
         grid = GridSpec(64, 1.0)
         op = build_operator(OperatorKind.T_DWELL, grid, consts, L=1e-4)
         p = grid.momenta()
-        mat = op.matrix
+        mat = dense_matrix(op)
         diag = np.real(np.diag(mat))
         anti = mat[np.arange(64), 63 - np.arange(64)]
         assert diag == pytest.approx(consts.mass * 1e-4 / np.abs(p), rel=1e-12)
@@ -666,7 +667,7 @@ class TestBandFormAgainstDense:
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_matrix_equals_dense(self, kind, n, consts):
         op, dense = self._pair(kind, n, consts)
-        assert np.array_equal(op.matrix, dense)
+        assert np.array_equal(dense_matrix(op), dense)
 
     @pytest.mark.parametrize("n", [64, 1024])
     @pytest.mark.parametrize("kind", list(OperatorKind))
@@ -683,9 +684,39 @@ class TestBandFormAgainstDense:
         op, dense = self._pair(kind, n, consts)
         assert hermiticity_defect(op) == dense_hermiticity_defect(dense)
 
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_current_oracle_matches_delta_form(self, n, consts):
+        # the outer-product oracle (the library's rounding) against the
+        # current's defining (p delta + delta p) / 2m form
+        grid = GridSpec(n, 40.0)
+        outer = dense_operator(OperatorKind.J_CURRENT, grid, consts, t=0.3)
+        delta_form = dense_current_delta_form(grid, consts, 0.3)
+        assert np.max(np.abs(outer - delta_form)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(delta_form))
+
     @staticmethod
-    def _full_pattern(mat, consts):
-        return OperatorMatrix(lambda j, k: mat[j, k], GridSpec(mat.shape[0], 40.0), consts, "planted", None)
+    def _planted(mat, consts, width=None):
+        return OperatorMatrix(lambda j, k: mat[j, k], GridSpec(mat.shape[0], 40.0), consts, "planted", width)
+
+    @pytest.mark.parametrize("width", [BAND_WIDTH, None])
+    def test_zero_interior_is_hermitian(self, width, consts):
+        zero = OperatorMatrix(lambda j, k: np.zeros(np.broadcast(j, k).shape, complex), GridSpec(8, 40.0), consts,
+                              "zero", width)
+        assert hermiticity_defect(zero) == 0.0
+
+    @pytest.mark.parametrize("where", ["diag", "anti", "both"])
+    def test_planted_band_defect_found_at_dense_value(self, where, consts, rng):
+        # negative control for the transposes read from the bands: a hermitian
+        # matrix on the band pattern with one entry moved, in the stencil
+        # band, the reflected band, or one of each
+        n = 40
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mat = dense_matrix(self._planted(a + a.conj().T, consts, BAND_WIDTH))
+        planted = {"diag": [(n // 2, n // 2 + 3)], "anti": [(7, n - 5)], "both": [(n // 2, n // 2 + 3), (7, n - 5)]}
+        for size, (j, k) in enumerate(planted[where], 1):
+            mat[j, k] += 40j * size
+        defect = hermiticity_defect(self._planted(mat, consts, BAND_WIDTH))
+        assert defect == dense_hermiticity_defect(mat)
+        assert defect >= 0.5
 
     @pytest.mark.parametrize("n", [40, 200])
     @pytest.mark.parametrize("where", ["lower", "upper", "diagonal", "both"])
@@ -700,7 +731,7 @@ class TestBandFormAgainstDense:
                    "both": [(n - 5, 3), (7, n - 4)]}[where]
         for size, (j, k) in enumerate(planted, 1):
             mat[j, k] += 40j * size
-        defect = hermiticity_defect(self._full_pattern(mat, consts))
+        defect = hermiticity_defect(self._planted(mat, consts))
         assert defect == dense_hermiticity_defect(mat)
         assert defect >= 0.5
 
@@ -709,7 +740,7 @@ class TestBandFormAgainstDense:
         mat = a + a.conj().T
         mat[1, 20] += 5.0
         mat[20, 38] += 5.0
-        assert hermiticity_defect(self._full_pattern(mat, consts)) == 0.0
+        assert hermiticity_defect(self._planted(mat, consts)) == 0.0
 
     def test_current_check_visits_half_the_pairs(self, consts):
         n = 1024
@@ -738,7 +769,7 @@ class TestBandFormAgainstDense:
         a, dense_a = self._pair(left, 64, consts)
         b, dense_b = self._pair(right, 64, consts)
         expected = dense_a @ dense_b
-        assert np.max(np.abs(a.compose(b).matrix - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.max(np.abs(dense_matrix(a.compose(b)) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestOverlapAndDistributions:

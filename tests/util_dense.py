@@ -79,10 +79,31 @@ def dense_operator(kind, grid, consts, L=None, t=None):
         refl = scale * np.exp(-1j * b) * np.sinc(b / math.pi)
         return np.diag(scale).astype(complex) + np.diag(refl)[:, ::-1]
     if kind is OperatorKind.J_CURRENT:
+        # the library's rounding: (p c) w^T + c (p w)^T, c = (dp / 2 pi hbar) v / 2m
         v = np.exp(1j * p**2 * t / (2.0 * m * hbar))
-        delta = (grid.dp / (2.0 * math.pi * hbar)) * np.outer(v, np.conj(v))
-        return (p[:, None] * delta + delta * p[None, :]) / (2.0 * m)
+        w = np.conj(v)
+        c = (grid.dp / (2.0 * math.pi * hbar)) / (2.0 * m) * v
+        return np.outer(p * c, w) + np.outer(c, p * w)
     raise ValueError(f"unknown operator kind {kind}")
+
+
+def dense_current_delta_form(grid, consts, t):
+    """J = (p delta + delta p) / 2m with delta = (dp / 2 pi hbar) v v^dagger,
+    the current's defining form, rounded independently of the library's."""
+    m, hbar = consts.mass, consts.hbar
+    p = grid.momenta()
+    v = np.exp(1j * p**2 * t / (2.0 * m * hbar))
+    delta = (grid.dp / (2.0 * math.pi * hbar)) * np.outer(v, np.conj(v))
+    return (p[:, None] * delta + delta * p[None, :]) / (2.0 * m)
+
+
+def dense_matrix(op):
+    """The n x n matrix of an OperatorMatrix, assembled from its pattern."""
+    mat = np.zeros((op.grid.n, op.grid.n), dtype=complex)
+    for rows, cols, inside, values in op.chunks():
+        rows, cols, inside, values = np.broadcast_arrays(rows, cols, inside, values)
+        mat[rows[inside], cols[inside]] = values[inside]
+    return mat
 
 
 def dense_hermiticity_defect(mat):

@@ -46,7 +46,8 @@ REFLECTED = ["--packet", "reflected", "--p0", "0.3", "--x0", "-20", "--sigma-p",
 
 
 def presets() -> list[list[str]]:
-    runs = [["verify", "--n", str(n)] for n in (64, 512, 1024, 4096)]
+    # n = 6 is the smallest interior (2 x 2), where clipping the band columns matters most
+    runs = [["verify", "--n", str(n)] for n in (6, 64, 512, 1024, 4096)]
     runs += [["spectrum", "--family", f, "--tau", tau] for f in FAMILIES for tau in ("0", "0.7", "-0.5", "1e-5")]
     for f in FAMILIES:
         runs += [["distribution", "--family", f],
