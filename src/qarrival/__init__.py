@@ -19,14 +19,11 @@ from .states import (
     WaveFunction,
     centered_position_grid,
     conjugate_position_grid,
-    derivative_at_origin,
     make_gaussian,
     make_reflected_state,
-    momentum_moments,
     reflected_position_state,
     to_momentum,
     to_position,
-    value_at_origin,
 )
 from .operators import (
     Distribution,
@@ -43,7 +40,6 @@ from .operators import (
     hermiticity_defect,
     kijowski_distribution,
     kinetic_energy_density,
-    new_low_momentum_slope,
     overlap,
     solve_eigen_ode,
 )
@@ -61,7 +57,6 @@ from .measurement import (
     crossing_probability,
     halfline_propagate,
     make_zeno_chain,
-    sequential_probability,
     small_time_current_law,
     window_project,
 )
@@ -78,14 +73,11 @@ __all__ = [
     "WaveFunction",
     "centered_position_grid",
     "conjugate_position_grid",
-    "derivative_at_origin",
     "make_gaussian",
     "make_reflected_state",
-    "momentum_moments",
     "reflected_position_state",
     "to_momentum",
     "to_position",
-    "value_at_origin",
     "Distribution",
     "EigenFamily",
     "OperatorKind",
@@ -100,7 +92,6 @@ __all__ = [
     "hermiticity_defect",
     "kijowski_distribution",
     "kinetic_energy_density",
-    "new_low_momentum_slope",
     "overlap",
     "solve_eigen_ode",
     "CrossingResult",
@@ -116,7 +107,6 @@ __all__ = [
     "crossing_probability",
     "halfline_propagate",
     "make_zeno_chain",
-    "sequential_probability",
     "small_time_current_law",
     "window_project",
     "__version__",

@@ -187,7 +187,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 val = float(val)
             else:
                 val = str(val)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config field '{key}': cannot parse value {val!r} ({exc})") from exc
         setattr(cfg, key, val)
     cfg.validate()

@@ -173,11 +173,6 @@ def chain_final_state(chain: MeasurementChain) -> tuple[WaveFunction, float]:
     return state, _prob_mass(state.values, state.dx)
 
 
-def sequential_probability(chain: MeasurementChain) -> float:
-    """Joint probability of every window outcome in the chain."""
-    return chain_final_state(chain)[1]
-
-
 def make_zeno_chain(initial: WaveFunction, n_proj: int, total_time: float) -> MeasurementChain:
     """Chain of n_proj equally spaced projections onto x < 0 (free evolution
     between projections); the window covers the negative half of the grid."""

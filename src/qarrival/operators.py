@@ -10,6 +10,11 @@ Implements five eigenstate families on the momentum grid,
           z = p^2 tau / 2 m hbar,
 
 with N = sqrt(2/(pi m hbar)) fixed by the sector-wise resolution of identity.
+The families differ in one mirror rule: AB and MI copy phi_tau(+p) to -p,
+KDM and NEW conjugate it (time reversal), and T3 keeps one sector.  Each is
+evaluated on the half grid |p| at both signs (_half_block, the one place that
+knows the rule), and every overlap, reconstruction and expansion is one
+formula over both sides.
 
 The NEW family is the self-adjoint arrival-time operator built from the time
 integral of the current operator,
@@ -43,7 +48,6 @@ import numpy as np
 
 from .numerics import (
     BESSEL_SWITCHOVER,
-    GAMMA_3_4,
     GridSpec,
     PhysConsts,
     _bessel_scaled,
@@ -187,10 +191,8 @@ def _mi_norm(consts: PhysConsts) -> float:
 # Taus are evaluated in blocks of about this many evaluated samples: (tau, |p|)
 # pairs of the half grid for the eigenstates (of its trimmed part, _trim, in
 # distribution and kijowski_distribution), (t, p^2) pairs for the currents.
-# A NEW block makes about 300 numpy calls, so at 2048 samples their overhead
-# made NEW's distribution about 30% slower; 8192 was about 15% faster for it,
-# but not on the whole spectral benchmark, and raised its peak RSS by 0.4 MB;
-# 16384 was slower than 8192 again.
+# A block bounds the temporaries, and is large enough that the per-call
+# overhead of a NEW block's numpy calls is small against its work.
 _BLOCK_SAMPLES = 4096
 
 
@@ -284,133 +286,83 @@ def _new_eigenstate_half(taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -
 
 
 def _half_block(family: EigenFamily, taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -> np.ndarray:
-    """Eigenstates phi_tau(+|p|) at |p| = ap for a 1-D array of taus, shape
-    (taus.size, ap.size): complex for AB, KDM and NEW, real for MI and for T3,
-    which is the MI form at |tau| on the sector its caller applies.  Each
-    sample equals eigenstate_values' at p = +|p| bitwise (for T3 at tau < 0,
-    at p = -|p|): every step is elementwise in (tau, |p|), and the NEW
-    family's Bessel tables are summed to a fixed degree; a NEW row at tau < 0
-    is the conjugate of the row at |tau|."""
+    """Eigenstates at |p| = ap for a 1-D array of taus, shape (taus.size, 2,
+    ap.size): row 0 holds phi_tau(+|p|) and row 1 phi_tau(-|p|).
+
+    This is the one place that knows the mirror rule: phi(-p) = phi(p) for AB
+    and MI, conj phi(p) for KDM and NEW, and T3 is the MI form at |tau| on the
+    p > 0 side for tau >= 0 and on the p < 0 side for tau < 0, zero on the
+    other.  Every step is elementwise in (tau, |p|), and the NEW family's
+    Bessel tables are summed to a fixed degree, so a row does not depend on
+    the rows beside it.  KDM conjugates its exponential before the amplitude
+    multiplies it, as its full-grid formula does, so even the signed zeros of
+    Im phi (at phase 0 or an underflowed one) are that formula's.
+    """
     m, hbar = consts.mass, consts.hbar
+    block = np.zeros((taus.size, 2, ap.size), dtype=complex)
+    plus, minus = block[:, 0], block[:, 1]
     if family is EigenFamily.NEW:
         # C T_NEW C = -T_NEW for the complex conjugation C, so phi_{-tau} = conj phi_tau
-        half = _new_eigenstate_half(np.abs(taus), ap, consts)
-        return np.conjugate(half, out=half, where=(taus < 0.0)[:, None])
+        plus[...] = _new_eigenstate_half(np.abs(taus), ap, consts)
+        np.conjugate(plus, out=plus, where=(taus < 0.0)[:, None])
+        np.conjugate(plus, out=minus)
+        return block
     if family is EigenFamily.MI and np.any(taus < 0.0):
         raise ValueError("MI family is defined for tau >= 0 (spectrum of m|x|/|p|)")
     tau = taus[:, None]
     phase = ap * ap * (np.abs(tau) if family is EigenFamily.T3 else tau) / (2.0 * m * hbar)
     if family in (EigenFamily.AB, EigenFamily.KDM):
-        return np.sqrt(ap / (2.0 * math.pi * m * hbar)) * np.exp(1j * phase)
-    if family in (EigenFamily.MI, EigenFamily.T3):
-        return _mi_norm(consts) * np.sqrt(ap) * np.sin(phase)
-    raise ValueError(f"unknown family {family}")
+        amp, wave = np.sqrt(ap / (2.0 * math.pi * m * hbar)), np.exp(1j * phase)
+        np.multiply(amp, wave, out=plus)
+        if family is EigenFamily.KDM:
+            np.multiply(amp, np.conjugate(wave, out=wave), out=minus)
+        else:
+            minus[...] = plus
+    elif family is EigenFamily.MI:
+        plus[...] = minus[...] = _mi_norm(consts) * np.sqrt(ap) * np.sin(phase)
+    elif family is EigenFamily.T3:
+        block[np.arange(taus.size), (taus < 0.0).astype(np.intp)] = _mi_norm(consts) * np.sqrt(ap) * np.sin(phase)
+    else:
+        raise ValueError(f"unknown family {family}")
+    return block
 
 
-def _eigenstate_block(family: EigenFamily, taus: np.ndarray, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
-    """Eigenstates phi_tau(p) for a 1-D array of taus, shape (taus.size, p.size),
-    C-ordered.  Row k equals eigenstate_values(family, taus[k], p, consts).
-
-    Every family depends on |p| alone up to an exact sign rule: phi(-p) =
-    phi(p) for AB and MI, conj phi(p) for KDM and NEW, and T3 is the MI form
-    on one sector.  So each is evaluated on _mirror_half's |p| by _half_block
-    and expanded; this is the one place that expands to the full grid.  KDM
-    conjugates its exponential before the amplitude multiplies it, as the
-    full-grid formula does, so even the signed zeros of Im phi (at phase 0 or
-    an underflowed one) are that formula's.
-    """
-    taus = np.asarray(taus, dtype=float)
-    p = np.asarray(p, dtype=float)
-    ap, index = _mirror_half(p)
-    if family is EigenFamily.KDM:
-        m, hbar = consts.mass, consts.hbar
-        wave = np.take(np.exp(1j * (ap * ap * taus[:, None] / (2.0 * m * hbar))), index, axis=1)
-        amp = np.sqrt(ap / (2.0 * math.pi * m * hbar))
-        return amp[index] * np.conjugate(wave, out=wave, where=p < 0.0)
-    full = np.take(_half_block(family, taus, ap, consts), index, axis=1)
-    if family is EigenFamily.NEW:
-        return np.conjugate(full, out=full, where=p < 0.0)
-    if family is EigenFamily.T3:
-        full = np.where(np.where(taus[:, None] >= 0.0, p > 0.0, p < 0.0), full, 0.0)
-    return full.astype(complex, copy=False)
-
-
-def _fold_weights(family: EigenFamily, folded: np.ndarray) -> np.ndarray:
-    """The rows u that _fold_overlaps sums each half-grid eigenstate phi
-    against, for a packet b folded by _fold into b+ and b- (its values at
-    +|p| and -|p|).  The mirror rules give <phi|b> = conj(sum phi conj b+) +
-    sum phi b- for KDM and NEW, conj(sum phi conj(b+ + b-)) for AB,
-    sum phi (b+ + b-) for the real MI, and sum phi b+ (tau >= 0) or
-    sum phi b- (tau < 0) for the real T3, whose rows u are split into their
-    real and imaginary parts."""
-    plus, minus = folded
-    if family in (EigenFamily.KDM, EigenFamily.NEW):
-        return np.stack([np.conj(plus), minus])
-    if family is EigenFamily.AB:
-        return np.conj(plus + minus)[None]
-    rows = np.stack([plus, minus]) if family is EigenFamily.T3 else (plus + minus)[None]
-    return np.stack([rows.real, rows.imag], axis=1).reshape(-1, rows.shape[1])
-
-
-def _trim(ap: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The |p| of the half grid and the _fold_weights columns that an overlap
-    needs.  With m_k = max over the weight rows of |u_k|, the samples of
-    smallest m_k are dropped for as long as their summed m stays within
-    (eps/2) sum(m), so a dropped part of any overlap is at most
-    max|phi| (eps/2) sum(m), below the rounding bound of the pairwise sum over
-    the whole grid.  The kept weights are a C-ordered copy: numpy sums pairwise
-    only along a contiguous axis.  An all-zero packet keeps no sample."""
-    m = np.max(np.abs(weights), axis=0)
+def _trim(ap: np.ndarray, folded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The |p| of the half grid and the columns of a _fold-ed packet b that an
+    overlap needs.  With m_k = |b+_k| + |b-_k|, the samples of smallest m_k
+    are dropped for as long as their summed m stays within (eps/2) sum(m), so
+    a dropped part of any overlap is at most max|phi| (eps/2) sum(m), below
+    the rounding bound of the pairwise sum over the whole grid.  An all-zero
+    packet keeps no sample."""
+    m = np.abs(folded[0]) + np.abs(folded[1])
     order = np.argsort(m, kind="stable")
-    # a mask keeps grid order without np.sort, whose first call on integers
-    # raised peak RSS by about 0.4 MB
+    # a mask keeps grid order; sorting the kept indices instead would load
+    # np.sort, a numpy kernel nothing else on this path uses, and raise peak RSS
     keep = np.ones(ap.size, dtype=bool)
     keep[order[np.cumsum(m[order]) <= 0.5 * np.finfo(float).eps * m.sum()]] = False
-    return ap[keep], np.ascontiguousarray(weights[:, keep])
+    return ap[keep], folded[:, keep]
 
 
-def _fold_overlaps(family: EigenFamily, taus: np.ndarray, half: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """<phi_tau|b> for each tau of a _half_block, from the _fold_weights of b.
-    Each row is summed against each weight row on its own, so a row does not
-    depend on the rows beside it, and pairwise, as numpy's sum does: where the
-    two halves of an overlap cancel, a BLAS dot product lost up to 10x more
-    digits.  The product is formed C-ordered, whatever the layout of
-    `weights`, because numpy sums pairwise only along a contiguous axis."""
-    sums = np.multiply(half[:, None, :], weights, order="C").sum(axis=2)
-    if family is EigenFamily.T3:
-        plus, minus = sums.view(complex).T
-        return np.where(taus < 0.0, minus, plus)
-    if family is EigenFamily.MI:
-        return sums.view(complex)[:, 0]
-    if family is EigenFamily.AB:
-        return np.conj(sums[:, 0])
-    return np.conj(sums[:, 0]) + sums[:, 1]
-
-
-def _fold_rows(family: EigenFamily, taus: np.ndarray, half: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_k g_k phi_tau_k at +|p| and at -|p|, shape (2, |p|.size), for the
-    taus of a _half_block, by the mirror rules of _fold_weights.  Sums over
-    the block's rows, not a BLAS matrix product: nothing else on the spectral
-    path calls BLAS, and its first call raises peak RSS by about 0.4 MB."""
-    if family is EigenFamily.T3:
-        neg = taus < 0.0
-        coefs = np.where([~neg, neg], g, 0.0)  # each tau reconstructs its own side
-    elif family in (EigenFamily.KDM, EigenFamily.NEW):
-        coefs = np.stack([g, np.conj(g)])  # phi(-|p|) = conj phi(+|p|)
-    else:
-        coefs = g[None]
-    rows = (coefs[:, :, None] * half).sum(axis=1)
-    if family in (EigenFamily.KDM, EigenFamily.NEW):
-        return np.stack([rows[0], np.conj(rows[1])])
-    return rows if family is EigenFamily.T3 else np.concatenate([rows, rows])
+def _overlaps(half: np.ndarray, folded: np.ndarray) -> np.ndarray:
+    """<phi_tau|b> = sum over both sides and |p| of conj(phi) b, for each tau
+    of a _half_block and a _fold-ed packet b, as conj(sum phi conj(b)).
+    Each tau and side is its own pairwise sum along |p|, as numpy's sum is,
+    so a tau does not depend on the taus beside it: where the two sides of
+    an overlap cancel, a BLAS dot product lost up to 10x more digits.  The
+    product is formed C-ordered, whatever the layout of either factor,
+    because numpy sums pairwise only along a contiguous axis."""
+    sums = np.multiply(half, np.conj(folded), order="C").sum(axis=2)
+    return np.conj(sums[:, 0] + sums[:, 1])
 
 
 def eigenstate_values(family: EigenFamily, tau: float, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
-    """Eigenstate phi_tau sampled on an array of momenta (no p = 0 allowed).
-
-    The one-row call of the block evaluator; tau is a finite scalar.
-    """
-    return _eigenstate_block(family, np.array([float(_check_taus(tau, "tau"))]), p, consts)[0]
+    """Eigenstate phi_tau sampled on an array of momenta (no p = 0 allowed);
+    tau is a finite scalar.  The _half_block row of tau, at each momentum's
+    |p| on its side."""
+    taus = np.array([float(_check_taus(tau, "tau"))])
+    p = np.asarray(p, dtype=float)
+    ap, index = _mirror_half(p)
+    return _half_block(family, taus, ap, consts)[0][(p < 0.0).astype(np.intp), index]
 
 
 def eigenstate(family: EigenFamily, tau: float, p: float, consts: PhysConsts = PhysConsts()) -> complex:
@@ -418,13 +370,6 @@ def eigenstate(family: EigenFamily, tau: float, p: float, consts: PhysConsts = P
     if p == 0.0:
         raise ValueError("eigenstates are not defined at p = 0")
     return complex(eigenstate_values(family, float(tau), np.array([float(p)]), consts)[0])
-
-
-def new_low_momentum_slope(tau: float, consts: PhysConsts = PhysConsts()) -> float:
-    """Small-z limit of phi_tau(p)/|p| for the NEW family:
-    tau^(1/4) / (2 Gamma(3/4) (m hbar)^(3/4))."""
-    m, hbar = consts.mass, consts.hbar
-    return tau**0.25 / (2.0 * GAMMA_3_4 * (m * hbar) ** 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -602,20 +547,19 @@ def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -
     """Pi(tau_k) = |<psi|phi_tau_k>|^2.
 
     The Simpson-weighted packet is folded onto the half grid once (_fold) and
-    the grid trimmed to the packet's support (_trim), the eigenstates are
-    evaluated there in blocks of taus, and each overlap is its own dot
-    product over the kept |p| (_fold_overlaps).  The kept samples depend on
-    the packet alone, so a value equals a one-tau call bitwise, and equals
-    the full-grid sum to rounding.  NEW takes taus of either sign.
+    trimmed to its support (_trim), the eigenstates are evaluated there at
+    +|p| and -|p| in blocks of taus (_half_block), and each overlap is its
+    own sum over both sides of the kept |p| (_overlaps).  The kept samples
+    depend on the packet alone, so a value equals a one-tau call bitwise, and
+    equals the full-grid sum to rounding.  NEW takes taus of either sign.
     """
     _check_momentum_state(psi)
     tau_grid = _check_taus(tau_grid, "tau_grid", increasing=True)
-    ap, folded = _fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values)
-    ap, weights = _trim(ap, _fold_weights(family, folded))
+    ap, folded = _trim(*_fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values))
     vals = np.empty(tau_grid.size)
     for start, taus in _tau_blocks(tau_grid, ap.size):
         half = _half_block(family, taus, ap, psi.consts)
-        vals[start : start + taus.size] = np.abs(_fold_overlaps(family, taus, half, weights)) ** 2
+        vals[start : start + taus.size] = np.abs(_overlaps(half, folded)) ** 2
     return Distribution(tau_grid, vals, family.value, {"norm": psi.norm_squared()})
 
 
@@ -626,11 +570,12 @@ def kijowski_distribution(psi: WaveFunction, t: float | np.ndarray) -> float | n
     With the exact momentum-basis kernel <p|delta(x)|p'> = 1/(2 pi hbar) this
     is the rank-one form (1/(2 pi m hbar)) |integral dp |p|^(1/2) psi_t(p)|^2,
     identical to |<psi|phi^AB_t>|^2.  The phase exp(-i p^2 t / 2 m hbar) is
-    even in p, so it is summed over |p|, as AB's overlap is, against
+    even in p, so it is AB's eigenstate up to its amplitude: the same phase
+    row on both sides of the half grid, summed by _overlaps against
     w |p|^(1/2) psi folded once onto the half grid and trimmed to its
-    support (_trim), in _tau_blocks blocks of times, each time its own dot
-    product.  So a value equals a one-time call bitwise, and equals the
-    full-grid sum to rounding.
+    support (_trim), in _tau_blocks blocks of times, each time its own sum.
+    So a value equals a one-time call bitwise, and equals the full-grid sum
+    to rounding.
     """
     _check_momentum_state(psi)
     ts = _check_taus(t, "t")
@@ -639,14 +584,13 @@ def kijowski_distribution(psi: WaveFunction, t: float | np.ndarray) -> float | n
     m, hbar = psi.consts.mass, psi.consts.hbar
     p = psi.grid
     w = simpson_weights(p.size, psi.dx)
-    ap, folded = _fold(p, w * (np.sqrt(np.abs(p)) * psi.values))
-    ap, weights = _trim(ap, _fold_weights(EigenFamily.AB, folded))
+    ap, folded = _trim(*_fold(p, w * (np.sqrt(np.abs(p)) * psi.values)))
     flat = ts.reshape(-1)
     amp = np.empty(flat.size, dtype=complex)
     for start, block in _tau_blocks(flat, ap.size):
-        # AB's rule sums conj(phase) against the packet
+        # one phase row, broadcast over both sides
         phase = np.exp(1j * ap**2 * block[:, None] / (2.0 * m * hbar))
-        amp[start : start + block.size] = _fold_overlaps(EigenFamily.AB, block, phase, weights)
+        amp[start : start + block.size] = _overlaps(phase[:, None, :], folded)
     # Python's abs and ** on each amplitude: numpy's complex abs and square
     # round differently in the last digit
     dens = [abs(a) ** 2 / (2.0 * math.pi * m * hbar) for a in amp.tolist()]
@@ -703,8 +647,7 @@ def _free_currents(values: np.ndarray, p: np.ndarray, dp: float, ts: np.ndarray,
 
 
 # Rows of C per block in _free_current_integrals (128 KB at 512 energies):
-# 32 to 512 rows time within 15% of each other, 128 rows read 0.4 MB more peak
-# RSS on the measurement benchmark, and 2-row blocks were up to 4x slower.
+# enough for one real matrix product per block, without holding C whole.
 _C_ROWS = 32
 
 
@@ -837,11 +780,12 @@ def completeness_check(
     when more than 1e-4 of the overlap mass lies outside the window.
 
     The packet and its Simpson weights are folded onto the half grid once
-    (_fold), the eigenstates are evaluated there in blocks of taus, and each
-    block adds its overlaps c = <phi|psi> (_fold_overlaps) and its share of
-    psi_rec at +|p| and at -|p| by sums over the whole block; the error is a
-    sum over both halves.  So it equals a per-tau loop over the full grid to
-    rounding, and moves in its last digits whenever the block size changes.
+    (_fold), the eigenstates are evaluated there at +|p| and -|p| in blocks
+    of taus (_half_block), and each block adds its overlaps c = <phi|psi>
+    (_overlaps) and its share sum (w c) phi of psi_rec on both sides; AB's
+    sectors are masks on the folded packet.  The error is a sum over both
+    sides.  So it equals a per-tau loop over the full grid to rounding, and
+    moves in its last digits whenever the block size changes.
     """
     _check_momentum_state(psi)
     lo, hi = _check_taus(tau_range, "tau_range").tolist()
@@ -854,21 +798,16 @@ def completeness_check(
     wp = simpson_weights(psi.grid.size, psi.dx)
     ap, (wp, values) = _fold(psi.grid, np.stack([wp, psi.values]))
     wp = wp.real
-    target = wp * values
-    if family is EigenFamily.AB:
-        # the theta(+p) and theta(-p) sectors: each overlaps one side and rebuilds it
-        sectors = [(side, _fold_weights(family, target * np.eye(2)[side, :, None])) for side in (0, 1)]
-    else:
-        sectors = [(slice(None), _fold_weights(family, target))]
+    # AB's theta(+p) and theta(-p) sectors each overlap one side and rebuild it
+    sectors = (np.eye(2)[:, :, None] if family is EigenFamily.AB else np.ones((1, 2, 1))) * (wp * values)
     rec = np.zeros((2, ap.size), dtype=complex)
     mass = 0.0
     for start, block in _tau_blocks(taus, ap.size):
         half = _half_block(family, block, ap, psi.consts)
-        w = wt[start : start + block.size]
-        for sides, weights in sectors:
-            c = _fold_overlaps(family, block, half, weights)
-            rec[sides] += _fold_rows(family, block, half, w * c)[sides]
-            mass += float(np.sum(w * np.abs(c) ** 2))
+        w = wt[start : start + block.size, None]
+        c = np.stack([_overlaps(half, packet) for packet in sectors], axis=1)  # one column per sector
+        rec += np.sum((w * c)[:, :, None] * half, axis=0)
+        mass += float(np.sum(w * np.abs(c) ** 2))
 
     norm2 = psi.norm_squared()
     if 1.0 - mass / norm2 > 1e-4:

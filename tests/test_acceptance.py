@@ -23,12 +23,12 @@ from qarrival import (
     eigenstate,
     eigenstate_values,
     kinetic_energy_density,
-    new_low_momentum_slope,
     small_time_current_law,
     solve_eigen_ode,
 )
 from qarrival.numerics import GAMMA_3_4
 from qarrival.states import Representation, WaveFunction
+from util_new_oracle import new_low_momentum_slope
 from util_spectral import chebyshev_nodes_and_diff
 
 

@@ -280,3 +280,12 @@ class TestInputValidation:
         res = run_cli("spectrum", "--family", "kdm", "--tau", "nan")
         assert res.returncode == 2
         assert "'tau'" in res.stderr
+
+    @pytest.mark.parametrize("field,text", [("n", "1e400"), ("tau_count", "-Infinity")], ids=["n", "tau_count"])
+    def test_infinite_integer_in_config_exits_2(self, tmp_path, field, text):
+        # int() of an infinite float raises OverflowError, not ValueError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{field}": {text}}}')
+        res = run_cli("distribution", "--family", "kdm", "--config", str(cfg))
+        assert res.returncode == 2
+        assert f"config field '{field}'" in res.stderr

@@ -54,9 +54,9 @@ def test_eigenstate_values_takes_a_scalar_tau(grid, consts):
 
 def test_block_evaluator_is_private():
     # the tracer wraps public names only, so the block evaluator is never traced
-    assert callable(operators._eigenstate_block)
-    assert "_eigenstate_block" not in qarrival.__all__
-    assert not hasattr(qarrival, "_eigenstate_block")
+    assert callable(operators._half_block)
+    assert "_half_block" not in qarrival.__all__
+    assert not hasattr(qarrival, "_half_block")
 
 
 def test_traced_calls_see_scalar_taus(monkeypatch, tmp_path, fast_packet):

@@ -22,7 +22,6 @@ from qarrival import (
     make_gaussian,
     make_reflected_state,
     make_zeno_chain,
-    sequential_probability,
     simpson_weights,
     small_time_current_law,
     to_momentum,
@@ -130,24 +129,22 @@ class TestSequentialProbability:
         x = pos_packet.grid
         full = WindowSpec(0.0, float(x[-1]))
         chain = MeasurementChain(pos_packet, ((0.1, full),))
-        assert sequential_probability(chain) == pytest.approx(1.0, abs=1e-6)
+        assert chain_final_state(chain)[1] == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_nonincreasing(self, pos_packet):
         w = WindowSpec(-4.0, 4.0)
         probs = []
         for k in (1, 2, 3):
             events = tuple((0.05 * i, w) for i in range(1, k + 1))
-            probs.append(sequential_probability(MeasurementChain(pos_packet, events)))
+            probs.append(chain_final_state(MeasurementChain(pos_packet, events))[1])
         assert probs[0] >= probs[1] >= probs[2]
 
     def test_full_window_insertion_invariance(self, pos_packet):
         x = pos_packet.grid
         full = WindowSpec(0.0, float(x[-1]))
         w = WindowSpec(-4.0, 4.0)
-        base = sequential_probability(MeasurementChain(pos_packet, ((0.1, w),)))
-        with_full = sequential_probability(
-            MeasurementChain(pos_packet, ((0.05, full), (0.1, w)))
-        )
+        base = chain_final_state(MeasurementChain(pos_packet, ((0.1, w),)))[1]
+        with_full = chain_final_state(MeasurementChain(pos_packet, ((0.05, full), (0.1, w))))[1]
         assert with_full == pytest.approx(base, abs=1e-10)
 
     def test_times_must_increase(self, pos_packet):

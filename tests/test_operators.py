@@ -26,7 +26,6 @@ from qarrival import (
     kijowski_distribution,
     kinetic_energy_density,
     make_gaussian,
-    new_low_momentum_slope,
     numerics,
     overlap,
     simpson_weights,
@@ -34,29 +33,21 @@ from qarrival import (
 )
 from qarrival.operators import (
     BAND_WIDTH,
-    _eigenstate_block,
     _fold,
-    _fold_overlaps,
-    _fold_rows,
-    _fold_weights,
     _free_current_integrals,
     _half_block,
     _mirror_half,
     _new_eigenstate_half,
+    _overlaps,
     _tau_blocks,
     _trim,
 )
-from qarrival.states import (
-    Representation,
-    WaveFunction,
-    derivative_at_origin,
-    reflected_position_state,
-    value_at_origin,
-)
+from qarrival.states import Representation, WaveFunction, reflected_position_state
 import util_new_oracle as oracle
 from test_numerics import brute_series_j
 from util_current import stencil_current
 from util_dense import dense_current_delta_form, dense_hermiticity_defect, dense_matrix, dense_operator
+from util_origin import derivative_at_origin, value_at_origin
 from util_pertau import completeness_per_tau, distribution_per_tau
 from util_spectral import chebyshev_nodes_and_diff
 
@@ -100,7 +91,7 @@ class TestEigenstates:
     def test_new_low_momentum_limit(self, consts):
         # complex value approaches the real slope limit as z -> 0
         tau = 1.3
-        slope = new_low_momentum_slope(tau, consts)
+        slope = oracle.new_low_momentum_slope(tau, consts)
         p = math.sqrt(2.0 * 1e-7 / tau)  # z = 1e-7
         val = eigenstate(EigenFamily.NEW, tau, p, consts)
         assert abs(val / p - slope) / slope < 1e-6
@@ -135,10 +126,19 @@ def _full_grid_formula(family, taus, p, consts):
     return np.where(np.where(tau >= 0.0, p > 0.0, p < 0.0), vals, 0.0).astype(complex)
 
 
-def _kept_samples(psi, family):
+def _eigenstate_rows(family, taus, p, consts):
+    """eigenstate_values at each tau, one row per tau."""
+    return np.array([eigenstate_values(family, float(tau), p, consts) for tau in taus])
+
+
+def _expanded(block, p):
+    """The rows of a _half_block on _mirror_half(p)'s |p|, at each momentum of p on its side."""
+    return block[:, (p < 0.0).astype(np.intp), _mirror_half(p)[1]]
+
+
+def _kept_samples(psi):
     """The |p| that distribution keeps for psi: the half grid trimmed by _trim."""
-    ap, folded = _fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values)
-    return _trim(ap, _fold_weights(family, folded))[0].size
+    return _trim(*_fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values))[0].size
 
 
 def _has_partial_last_block(taus, samples):
@@ -148,6 +148,8 @@ def _has_partial_last_block(taus, samples):
 
 
 class TestEigenstateBlock:
+    """Blocks of eigenstates at +|p| and -|p| (_half_block) and their rows on the full grid."""
+
     # NEW: tau = 0, series only (z < 10 everywhere at p_max = 40), and both
     # regimes within one row (z = 10 at |p| = sqrt(20 / tau))
     TAUS = {
@@ -162,10 +164,34 @@ class TestEigenstateBlock:
     def test_rows_equal_per_row_calls(self, family, grid, consts):
         p = grid.momenta()
         taus = np.array(self.TAUS[family])
-        block = _eigenstate_block(family, taus, p, consts)
-        assert block.shape == (taus.size, p.size)
-        for row, tau in zip(block, taus):
+        block = _half_block(family, taus, _mirror_half(p)[0], consts)
+        assert block.shape == (taus.size, 2, p.size // 2)
+        for row, tau in zip(_expanded(block, p), taus):
             assert np.array_equal(row, eigenstate_values(family, float(tau), p, consts))
+
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
+    def test_minus_row_is_eigenstate_at_minus_p(self, family, grid, consts):
+        # the one mirror rule: row 1 is phi_tau(-|p|), byte for byte, signed
+        # zeros too (tau = +-0, and KDM's underflowed phases at tau = 1e-322),
+        # against the full-grid formulas and the NEW oracle
+        ap = _mirror_half(grid.momenta())[0]
+        taus = np.array([-0.9, -0.0, 0.0, 1e-322, 1e-4, 0.3, 1.9])
+        if family is EigenFamily.MI:
+            taus = taus[~np.signbit(taus)]
+        block = _half_block(family, taus, ap, consts)
+        if family is EigenFamily.NEW:
+            plus = oracle.new_eigenstate_half(np.abs(taus), ap, consts)
+            np.conjugate(plus, out=plus, where=(taus < 0.0)[:, None])
+            ref = np.stack([plus, np.conj(plus)], axis=1)
+        else:
+            ref = np.stack([_full_grid_formula(family, taus, side * ap, consts) for side in (1.0, -1.0)], axis=1)
+        assert block.tobytes() == ref.tobytes()
+        for row, tau in zip(block, taus):
+            assert row[1].tobytes() == eigenstate_values(family, float(tau), -ap, consts).tobytes()
+            assert row[0].tobytes() == eigenstate_values(family, float(tau), ap, consts).tobytes()
+        if family is EigenFamily.KDM:
+            im = block[taus == 1e-322, 1].imag
+            assert np.any((im == 0.0) & np.signbit(im)) and np.any((im == 0.0) & ~np.signbit(im))
 
     def test_new_taus_cover_both_regimes(self, grid, consts):
         z_per_tau = grid.momenta() ** 2 / (2.0 * consts.mass * consts.hbar)
@@ -173,22 +199,23 @@ class TestEigenstateBlock:
 
     @pytest.mark.parametrize("family", [EigenFamily.MI, EigenFamily.NEW], ids=lambda f: f.value)
     def test_tau_zero_row_is_zero(self, family, grid, consts):
-        block = _eigenstate_block(family, np.array([0.0, 0.5]), grid.momenta(), consts)
-        assert np.array_equal(block[0], np.zeros(grid.n))
+        block = _half_block(family, np.array([0.0, 0.5]), _mirror_half(grid.momenta())[0], consts)
+        assert np.array_equal(block[0], np.zeros((2, grid.n // 2)))
         assert np.all(block[1] != 0.0)
 
     @pytest.mark.parametrize("family", [EigenFamily.MI], ids=lambda f: f.value)
     def test_negative_tau_rejected(self, family, grid, consts, fast_packet):
         with pytest.raises(ValueError, match="tau >= 0"):
-            _eigenstate_block(family, np.array([0.3, -0.1, 0.5]), grid.momenta(), consts)
+            _half_block(family, np.array([0.3, -0.1, 0.5]), _mirror_half(grid.momenta())[0], consts)
         with pytest.raises(ValueError, match="tau >= 0"):
             distribution(fast_packet, family, np.linspace(-0.2, 0.5, 36))
 
     def test_new_negative_tau_is_conjugate(self, grid, consts):
         # C T_NEW C = -T_NEW, so phi_{-tau} = conj phi_tau, bitwise (tau = -0 gives tau = 0's zero row)
         taus = np.array([0.0, 1e-4, 0.01, 0.3, 0.7, 1.9])
-        block = _eigenstate_block(EigenFamily.NEW, taus, grid.momenta(), consts)
-        assert np.array_equal(_eigenstate_block(EigenFamily.NEW, -taus, grid.momenta(), consts), np.conj(block))
+        ap = _mirror_half(grid.momenta())[0]
+        block = _half_block(EigenFamily.NEW, taus, ap, consts)
+        assert np.array_equal(_half_block(EigenFamily.NEW, -taus, ap, consts), np.conj(block))
 
     @pytest.mark.parametrize("n", [1024, 4096])
     def test_new_time_reversal(self, n, fast_spec):
@@ -205,9 +232,9 @@ class TestEigenstateBlock:
     def test_mirror_is_exact(self, family, grid, consts):
         # phi(-p) = phi(p) (AB, MI), conj phi(p) (KDM, NEW); T3 maps tau -> -tau
         taus = np.array([0.0, 1e-4, 0.3, 0.7, 1.9])
-        block = _eigenstate_block(family, taus, grid.momenta(), consts)
+        block = _eigenstate_rows(family, taus, grid.momenta(), consts)
         if family is EigenFamily.T3:
-            mirror = _eigenstate_block(family, -taus, grid.momenta(), consts)[:, ::-1]
+            mirror = _eigenstate_rows(family, -taus, grid.momenta(), consts)[:, ::-1]
         else:
             mirror = block[:, ::-1]
         if family in (EigenFamily.KDM, EigenFamily.NEW):
@@ -223,24 +250,24 @@ class TestEigenstateBlock:
         if family is EigenFamily.MI:
             taus = taus[~np.signbit(taus)]
         for p in (grid.momenta(), rng.permutation(grid.momenta())[:100], np.array([-1.5, 3.0, 1.5])):
-            block = _eigenstate_block(family, taus, p, consts)
-            ref = _full_grid_formula(family, taus, p, consts)
-            assert block.tobytes() == ref.tobytes()
-            assert block.flags.c_contiguous
+            for tau, ref in zip(taus, _full_grid_formula(family, taus, p, consts)):
+                row = eigenstate_values(family, float(tau), p, consts)
+                assert row.tobytes() == ref.tobytes()
+                assert row.flags.c_contiguous
 
     def test_new_on_unordered_momenta(self, grid, consts, rng):
         # the half-grid evaluation also serves momenta that are not a mirror grid
         p = grid.momenta()
         order = rng.permutation(p.size)[: p.size // 3]
-        full = _eigenstate_block(EigenFamily.NEW, np.array([0.3, 0.7]), p, consts)
-        part = _eigenstate_block(EigenFamily.NEW, np.array([0.3, 0.7]), p[order], consts)
+        full = _eigenstate_rows(EigenFamily.NEW, [0.3, 0.7], p, consts)
+        part = _eigenstate_rows(EigenFamily.NEW, [0.3, 0.7], p[order], consts)
         assert np.array_equal(part, full[:, order])
 
     def test_new_on_odd_palindrome(self, consts):
         # |p| = (1.5, 3, 1.5): the upper half holds the middle sample; z = 18 at p = 3, tau = 4
         p = np.array([-1.5, 3.0, 1.5])
         taus = np.array([0.3, 4.0])
-        block = _eigenstate_block(EigenFamily.NEW, taus, p, consts)
+        block = _eigenstate_rows(EigenFamily.NEW, taus, p, consts)
         for j, pj in enumerate(p):
             single = [eigenstate_values(EigenFamily.NEW, t, np.array([pj]), consts)[0] for t in taus]
             assert np.array_equal(block[:, j], single)
@@ -282,7 +309,7 @@ class TestNewAgainstComplexOracle:
         taus = np.array([0.0, 1e-320, 1e-4, 0.3, 0.7, 1.9])
         expected = oracle.new_eigenstate_half(taus, np.abs(p), consts)
         np.conjugate(expected, out=expected, where=p < 0.0)
-        assert _eigenstate_block(EigenFamily.NEW, taus, p, consts).tobytes() == expected.tobytes()
+        assert _eigenstate_rows(EigenFamily.NEW, taus, p, consts).tobytes() == expected.tobytes()
 
 
 class TestNonFiniteTau:
@@ -321,7 +348,7 @@ class TestBlockedSpectralCalls:
     @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
     def test_distribution_equals_per_tau_loop(self, family, fast_packet):
         taus = np.linspace(0.0, 1.0, 201)  # the CLI default preset
-        assert _has_partial_last_block(taus, _kept_samples(fast_packet, family))
+        assert _has_partial_last_block(taus, _kept_samples(fast_packet))
         dist = distribution(fast_packet, family, taus)
         ref = distribution_per_tau(fast_packet, family, taus)
         assert np.max(np.abs(dist.values - ref)) <= FOLD_TOL * ref.max()
@@ -433,18 +460,31 @@ class TestFold:
             b = b + 0.3j * rng.standard_normal(p.size)  # both momentum signs carry weight
             ap, folded = _fold(p, b)
             half = _half_block(family, taus, ap, consts)
-            full = _eigenstate_block(family, taus, p, consts)
+            full = _eigenstate_rows(family, taus, p, consts)
+            assert np.array_equal(_expanded(half, p), full), name
             # <phi_tau|b> for every tau
-            got = _fold_overlaps(family, taus, half, _fold_weights(family, folded))
+            got = _overlaps(half, folded)
             ref = np.array([np.sum(np.conj(row) * b) for row in full])
             assert np.max(np.abs(got - ref)) <= FOLD_TOL * np.max(np.abs(ref)), name
-            # sum_k g_k phi_tau_k, folded back onto each side of the grid
+            # sum_k g_k phi_tau_k on each side of the half grid, as completeness_check adds it
             g = rng.standard_normal(taus.size) + 1j * rng.standard_normal(taus.size)
-            rows = _fold_rows(family, taus, half, g)
+            rows = np.sum(g[:, None, None] * half, axis=0)
             ref_rows = np.sum(g[:, None] * full, axis=0)
             _, ref_folded = _fold(p, ref_rows)
             missing = _fold(p, np.ones(p.size))[1] == 0.0  # sides with no momentum
             assert np.max(np.abs(np.where(missing, 0.0, rows) - ref_folded)) <= FOLD_TOL * np.max(np.abs(ref_rows))
+
+    @pytest.mark.parametrize("family", [EigenFamily.KDM, EigenFamily.NEW], ids=lambda f: f.value)
+    def test_conjugating_families_sum_each_side_pairwise(self, family, fast_packet, reflected_packet):
+        # phi(-|p|) = conj phi(+|p|), so <phi|b> = conj(sum phi+ conj b+) + sum phi+ b-,
+        # to the last bit: one pairwise sum per side, never one sum over both sides
+        taus = np.linspace(0.0, 1.0, 15)
+        for psi in (fast_packet, reflected_packet):
+            ap, folded = _fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values)
+            half = _half_block(family, taus, ap, psi.consts)
+            plus = half[:, 0]
+            ref = np.conj(np.sum(plus * np.conj(folded[0]), axis=1)) + np.sum(plus * folded[1], axis=1)
+            assert np.array_equal(_overlaps(half, folded), ref)
 
     def test_fold_places_each_sample(self, grid, rng):
         # each sample lands once, at its |p| on its own side; a mirror grid
@@ -490,7 +530,7 @@ class TestTrim:
     def test_matches_full_grid_oracle(self, packet, request):
         psi = request.getfixturevalue(packet)
         taus = np.linspace(*self.WINDOWS[packet], 101)
-        kept = _kept_samples(psi, EigenFamily.AB)
+        kept = _kept_samples(psi)
         half = psi.grid.size // 2
         assert kept == half if packet == "reflected_packet" else kept < half
         for family in EigenFamily:
@@ -505,9 +545,9 @@ class TestTrim:
         # reconstruction needs every |p|
         calls = []
 
-        def counting(ap, weights):
+        def counting(ap, folded):
             calls.append(ap.size)
-            return _trim(ap, weights)
+            return _trim(ap, folded)
 
         monkeypatch.setattr("qarrival.operators._trim", counting)
         distribution(fast_packet, EigenFamily.NEW, np.linspace(0.0, 1.0, 21))
@@ -515,32 +555,32 @@ class TestTrim:
         completeness_check(EigenFamily.KDM, fast_packet, (-0.25, 1.25), 101)
         assert calls == [fast_packet.grid.size // 2] * 2
 
-    def test_kept_count_pinned(self, fast_packet):
-        assert [_kept_samples(fast_packet, family) for family in EigenFamily] == [277] * len(EigenFamily)
+    def test_kept_count_pinned(self, fast_packet, slow_packet):
+        # one kept set per packet, whatever the family
+        assert (_kept_samples(fast_packet), _kept_samples(slow_packet)) == (277, 162)
 
     @pytest.mark.parametrize("packet", list(WINDOWS))
     def test_dropped_mass_within_half_eps(self, packet, request):
         # the dropped samples are the smallest, and their summed m stays within (eps/2) sum(m)
         psi = request.getfixturevalue(packet)
         ap, folded = _fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values)
-        for family in EigenFamily:
-            weights = _fold_weights(family, folded)
-            kept_ap, kept = _trim(ap, weights)
-            assert kept.flags.c_contiguous
-            m = np.max(np.abs(weights), axis=0)
-            dropped = ~np.isin(ap, kept_ap)
-            assert np.array_equal(kept, weights[:, ~dropped])
-            assert np.sum(m[dropped]) <= 0.5 * np.finfo(float).eps * np.sum(m)
-            assert np.max(m[dropped], initial=0.0) <= np.min(m[~dropped])
+        kept_ap, kept = _trim(ap, folded)
+        m = np.abs(folded[0]) + np.abs(folded[1])
+        dropped = ~np.isin(ap, kept_ap)
+        assert np.array_equal(kept, folded[:, ~dropped])
+        assert np.sum(m[dropped]) <= 0.5 * np.finfo(float).eps * np.sum(m)
+        assert np.max(m[dropped], initial=0.0) <= np.min(m[~dropped])
+        # and as many as that bound allows: one more kept sample would break it
+        assert np.sum(m[dropped]) + np.min(m[~dropped]) > 0.5 * np.finfo(float).eps * np.sum(m)
 
     def test_full_support_is_untrimmed_bitwise(self, consts, grid, monkeypatch):
         # sigma_p = 4 fills the grid: every sample is kept, and the sums are the untrimmed ones
         psi = make_gaussian(GaussianSpec(p0=10.0, x0=-5.0, sigma_p=4.0, consts=consts), grid)
         taus = np.linspace(0.0, 1.0, 201)
-        assert all(_kept_samples(psi, family) == grid.n // 2 for family in EigenFamily)
+        assert _kept_samples(psi) == grid.n // 2
         trimmed = [distribution(psi, family, taus).values for family in EigenFamily]
         trimmed.append(kijowski_distribution(psi, taus))
-        monkeypatch.setattr("qarrival.operators._trim", lambda ap, weights: (ap, weights))
+        monkeypatch.setattr("qarrival.operators._trim", lambda ap, folded: (ap, folded))
         untrimmed = [distribution(psi, family, taus).values for family in EigenFamily]
         untrimmed.append(kijowski_distribution(psi, taus))
         for got, ref in zip(trimmed, untrimmed):
@@ -549,27 +589,23 @@ class TestTrim:
     def test_zero_packet_returns_zeros(self, consts, grid):
         psi = WaveFunction(Representation.MOMENTUM, grid.momenta(), np.zeros(grid.n, dtype=complex), consts)
         taus = np.linspace(0.0, 1.0, 201)
-        assert _kept_samples(psi, EigenFamily.KDM) == 0
+        assert _kept_samples(psi) == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for family in EigenFamily:
                 assert np.array_equal(distribution(psi, family, taus).values, np.zeros(taus.size)), family
             assert np.array_equal(kijowski_distribution(psi, taus), np.zeros(taus.size))
 
-    @pytest.mark.parametrize("family", [EigenFamily.KDM, EigenFamily.MI, EigenFamily.T3, EigenFamily.NEW],
-                             ids=lambda f: f.value)
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
     def test_overlaps_of_any_weight_layout(self, family, fast_packet):
-        # boolean-indexed weight rows (AB has one row, which stays contiguous)
-        # are not C-ordered, and sum as their contiguous copy does
+        # a boolean-indexed packet, as _trim returns it, is not C-ordered,
+        # and sums as its contiguous copy does
         ap, folded = _fold(fast_packet.grid, simpson_weights(fast_packet.grid.size, fast_packet.dx) * fast_packet.values)
         mask = np.abs(folded[0]) > 1e-12
-        weights = _fold_weights(family, folded)[:, mask]
-        assert not weights.flags.c_contiguous
-        taus = np.linspace(0.0, 1.0, 15)
-        half = _half_block(family, taus, ap[mask], fast_packet.consts)
-        got = _fold_overlaps(family, taus, half, weights)
-        ref = _fold_overlaps(family, taus, half, np.ascontiguousarray(weights))
-        assert got.tobytes() == ref.tobytes()
+        folded = folded[:, mask]
+        assert not folded.flags.c_contiguous
+        half = _half_block(family, np.linspace(0.0, 1.0, 15), ap[mask], fast_packet.consts)
+        assert _overlaps(half, folded).tobytes() == _overlaps(half, np.ascontiguousarray(folded)).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -841,7 +877,7 @@ class TestKijowski:
 
     def test_array_equals_scalar_calls(self, fast_packet):
         taus = np.linspace(0.0, 1.0, 201)  # the CLI default preset
-        assert _has_partial_last_block(taus, _kept_samples(fast_packet, EigenFamily.AB))
+        assert _has_partial_last_block(taus, _kept_samples(fast_packet))
         vals = kijowski_distribution(fast_packet, taus)
         assert vals.shape == taus.shape
         assert np.array_equal(vals, [kijowski_distribution(fast_packet, float(t)) for t in taus])

@@ -4,14 +4,15 @@ This is the evaluator's earlier form: both orders of a table summed in one
 2-D Clenshaw pass, the high table with complex coefficients, and the
 eigenstate assembled as complex products, amp (f0 + i z f1) below z = 10 and
 amp ((P1 cos A - Q1 sin A) + i (Q2 cos A + P2 sin A)) at and above it.  The
-real-row evaluator of qarrival.operators must equal it byte for byte.
+real-row evaluator of qarrival.operators must equal it byte for byte.  The
+small-z slope of the eigenstate is here too.
 """
 
 import math
 
 import numpy as np
 
-from qarrival.numerics import _BESSEL_HIGH, _BESSEL_LOW, BESSEL_SWITCHOVER
+from qarrival.numerics import _BESSEL_HIGH, _BESSEL_LOW, BESSEL_SWITCHOVER, GAMMA_3_4, PhysConsts
 
 
 def clenshaw_2d(coefs, x):
@@ -61,3 +62,10 @@ def new_eigenstate_half(taus, ap, consts):
         out[hi] = high_table(z[hi], np.broadcast_to(high_amp, z.shape)[hi])
     half[rows] = out
     return half
+
+
+def new_low_momentum_slope(tau, consts=PhysConsts()):
+    """Small-z limit of phi_tau(p)/|p| for the NEW family:
+    tau^(1/4) / (2 Gamma(3/4) (m hbar)^(3/4))."""
+    m, hbar = consts.mass, consts.hbar
+    return tau**0.25 / (2.0 * GAMMA_3_4 * (m * hbar) ** 0.75)

@@ -3,7 +3,8 @@
 
 Each line reads `<sha256 of stdout>  <argv>`, with `  [exit N]` appended when
 the command does not exit 0.  The presets cover every subcommand: `verify` at
-several grid sizes; `spectrum` for all families at four taus; `distribution`
+several grid sizes; `spectrum` for all families at four taus, and for KDM
+at a tau whose phases underflow (signed zeros); `distribution`
 for all families as CSV, JSON and with the Kijowski reference, plus negative,
 log-spaced and reflected-packet windows and a packet that fills the grid;
 every `measure` mode; and `classical`.  A change that should leave every
@@ -49,6 +50,8 @@ def presets() -> list[list[str]]:
     # n = 6 is the smallest interior (2 x 2), where clipping the band columns matters most
     runs = [["verify", "--n", str(n)] for n in (6, 64, 512, 1024, 4096)]
     runs += [["spectrum", "--family", f, "--tau", tau] for f in FAMILIES for tau in ("0", "0.7", "-0.5", "1e-5")]
+    # some phases underflow to 0 here, so im_phi holds both -0.0 and 0.0
+    runs.append(["spectrum", "--family", "kdm", "--tau", "1e-322"])
     for f in FAMILIES:
         runs += [["distribution", "--family", f],
                  ["distribution", "--family", f, "--format", "json"],
