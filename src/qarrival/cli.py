@@ -8,10 +8,12 @@ measure        measurement models: conditional | crossing | zeno
 spectrum       eigenstate table phi_tau(p) over the momentum grid
 classical      classical oracle table (arrival, stopwatch, current moment)
 
-All flags may equivalently be supplied through a JSON --config file (flags
-override the file).  Outputs are deterministic: identical configuration
-produces byte-identical files; run metadata is limited to the resolved
-configuration itself.  Exit codes: 0 ok, 1 verification failure, 2
+Every input is a RunConfig field, set by a flag or by a JSON --config file.
+A field resolves in one order: the RunConfig default, then the preset of the
+measure mode (measure only), then the file, then the flag.  Outputs are
+deterministic: identical configuration produces byte-identical files; run
+metadata is limited to the resolved configuration itself, from which the
+output can be reproduced.  Exit codes: 0 ok, 1 verification failure, 2
 configuration error, 3 numeric failure.
 """
 
@@ -47,10 +49,10 @@ from .measurement import (
 )
 from .states import (
     GaussianSpec,
-    Representation,
     WaveFunction,
     make_gaussian,
     make_reflected_state,
+    position_gaussian,
 )
 
 EXIT_OK = 0
@@ -65,6 +67,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """Every input of a run, one field per flag.  t1, t2, xbar1, delta,
+    x_extent and nx are the geometry of measure --mode conditional: detection
+    times t1 < t2, the first window's center xbar1, every window's width
+    delta, and nx samples of [0, x_extent] for the packet gaussian()."""
+
     p0: float = 10.0
     x0: float = -5.0
     sigma_p: float = 1.0
@@ -82,6 +89,12 @@ class RunConfig:
     mode: str = "crossing"
     tau: float = 1.0
     with_reference: bool = False
+    t1: float = 0.8
+    t2: float = 1.05
+    xbar1: float = 4.0
+    delta: float = 0.5
+    x_extent: float = 40.0
+    nx: int = 4001
 
     def validate(self) -> None:
         for f in fields(self):
@@ -97,10 +110,18 @@ class RunConfig:
             ("tau_count", self.tau_count >= 2, "must be >= 2"),
             ("tau_max", self.tau_max > self.tau_min, "must exceed tau_min"),
             ("L", self.L > 0.0, "must be > 0"),
+            ("t1", self.t1 > 0.0, "must be > 0"),
+            ("t2", self.t2 > self.t1, "must exceed t1"),
+            ("x_extent", self.x_extent > 0.0, "must be > 0"),
+            ("nx", self.nx >= 3, "must be >= 3"),
         ]
         for name, ok, msg in checks:
             if not ok:
                 raise ConfigError(f"config field '{name}': {msg} (got {getattr(self, name)})")
+        # delta >= half the grid step puts a sample in every window and keeps the window count below ~2 nx
+        half_step = 0.5 * self.x_extent / (self.nx - 1)
+        if not self.delta >= half_step:
+            raise ConfigError(f"config field 'delta': must be >= half the grid step {half_step!r} (got {self.delta})")
         if self.tau_spacing not in ("linear", "log"):
             raise ConfigError(
                 f"config field 'tau_spacing': unknown value '{self.tau_spacing}' "
@@ -162,10 +183,18 @@ def load_config(path: str) -> dict:
     return raw
 
 
+_MODE_DEFAULTS = {
+    "zeno": {"p0": 0.3, "x0": -20.0, "sigma_p": 0.125, "n": 1792, "p_max": 40.0,
+             "tau_min": 0.015, "tau_max": 0.045, "tau_count": 9, "tau_spacing": "log",
+             "packet": "reflected"},
+    "conditional": {"p0": -10.0, "x0": 8.0, "sigma_p": 0.5},
+}
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(load_config(args.config))
+    """The validated RunConfig of parsed arguments: defaults, then the preset
+    of the measure mode, then the --config file, then the flags."""
+    values = load_config(args.config) if args.config else {}
     for name in _CONFIG_FIELDS:
         flag_val = getattr(args, name, None)
         if flag_val is not None:
@@ -190,6 +219,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config field '{key}': cannot parse value {val!r} ({exc})") from exc
         setattr(cfg, key, val)
+    # the preset of the parsed mode, which is a string whatever the file held
+    preset = _MODE_DEFAULTS.get(cfg.mode, {}) if args.command == "measure" else {}
+    for key, val in preset.items():
+        if key not in values:
+            setattr(cfg, key, val)
     cfg.validate()
     return cfg
 
@@ -282,28 +316,7 @@ def cmd_verify(cfg: RunConfig, out: str | None, fmt: str) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
-def _validate_conditional_flags(args: argparse.Namespace) -> None:
-    """Reject conditional-mode geometry that would fail or mislead; names the flag.
-
-    A window width delta of at least half the grid step puts a sample in every
-    window and keeps the window count below about 2 nx.
-    """
-    for name in ("xc", "t1", "t2", "xbar1", "delta", "x_extent"):
-        value = getattr(args, name)
-        if not math.isfinite(value):
-            raise ConfigError(f"flag '--{name.replace('_', '-')}': must be finite (got {value})")
-    if args.nx < 3:
-        raise ConfigError(f"flag '--nx': must be >= 3 (got {args.nx})")
-    if args.x_extent <= 0.0:
-        raise ConfigError(f"flag '--x-extent': must be > 0 (got {args.x_extent})")
-    half_step = 0.5 * args.x_extent / (args.nx - 1)
-    if not args.delta >= half_step:
-        raise ConfigError(
-            f"flag '--delta': must be >= half the grid step x_extent/(nx-1) = {half_step!r} (got {args.delta})"
-        )
-
-
-def cmd_measure(cfg: RunConfig, out: str | None, fmt: str, args: argparse.Namespace) -> int:
+def cmd_measure(cfg: RunConfig, out: str | None, fmt: str) -> int:
     if cfg.mode == "crossing":
         taus = cfg.tau_grid()
         res = crossing_probability(cfg.state(), taus)
@@ -330,22 +343,9 @@ def cmd_measure(cfg: RunConfig, out: str | None, fmt: str, args: argparse.Namesp
         write_table(out, fmt, cfg, ["tau", "current", "current_over_sqrt_tau"], rows, checks)
         return EXIT_OK
     # conditional
-    _validate_conditional_flags(args)
-    xc, t1, t2 = args.xc, args.t1, args.t2
-    xbar1, delta = args.xbar1, args.delta
-    x = np.linspace(0.0, args.x_extent, args.nx)
-    consts = cfg.consts()
-    sigma_x = consts.hbar / (2.0 * cfg.sigma_p)
-    vals = (
-        (2.0 * math.pi * sigma_x**2) ** (-0.25)
-        * np.exp(-((x - xc) ** 2) / (4.0 * sigma_x**2))
-        * np.exp(1j * cfg.p0 * x / consts.hbar)
-    ).astype(complex)
-    psi = WaveFunction(Representation.POSITION, x, vals, consts)
-    vals_n = psi.values / math.sqrt(float(np.sum(np.abs(psi.values) ** 2) * psi.dx))
-    psi = WaveFunction(Representation.POSITION, x, vals_n, consts)
-    centers = np.arange(delta, args.x_extent / 2.0, delta / 2.0)
-    cond = conditional_distribution(psi, (xbar1, t1, delta), t2, centers, delta)
+    psi = position_gaussian(cfg.gaussian(), np.linspace(0.0, cfg.x_extent, cfg.nx))
+    centers = np.arange(cfg.delta, cfg.x_extent / 2.0, cfg.delta / 2.0)
+    cond = conditional_distribution(psi, (cfg.xbar1, cfg.t1, cfg.delta), cfg.t2, centers, cfg.delta)
     write_table(out, fmt, cfg, ["xbar2", "p_conditional"], np.column_stack([centers, cond]).tolist())
     return EXIT_OK
 
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--config", help="JSON file supplying any configuration field")
         sp.add_argument("--p0", type=float, help="mean momentum (default 10)")
-        sp.add_argument("--x0", type=float, help="mean position (default -5)")
+        sp.add_argument("--x0", type=float, help="mean position (default -5; zeno preset -20, conditional 8)")
         sp.add_argument("--sigma-p", dest="sigma_p", type=float, help="momentum width (default 1)")
         sp.add_argument("--mass", type=float, help="particle mass (default 1)")
         sp.add_argument("--hbar", type=float, help="reduced Planck constant (default 1)")
@@ -418,14 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("measure", help="measurement models")
     common(sp)
-    sp.add_argument("--mode", choices=("conditional", "crossing", "zeno"))
-    sp.add_argument("--xc", type=float, default=8.0, help="initial packet center (conditional)")
-    sp.add_argument("--t1", type=float, default=0.8)
-    sp.add_argument("--t2", type=float, default=1.05)
-    sp.add_argument("--xbar1", type=float, default=4.0)
-    sp.add_argument("--delta", type=float, default=0.5)
-    sp.add_argument("--x-extent", dest="x_extent", type=float, default=40.0)
-    sp.add_argument("--nx", type=int, default=4001)
+    sp.add_argument("--mode", choices=("conditional", "crossing", "zeno"), help="measurement model (default crossing)")
+    sp.add_argument("--t1", type=float, help="first detection time (conditional; default 0.8)")
+    sp.add_argument("--t2", type=float, help="second detection time (conditional; default 1.05)")
+    sp.add_argument("--xbar1", type=float, help="first window center (conditional; default 4)")
+    sp.add_argument("--delta", type=float, help="window width (conditional; default 0.5)")
+    sp.add_argument("--x-extent", dest="x_extent", type=float, help="position box length (conditional; default 40)")
+    sp.add_argument("--nx", type=int, help="position samples (conditional; default 4001)")
 
     sp = sub.add_parser("spectrum", help="eigenstate table for a family at fixed tau")
     common(sp)
@@ -436,39 +435,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MODE_DEFAULTS = {
-    "zeno": {"p0": 0.3, "x0": -20.0, "sigma_p": 0.125, "n": 1792, "p_max": 40.0,
-             "tau_min": 0.015, "tau_max": 0.045, "tau_count": 9, "tau_spacing": "log",
-             "packet": "reflected"},
-    "conditional": {"p0": -10.0, "sigma_p": 0.5},
+_COMMANDS = {
+    "distribution": cmd_distribution,
+    "verify": cmd_verify,
+    "measure": cmd_measure,
+    "spectrum": cmd_spectrum,
+    "classical": cmd_classical,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "measure" and args.mode in _MODE_DEFAULTS:
-            for key, val in _MODE_DEFAULTS[args.mode].items():
-                if getattr(args, key, None) is None:
-                    setattr(args, key, val)
-        cfg = resolve_config(args)
-        out = getattr(args, "out", None)
-        fmt = getattr(args, "format", "csv")
-        if args.command == "distribution":
-            return cmd_distribution(cfg, out, fmt)
-        if args.command == "verify":
-            return cmd_verify(cfg, out, fmt)
-        if args.command == "measure":
-            return cmd_measure(cfg, out, fmt, args)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, out, fmt)
-        if args.command == "classical":
-            return cmd_classical(cfg, out, fmt)
-        raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return _COMMANDS[args.command](resolve_config(args), args.out, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -356,11 +356,13 @@ def _overlaps(half: np.ndarray, folded: np.ndarray) -> np.ndarray:
 
 
 def eigenstate_values(family: EigenFamily, tau: float, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
-    """Eigenstate phi_tau sampled on an array of momenta (no p = 0 allowed);
+    """Eigenstate phi_tau sampled on a 1-D array of momenta (no p = 0 allowed);
     tau is a finite scalar.  The _half_block row of tau, at each momentum's
     |p| on its side."""
     taus = np.array([float(_check_taus(tau, "tau"))])
     p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"p must be a 1-D array of momenta, got shape {p.shape}")
     ap, index = _mirror_half(p)
     return _half_block(family, taus, ap, consts)[0][(p < 0.0).astype(np.intp), index]
 

@@ -135,6 +135,23 @@ def make_gaussian(spec: GaussianSpec, grid: GridSpec) -> WaveFunction:
     return psi.normalized()
 
 
+def position_gaussian(spec: GaussianSpec, x: np.ndarray) -> WaveFunction:
+    """Gaussian packet sampled in the position representation on x.
+
+    psi(x) = (2 pi sigma_x^2)^(-1/4) exp(-(x-x0)^2 / (4 sigma_x^2)) exp(i p0 x / hbar),
+    with sigma_x = spec.sigma_x, normalized by the rectangle rule
+    sum |psi|^2 dx = 1.
+    """
+    sigma_x, hbar = spec.sigma_x, spec.consts.hbar
+    values = (
+        (2.0 * math.pi * sigma_x**2) ** (-0.25)
+        * np.exp(-((x - spec.x0) ** 2) / (4.0 * sigma_x**2))
+        * np.exp(1j * spec.p0 * x / hbar)
+    )
+    psi = WaveFunction(Representation.POSITION, x, values, spec.consts)
+    return replace(psi, values=psi.values / math.sqrt(float(np.sum(np.abs(psi.values) ** 2) * psi.dx)))
+
+
 def to_position(psi: WaveFunction, x_grid: np.ndarray) -> WaveFunction:
     """Fourier transform a momentum-representation state onto position samples."""
     if psi.rep is not Representation.MOMENTUM:

@@ -48,8 +48,7 @@ class TestParserBuiltOnce:
         assert build_parser() is build_parser()
 
     def test_reused_parser_keeps_runs_apart(self, capsys):
-        # the zeno preset fills its defaults into the parsed arguments; a later
-        # run parses afresh and sees none of them
+        # the zeno preset applies to its own run; a later run sees none of it
         from qarrival.cli import main
 
         assert main(["classical", "--format", "json"]) == 0
@@ -247,10 +246,10 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "flags,named",
         [
-            (["--delta", "0"], "--delta"),
-            (["--xc", "nan"], "--xc"),
+            (["--delta", "0"], "'delta'"),
+            (["--x0", "nan"], "'x0'"),
             # grid step 40/10 = 4: a window of width 1 can miss every sample
-            (["--nx", "11", "--delta", "1.0"], "--delta"),
+            (["--nx", "11", "--delta", "1.0"], "'delta'"),
         ],
         ids=["zero_delta", "nan_center", "sub_step_delta"],
     )
@@ -289,3 +288,75 @@ class TestInputValidation:
         res = run_cli("distribution", "--family", "kdm", "--config", str(cfg))
         assert res.returncode == 2
         assert f"config field '{field}'" in res.stderr
+
+
+class TestConfigPrecedence:
+    """defaults < measure mode preset < --config file < flags, whatever names the mode."""
+
+    @staticmethod
+    def run(capsys, *argv):
+        from qarrival.cli import main
+
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def write(tmp_path, values, name="cfg.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(values))
+        return str(path)
+
+    def test_file_overrides_mode_preset(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"p0": 0.31, "tau_count": 5})
+        code, out, err = self.run(capsys, "measure", "--mode", "zeno", "--config", cfg, "--format", "json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["config"]["p0"] == 0.31 and payload["config"]["tau_count"] == 5
+        assert len(payload["rows"]) == 5
+
+    def test_mode_from_file_applies_its_preset(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"mode": "zeno"})
+        from_file = self.run(capsys, "measure", "--config", cfg)
+        from_flag = self.run(capsys, "measure", "--mode", "zeno")
+        assert from_file[0] == 0, from_file[2]
+        assert from_file == from_flag
+
+    def test_conditional_geometry_from_file_equals_flags(self, tmp_path, capsys):
+        geometry = {"x0": 7.5, "t1": 0.7, "t2": 1.0, "xbar1": 3.5, "delta": 0.4, "x_extent": 30.0, "nx": 1501}
+        cfg = self.write(tmp_path, geometry)
+        flags = []
+        for key, val in geometry.items():
+            flags += [f"--{key.replace('_', '-')}", str(val)]
+        from_file = self.run(capsys, "measure", "--mode", "conditional", "--config", cfg)
+        from_flags = self.run(capsys, "measure", "--mode", "conditional", *flags)
+        assert from_file[0] == 0, from_file[2]
+        assert from_file == from_flags
+        header = json.loads(from_file[1].splitlines()[0].removeprefix("# config: "))
+        assert {key: header[key] for key in geometry} == geometry
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "crossing", *SMALL],
+            ["--mode", "zeno", "--n", "1536", "--tau-count", "7"],
+            ["--mode", "conditional", "--x0", "7", "--nx", "2001", "--delta", "0.25", "--t2", "1.1"],
+        ],
+        ids=["crossing", "zeno", "conditional"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_reproduces_from_its_config(self, tmp_path, capsys, argv, fmt):
+        code, first, err = self.run(capsys, "measure", *argv, "--format", fmt)
+        assert code == 0, err
+        if fmt == "json":
+            recorded = json.loads(first)["config"]
+        else:
+            recorded = json.loads(first.splitlines()[0].removeprefix("# config: "))
+        cfg = self.write(tmp_path, recorded)
+        assert self.run(capsys, "measure", "--config", cfg, "--format", fmt) == (0, first, "")
+
+    def test_unhashable_mode_in_file_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"mode": ["zeno"]})
+        code, out, err = self.run(capsys, "measure", "--config", cfg)
+        assert code == 2 and out == ""
+        assert "config field 'mode'" in err

@@ -84,9 +84,11 @@ class TestEigenstates:
         expected = pref * (brute_series_j(-0.25, 1.0) + 1j * brute_series_j(0.75, 1.0))
         assert val == pytest.approx(expected, rel=1e-12)
 
-    def test_new_conjugation_symmetry(self, verify_report):
-        # max |phi(-p) - conj phi(p)| / max |phi| at tau = 0.7 on the default grid
-        assert verify_report["new_eigenstate_conjugation"]["value"] <= 1e-12
+    @pytest.mark.parametrize("p", [2.0, np.full((2, 3), 2.0)], ids=["scalar", "two_dimensional"])
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
+    def test_non_1d_momenta_rejected(self, family, p, consts):
+        with pytest.raises(ValueError, match="p must be a 1-D array"):
+            eigenstate_values(family, 0.5, p, consts)
 
     def test_new_low_momentum_limit(self, consts):
         # complex value approaches the real slope limit as z -> 0
@@ -95,10 +97,6 @@ class TestEigenstates:
         p = math.sqrt(2.0 * 1e-7 / tau)  # z = 1e-7
         val = eigenstate(EigenFamily.NEW, tau, p, consts)
         assert abs(val / p - slope) / slope < 1e-6
-
-    def test_new_branch_seam(self, verify_report):
-        # series-side and Hankel-side evaluations agree at the z = 10 switchover (tau = 0.7)
-        assert verify_report["new_branch_seam"]["value"] < 1e-6
 
     def test_new_asymptotic_matches_leading_form(self, consts):
         # at large z the eigenstate approaches e^{-i pi/8} sqrt(p/2 pi) e^{iz}
@@ -619,12 +617,6 @@ def ops(grid, consts):
 
 
 class TestOperatorMatrices:
-    # the invariant report's names of the operators in test_hermiticity_interior
-    REPORT_NAMES = {
-        "h": "h", "xi": "xi", "t_kdm": "t_kdm", "t_sym": "t_new_sym",
-        "t_via": "t_new_via_kdm", "t_dwell": "t_dwell", "j": "j_current",
-    }
-
     def test_reflection_squared_identity(self, ops, grid, rng):
         r = ops["r"]
         f = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
@@ -634,16 +626,6 @@ class TestOperatorMatrices:
         r, eps = ops["r"], ops["sign"]
         f = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         assert np.array_equal(r.apply(eps.apply(r.apply(f))), -eps.apply(f))
-
-    @pytest.mark.parametrize(
-        "name", ["h", "xi", "t_kdm", "t_sym", "t_via", "t_dwell", "j"]
-    )
-    def test_hermiticity_interior(self, verify_report, name):
-        assert verify_report[f"hermiticity_{self.REPORT_NAMES[name]}"]["value"] <= 1e-10
-
-    def test_two_constructions_agree(self, verify_report):
-        # max |T_sym - T_via| / max |T_sym|
-        assert verify_report["t_new_constructions_agree"]["value"] <= 1e-8
 
     def _test_vector(self, grid):
         p = grid.momenta()
@@ -655,19 +637,10 @@ class TestOperatorMatrices:
         """[A, B] f = A(Bf) - B(Af), by the operators' action only."""
         return a.apply(b.apply(f)) - b.apply(a.apply(f))
 
-    def test_commutator_h_t_new(self, verify_report, consts):
-        # [H, T_NEW] = i hbar eps(p) by action on the report's packet, interior rows;
-        # criterion 2 checks it on this class's packet at n = 1024 and 2048
-        assert verify_report["commutator_h_t_new"]["value"] <= 1e-6 * consts.hbar
-
     def test_commutator_xi_t_kdm(self, ops, grid, consts):
         p, f = self._test_vector(grid)
         res = self._commutator_on(ops["xi"], ops["t_kdm"], f) - 1j * consts.hbar * f
         assert np.max(np.abs(res[2:-2])) <= 1e-6 * consts.hbar
-
-    def test_commutator_xi_t_new_extra_term(self, verify_report, consts):
-        # [xi, T_NEW] = i hbar (1 + R/2), as test_commutator_h_t_new
-        assert verify_report["commutator_xi_t_new"]["value"] <= 1e-6 * consts.hbar
 
     def test_dwell_small_pl_pattern(self, consts):
         # at pL/hbar -> 0 the matrix approaches (mL/|p|)(1 + R): the
@@ -860,10 +833,6 @@ class TestOverlapAndDistributions:
 
 
 class TestKijowski:
-    def test_equals_ab_overlap(self, verify_report):
-        # fast packet at 0.8, 1 and 1.2 times the classical arrival 0.5
-        assert verify_report["kijowski_equals_ab_overlap"]["value"] <= 1e-10
-
     def test_nonnegative(self, fast_packet):
         for t in np.linspace(0.0, 1.0, 11):
             assert kijowski_distribution(fast_packet, float(t)) >= 0.0
@@ -1137,13 +1106,6 @@ class TestCompleteness:
 
 
 class TestDwellRelation:
-    def test_low_momentum_band(self, verify_report):
-        # L = 0.2, |p|L/hbar <= 0.05 on the default grid
-        assert verify_report["dwell_low_momentum"]["value"] <= 0.02
-
-    def test_negative_control_high_momentum(self, verify_report):
-        assert verify_report["dwell_negative_control"]["value"] >= 0.2
-
     def test_empty_band_rejected(self, consts):
         with pytest.raises(ValueError, match="samples"):
             dwell_low_momentum_check(0.2, GridSpec(64, 1.0), consts, band=(4.5, 5.5))

@@ -18,7 +18,12 @@ from qarrival import (
     to_position,
 )
 from qarrival.operators import kinetic_energy_density
-from qarrival.states import REFLECTED_OVERSAMPLE, centered_position_grid, conjugate_position_grid
+from qarrival.states import (
+    REFLECTED_OVERSAMPLE,
+    centered_position_grid,
+    conjugate_position_grid,
+    position_gaussian,
+)
 from util_origin import derivative_at_origin, value_at_origin
 
 
@@ -82,6 +87,19 @@ class TestMakeGaussian:
         dens = np.abs(pos.values) ** 2
         x_mean = integrate(pos.grid * dens, pos.dx)
         assert x_mean == pytest.approx(-1.5, abs=1e-5)
+
+
+class TestPositionGaussian:
+    def test_norm_center_and_phase(self, consts):
+        # the conditional-mode packet: rectangle-rule norm 1, centred at x0, phase e^{i p0 x / hbar}
+        x = np.linspace(0.0, 40.0, 4001)
+        psi = position_gaussian(GaussianSpec(-10.0, 8.0, 0.5, consts), x)
+        dens = np.abs(psi.values) ** 2
+        assert psi.rep is Representation.POSITION
+        assert float(np.sum(dens) * psi.dx) == pytest.approx(1.0, abs=1e-14)
+        assert float(np.sum(x * dens) * psi.dx) == pytest.approx(8.0, abs=1e-10)
+        phase_step = np.angle(psi.values[1:] * np.conj(psi.values[:-1]))
+        assert phase_step == pytest.approx(-10.0 * psi.dx, abs=1e-12)
 
 
 class TestReflectedState:

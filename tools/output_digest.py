@@ -7,7 +7,8 @@ several grid sizes; `spectrum` for all families at four taus, and for KDM
 at a tau whose phases underflow (signed zeros); `distribution`
 for all families as CSV, JSON and with the Kijowski reference, plus negative,
 log-spaced and reflected-packet windows and a packet that fills the grid;
-every `measure` mode; and `classical`.  A change that should leave every
+every `measure` mode, and conditional also as JSON and at non-default
+geometry; and `classical`.  A change that should leave every
 output byte-identical is checked by running this on the parent and on the
 change and diffing:
 
@@ -17,16 +18,18 @@ change and diffing:
 
 `--root` names the checkout whose `src/` is imported (default: the one this
 script is in).  All presets run in one process, one after the other; the
-whole list takes about a second on 2 cores.
+whole list takes about 1.5 s on 2 cores.
 
 `--compare ROOT` shows which digits moved instead.  It runs every preset on
 both checkouts, each in a fresh process, and prints one line per preset
-whose output differs: the largest absolute difference over the numeric
-cells of its CSV or JSON output, and the largest difference over a
-column's peak (max |value| of that column on ROOT's side), each with the
-column it is in.  A JSON column is the path to a number with the row index
-dropped; a check of `verify` is its own column.  Outputs whose shape or text
-differs, or whose exit code does, are reported as such.
+whose output differs.  When the recorded configurations differ, the line
+first names the config keys that were added, removed or changed.  The rest of
+the output is compared without its config record: the largest absolute
+difference over the numeric cells of its CSV or JSON output, and the largest
+difference over a column's peak (max |value| of that column on ROOT's side),
+each with the column it is in.  A JSON column is the path to a number with
+the row index dropped; a check of `verify` is its own column.  Outputs whose
+shape or text differs, or whose exit code does, are reported as such.
 
     python3 tools/output_digest.py --compare ../parent-checkout
 """
@@ -67,7 +70,12 @@ def presets() -> list[list[str]]:
         ["distribution", "--family", "ab", *REFLECTED, "--tau-min", "20", "--tau-max", "120", "--tau-count", "51"],
     ]
     runs += [["measure", "--mode", mode] for mode in ("crossing", "zeno", "conditional")]
-    runs += [["measure", "--mode", "zeno", "--format", "json"], ["classical"]]
+    runs += [
+        ["measure", "--mode", "zeno", "--format", "json"],
+        ["measure", "--mode", "conditional", "--format", "json"],
+        ["measure", "--mode", "conditional", "--x0", "7", "--nx", "2001", "--delta", "0.25"],
+        ["classical"],
+    ]
     return runs
 
 
@@ -129,6 +137,32 @@ def numeric_cells(text: str) -> dict | None:
     return cells
 
 
+def split_config(text: str) -> tuple[dict, str]:
+    """(config record, the output without it) of a CSV or JSON output; ({}, text) if it has none."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        head, _, rest = text.partition("\n")
+        if head.startswith("# config: "):
+            return json.loads(head.removeprefix("# config: ")), rest
+        return {}, text
+    if isinstance(doc, dict) and isinstance(doc.get("config"), dict):
+        return doc.pop("config"), json.dumps(doc, sort_keys=True, indent=1)
+    return {}, text
+
+
+def config_changes(base: dict, change: dict) -> str:
+    """The config keys that change adds to, removes from or changes in base."""
+    notes = []
+    added = [f"{k}={change[k]!r}" for k in sorted(change.keys() - base.keys())]
+    removed = [f"{k}={base[k]!r}" for k in sorted(base.keys() - change.keys())]
+    changed = [f"{k} {base[k]!r} -> {change[k]!r}" for k in sorted(base.keys() & change.keys()) if base[k] != change[k]]
+    for label, items in (("added", added), ("removed", removed), ("changed", changed)):
+        if items:
+            notes.append(f"config {label} {', '.join(items)}")
+    return "; ".join(notes)
+
+
 def moved_digits(base: str, change: str) -> str:
     """How far the numeric cells of change moved from base."""
     a, b = numeric_cells(base), numeric_cells(change)
@@ -148,17 +182,20 @@ def moved_digits(base: str, change: str) -> str:
 
 def compare(src: Path, other: Path) -> int:
     base, change = _in_fresh_process(other), _in_fresh_process(src)
-    moved = 0
+    moved = config_only = 0
     for (argv, code_a, out_a), (_, code_b, out_b) in zip(base, change):
         if code_a != code_b:
             note = f"exit {code_a} -> {code_b}"
         elif out_a != out_b:
-            note = moved_digits(out_a, out_b)
+            (config_a, rest_a), (config_b, rest_b) = split_config(out_a), split_config(out_b)
+            rest = moved_digits(rest_a, rest_b) if rest_a != rest_b else "rest byte-identical"
+            config_only += rest_a == rest_b
+            note = "; ".join(filter(None, [config_changes(config_a, config_b), rest]))
         else:
             continue
         moved += 1
         print(f"{' '.join(argv)}  {note}", flush=True)
-    print(f"{moved} of {len(base)} presets differ")
+    print(f"{moved} of {len(base)} presets differ, {config_only} only in their config record")
     return 0
 
 
