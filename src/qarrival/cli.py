@@ -8,13 +8,15 @@ measure        measurement models: conditional | crossing | zeno
 spectrum       eigenstate table phi_tau(p) over the momentum grid
 classical      classical oracle table (arrival, stopwatch, current moment)
 
-Every input is a RunConfig field, set by a flag or by a JSON --config file.
-A field resolves in one order: the RunConfig default, then the preset of the
-measure mode (measure only), then the file, then the flag.  Outputs are
-deterministic: identical configuration produces byte-identical files; run
-metadata is limited to the resolved configuration itself, from which the
-output can be reproduced.  Exit codes: 0 ok, 1 verification failure, 2
-configuration error, 3 numeric failure.
+Every input is a RunConfig field.  A JSON --config file may set any field;
+a subcommand takes as flags only the fields it reads (_SUBCOMMANDS), and
+converts and checks a flag's text like a file's value, so a bad value exits 2
+with the same message from either.  A field resolves in one order: the
+RunConfig default, then the preset of the measure mode (measure only), then
+the file, then the flag.  Outputs are deterministic: identical configuration
+produces byte-identical files; run metadata is limited to the resolved
+configuration itself, from which the output can be reproduced.  Exit codes:
+0 ok, 1 verification failure, 2 configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -65,36 +67,47 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+_CHOICES = {
+    "tau_spacing": ("linear", "log"),
+    "family": tuple(sorted(f.value for f in EigenFamily)),
+    "packet": ("gaussian", "reflected"),
+    "mode": ("conditional", "crossing", "zeno"),
+}
+
+
+def _field(default, description: str):
+    return field(default=default, metadata={"help": description})
+
+
 @dataclass
 class RunConfig:
-    """Every input of a run, one field per flag.  t1, t2, xbar1, delta,
-    x_extent and nx are the geometry of measure --mode conditional: detection
-    times t1 < t2, the first window's center xbar1, every window's width
-    delta, and nx samples of [0, x_extent] for the packet gaussian()."""
+    """Every input of a run, each field with its default and the description
+    its flags show.  A --config file may set any field; a subcommand takes as
+    flags only the fields it reads (_SUBCOMMANDS)."""
 
-    p0: float = 10.0
-    x0: float = -5.0
-    sigma_p: float = 1.0
-    mass: float = 1.0
-    hbar: float = 1.0
-    n: int = 1024
-    p_max: float = 40.0
-    tau_min: float = 0.0
-    tau_max: float = 1.0
-    tau_count: int = 201
-    tau_spacing: str = "linear"
-    family: str = "new"
-    packet: str = "gaussian"
-    L: float = 0.2
-    mode: str = "crossing"
-    tau: float = 1.0
-    with_reference: bool = False
-    t1: float = 0.8
-    t2: float = 1.05
-    xbar1: float = 4.0
-    delta: float = 0.5
-    x_extent: float = 40.0
-    nx: int = 4001
+    p0: float = _field(10.0, "mean momentum")
+    x0: float = _field(-5.0, "mean position")
+    sigma_p: float = _field(1.0, "momentum width")
+    mass: float = _field(1.0, "particle mass")
+    hbar: float = _field(1.0, "reduced Planck constant")
+    n: int = _field(1024, "momentum samples")
+    p_max: float = _field(40.0, "momentum cutoff")
+    tau_min: float = _field(0.0, "first tau of the window")
+    tau_max: float = _field(1.0, "last tau of the window")
+    tau_count: int = _field(201, "taus in the window")
+    tau_spacing: str = _field("linear", "spacing of the taus")
+    family: str = _field("new", "eigenstate family")
+    packet: str = _field("gaussian", "initial packet")
+    L: float = _field(0.2, "dwell region length")
+    mode: str = _field("crossing", "measurement model")
+    tau: float = _field(1.0, "eigenvalue tau")
+    with_reference: bool = _field(False, "add the Kijowski density and the kinetic-energy sqrt law")
+    t1: float = _field(0.8, "conditional: first detection time")
+    t2: float = _field(1.05, "conditional: second detection time")
+    xbar1: float = _field(4.0, "conditional: first window center")
+    delta: float = _field(0.5, "conditional: window width")
+    x_extent: float = _field(40.0, "conditional: packet box [0, x_extent]")
+    nx: int = _field(4001, "conditional: position samples of the box")
 
     def validate(self) -> None:
         for f in fields(self):
@@ -122,29 +135,12 @@ class RunConfig:
         half_step = 0.5 * self.x_extent / (self.nx - 1)
         if not self.delta >= half_step:
             raise ConfigError(f"config field 'delta': must be >= half the grid step {half_step!r} (got {self.delta})")
-        if self.tau_spacing not in ("linear", "log"):
-            raise ConfigError(
-                f"config field 'tau_spacing': unknown value '{self.tau_spacing}' "
-                "(choose from linear, log)"
-            )
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(f"config field '{name}': unknown value '{value}' (choose from {', '.join(choices)})")
         if self.tau_spacing == "log" and self.tau_min <= 0.0:
             raise ConfigError("config field 'tau_min': must be > 0 for log spacing")
-        valid_families = sorted(f.value for f in EigenFamily)
-        if self.family not in valid_families:
-            raise ConfigError(
-                f"config field 'family': unknown value '{self.family}' "
-                f"(choose from {', '.join(valid_families)})"
-            )
-        if self.packet not in ("gaussian", "reflected"):
-            raise ConfigError(
-                f"config field 'packet': unknown value '{self.packet}' "
-                "(choose from gaussian, reflected)"
-            )
-        if self.mode not in ("conditional", "crossing", "zeno"):
-            raise ConfigError(
-                f"config field 'mode': unknown value '{self.mode}' "
-                "(choose from conditional, crossing, zeno)"
-            )
 
     def consts(self) -> PhysConsts:
         return PhysConsts(self.mass, self.hbar)
@@ -166,7 +162,7 @@ class RunConfig:
         return make_gaussian(self.gaussian(), self.grid())
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+_CONFIG_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def load_config(path: str) -> dict:
@@ -193,7 +189,8 @@ _MODE_DEFAULTS = {
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """The validated RunConfig of parsed arguments: defaults, then the preset
-    of the measure mode, then the --config file, then the flags."""
+    of the measure mode, then the --config file, then the flags.  A flag's
+    text and a file's JSON value go through the same conversion."""
     values = load_config(args.config) if args.config else {}
     for name in _CONFIG_FIELDS:
         flag_val = getattr(args, name, None)
@@ -324,9 +321,8 @@ def cmd_measure(cfg: RunConfig, out: str | None, fmt: str) -> int:
         write_table(out, fmt, cfg, ["tau", "p_projector", "p_current"], rows)
         return EXIT_OK
     if cfg.mode == "zeno":
-        psi = make_reflected_state(cfg.gaussian(), cfg.grid())
         taus = cfg.tau_grid()
-        fit = small_time_current_law(psi, taus)
+        fit = small_time_current_law(cfg.state(), taus)
         ratio_coef = math.pi ** 1.5 / GAMMA_3_4 ** 2
         checks = {
             "fit_exponent": fit.exponent,
@@ -380,74 +376,68 @@ def cmd_classical(cfg: RunConfig, out: str | None, fmt: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+_GAUSSIAN = ("p0", "x0", "sigma_p", "mass", "hbar")
+_GRID = ("n", "p_max")
+_TAUS = ("tau_min", "tau_max", "tau_count", "tau_spacing")
+_GEOMETRY = ("t1", "t2", "xbar1", "delta", "x_extent", "nx")
+
+# subcommand: (handler, help, the RunConfig fields it reads and takes as flags)
+_SUBCOMMANDS = {
+    "distribution": (cmd_distribution, "arrival-time density for a family",
+                     (*_GAUSSIAN, *_GRID, *_TAUS, "family", "packet", "with_reference")),
+    "verify": (cmd_verify, "run the invariant suite (JSON report)", (*_GAUSSIAN, *_GRID, "L")),
+    "measure": (cmd_measure, "measurement models", ("mode", *_GAUSSIAN, *_GRID, *_TAUS, "packet", *_GEOMETRY)),
+    "spectrum": (cmd_spectrum, "eigenstate table for a family at fixed tau", ("family", "tau", "mass", "hbar", *_GRID)),
+    "classical": (cmd_classical, "classical oracle table", ("mass",)),
+}
+
+
+def _flag_help(name: str, presets: dict) -> str:
+    """A field's description, its choices, its default and the mode presets that set it."""
+    f = _CONFIG_FIELDS[name]
+    text = f.metadata["help"]
+    if name in _CHOICES:
+        text += f": {', '.join(_CHOICES[name])}"
+    if isinstance(f.default, bool):
+        return text
+    text += f" (default {f.default}"
+    for mode, preset in presets.items():
+        if name in preset:
+            text += f"; {mode} preset {preset[name]}"
+    return text + ")"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every caller:
-    parsing leaves it unchanged, and no caller may modify it."""
+    parsing leaves it unchanged, and no caller may modify it.  Each subcommand
+    takes --config, --out, --format (verify always writes JSON) and one flag
+    per field it reads, named after the field with '_' -> '-'.  A field flag's
+    value stays text; resolve_config converts and checks it like a file value."""
     parser = argparse.ArgumentParser(
         prog="qarrival",
         description="Arrival-time operator experiments on a momentum grid",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--config", help="JSON file supplying any configuration field")
-        sp.add_argument("--p0", type=float, help="mean momentum (default 10)")
-        sp.add_argument("--x0", type=float, help="mean position (default -5; zeno preset -20, conditional 8)")
-        sp.add_argument("--sigma-p", dest="sigma_p", type=float, help="momentum width (default 1)")
-        sp.add_argument("--mass", type=float, help="particle mass (default 1)")
-        sp.add_argument("--hbar", type=float, help="reduced Planck constant (default 1)")
-        sp.add_argument("--n", type=int, help="momentum samples (default 1024)")
-        sp.add_argument("--p-max", dest="p_max", type=float, help="momentum cutoff (default 40)")
-        sp.add_argument("--tau-min", dest="tau_min", type=float)
-        sp.add_argument("--tau-max", dest="tau_max", type=float)
-        sp.add_argument("--tau-count", dest="tau_count", type=int)
-        sp.add_argument("--tau-spacing", dest="tau_spacing", choices=("linear", "log"))
-        sp.add_argument("--family", help="eigenstate family: ab, kdm, mi, t3, new")
-        sp.add_argument("--packet", choices=("gaussian", "reflected"))
-        sp.add_argument("--L", type=float, help="dwell region length (default 0.2)")
+    for command, (_, summary, names) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        sp.add_argument("--config", help="JSON file that may set any configuration field")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    sp = sub.add_parser("distribution", help="arrival-time density for a family")
-    common(sp)
-    sp.add_argument("--with-reference", dest="with_reference", action="store_const", const=True)
-
-    sp = sub.add_parser("verify", help="run the invariant suite (JSON report)")
-    common(sp)
-
-    sp = sub.add_parser("measure", help="measurement models")
-    common(sp)
-    sp.add_argument("--mode", choices=("conditional", "crossing", "zeno"), help="measurement model (default crossing)")
-    sp.add_argument("--t1", type=float, help="first detection time (conditional; default 0.8)")
-    sp.add_argument("--t2", type=float, help="second detection time (conditional; default 1.05)")
-    sp.add_argument("--xbar1", type=float, help="first window center (conditional; default 4)")
-    sp.add_argument("--delta", type=float, help="window width (conditional; default 0.5)")
-    sp.add_argument("--x-extent", dest="x_extent", type=float, help="position box length (conditional; default 40)")
-    sp.add_argument("--nx", type=int, help="position samples (conditional; default 4001)")
-
-    sp = sub.add_parser("spectrum", help="eigenstate table for a family at fixed tau")
-    common(sp)
-    sp.add_argument("--tau", type=float, help="eigenvalue tau (default 1)")
-
-    sp = sub.add_parser("classical", help="classical oracle table")
-    common(sp)
+        if command == "verify":
+            sp.set_defaults(format="json")
+        else:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        presets = _MODE_DEFAULTS if command == "measure" else {}
+        for name in names:
+            switch = {"action": "store_const", "const": True} if isinstance(_CONFIG_FIELDS[name].default, bool) else {}
+            sp.add_argument("--" + name.replace("_", "-"), dest=name, help=_flag_help(name, presets), **switch)
     return parser
-
-
-_COMMANDS = {
-    "distribution": cmd_distribution,
-    "verify": cmd_verify,
-    "measure": cmd_measure,
-    "spectrum": cmd_spectrum,
-    "classical": cmd_classical,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](resolve_config(args), args.out, args.format)
+        return _SUBCOMMANDS[args.command][0](resolve_config(args), args.out, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -369,8 +369,6 @@ def eigenstate_values(family: EigenFamily, tau: float, p: np.ndarray, consts: Ph
 
 def eigenstate(family: EigenFamily, tau: float, p: float, consts: PhysConsts = PhysConsts()) -> complex:
     """Single eigenstate value phi_tau(p); p must be nonzero."""
-    if p == 0.0:
-        raise ValueError("eigenstates are not defined at p = 0")
     return complex(eigenstate_values(family, float(tau), np.array([float(p)]), consts)[0])
 
 

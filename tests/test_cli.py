@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,17 @@ class TestMeasureModes:
             1.0 / (2.0 * math.sqrt(math.pi)), rel=0.02
         )
 
+    def test_zeno_reads_packet(self, capsys):
+        from qarrival.cli import main
+
+        runs = []
+        for extra in ([], ["--packet", "gaussian"]):
+            assert main(["measure", "--mode", "zeno", "--n", "256", "--p-max", "8", "--format", "json", *extra]) == 0
+            runs.append(json.loads(capsys.readouterr().out))
+        preset, gaussian = runs
+        assert preset["config"]["packet"] == "reflected" and gaussian["config"]["packet"] == "gaussian"
+        assert gaussian["rows"] != preset["rows"]
+
     def test_conditional_two_peaks(self, tmp_path):
         out = tmp_path / "cond.json"
         res = run_cli("measure", "--mode", "conditional", "--format", "json", "--out", str(out))
@@ -288,6 +300,101 @@ class TestInputValidation:
         res = run_cli("distribution", "--family", "kdm", "--config", str(cfg))
         assert res.returncode == 2
         assert f"config field '{field}'" in res.stderr
+
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", "abc"), ("tau_count", "1.5"), ("tau_spacing", "cubic"), ("packet", "foo"), ("mode", "foo")],
+    )
+    def test_flag_and_file_values_checked_alike(self, tmp_path, capsys, field, value):
+        from qarrival.cli import main
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        errors = []
+        for source in (["--" + field.replace("_", "-"), value], ["--config", str(cfg)]):
+            assert main(["measure", *source]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert f"config field '{field}'" in errors[0]
+
+
+# a valid value, other than the default, of every RunConfig field
+OTHER = {
+    "p0": 9.0, "x0": -4.0, "sigma_p": 1.1, "mass": 1.5, "hbar": 0.9, "n": 128, "p_max": 30.0,
+    "tau_min": 0.1, "tau_max": 0.9, "tau_count": 7, "tau_spacing": "log", "family": "kdm",
+    "packet": "reflected", "L": 0.3, "mode": "zeno", "tau": 0.5, "with_reference": True,
+    "t1": 0.7, "t2": 1.0, "xbar1": 3.5, "delta": 0.4, "x_extent": 30.0, "nx": 1501,
+}
+
+
+class TestSubcommandTable:
+    """Each subcommand takes as flags exactly the RunConfig fields it reads."""
+
+    @staticmethod
+    def table():
+        from qarrival.cli import _SUBCOMMANDS
+
+        return {command: names for command, (_, _, names) in _SUBCOMMANDS.items()}
+
+    def test_every_field_is_a_flag(self):
+        from qarrival.cli import RunConfig
+
+        listed = [name for names in self.table().values() for name in names]
+        assert set(listed) == set(OTHER) == set(asdict(RunConfig()))
+        assert len(listed) == 48
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distribution", *SMALL],
+            ["verify", "--n", "64"],
+            ["measure", "--mode", "crossing", *SMALL],
+            ["measure", "--mode", "zeno", "--n", "256", "--p-max", "8"],
+            ["measure", "--mode", "conditional", "--nx", "401"],
+            ["spectrum", "--n", "64"],
+            ["classical"],
+        ],
+        ids=["distribution", "verify", "crossing", "zeno", "conditional", "spectrum", "classical"],
+    )
+    def test_unlisted_fields_leave_rows_alone(self, tmp_path, capsys, argv):
+        from qarrival.cli import main
+
+        unlisted = {k: v for k, v in OTHER.items() if k not in self.table()[argv[0]]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(unlisted))
+        fmt = [] if argv[0] == "verify" else ["--format", "json"]
+        runs = []
+        for extra in ([], ["--config", str(cfg)]):
+            code = main([*argv, *fmt, *extra])
+            runs.append((code, json.loads(capsys.readouterr().out)))
+        (code, plain), (code_set, with_unlisted) = runs
+        assert code == code_set and code in (0, 1)  # verify --n 64 fails its coarse-grid checks
+        recorded = with_unlisted.pop("config")
+        assert {k: recorded[k] for k in unlisted} == unlisted
+        del plain["config"]
+        assert with_unlisted == plain
+
+    @pytest.mark.parametrize("command", ["distribution", "verify", "measure", "spectrum", "classical"])
+    def test_unlisted_flags_exit_2(self, capsys, command):
+        from qarrival.cli import main
+
+        for name, value in OTHER.items():
+            if name in self.table()[command]:
+                continue
+            flag = ["--" + name.replace("_", "-")] + ([] if value is True else [str(value)])
+            with pytest.raises(SystemExit) as exc:
+                main([command, *flag])
+            assert exc.value.code == 2, flag
+            capsys.readouterr()
+
+    def test_verify_takes_no_format(self, capsys):
+        from qarrival.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:

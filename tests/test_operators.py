@@ -323,6 +323,11 @@ class TestNonFiniteTau:
             with pytest.raises(ValueError, match="tau must be finite"):
                 overlap(fast_packet, family, bad)
 
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
+    def test_eigenstate_rejects_zero_momentum(self, family, consts):
+        with pytest.raises(ValueError, match="eigenstates are not defined at p = 0"):
+            eigenstate(family, 0.5, 0.0, consts)
+
     @pytest.mark.parametrize(
         "window", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)], ids=["inf_end", "neg_inf_start", "nan_end"]
     )

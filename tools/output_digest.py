@@ -7,10 +7,10 @@ several grid sizes; `spectrum` for all families at four taus, and for KDM
 at a tau whose phases underflow (signed zeros); `distribution`
 for all families as CSV, JSON and with the Kijowski reference, plus negative,
 log-spaced and reflected-packet windows and a packet that fills the grid;
-every `measure` mode, and conditional also as JSON and at non-default
-geometry; and `classical`.  A change that should leave every
-output byte-identical is checked by running this on the parent and on the
-change and diffing:
+every `measure` mode, zeno also as JSON and with a Gaussian packet, and
+conditional also as JSON and at non-default geometry; and `classical`.  A
+change that should leave every output byte-identical is checked by running
+this on the parent and on the change and diffing:
 
     python3 tools/output_digest.py > change.txt
     python3 tools/output_digest.py --root ../parent-checkout > parent.txt
@@ -72,6 +72,8 @@ def presets() -> list[list[str]]:
     runs += [["measure", "--mode", mode] for mode in ("crossing", "zeno", "conditional")]
     runs += [
         ["measure", "--mode", "zeno", "--format", "json"],
+        # zeno on the packet the flag names, not the preset's reflected one
+        ["measure", "--mode", "zeno", "--packet", "gaussian"],
         ["measure", "--mode", "conditional", "--format", "json"],
         ["measure", "--mode", "conditional", "--x0", "7", "--nx", "2001", "--delta", "0.25"],
         ["classical"],
