@@ -38,10 +38,8 @@ from .operators import (
     eigenstate,
     eigenstate_values,
     hermiticity_defect,
-    kijowski_distribution,
     kinetic_energy_density,
     overlap,
-    solve_eigen_ode,
 )
 from .measurement import (
     CrossingResult,
@@ -90,10 +88,8 @@ __all__ = [
     "eigenstate",
     "eigenstate_values",
     "hermiticity_defect",
-    "kijowski_distribution",
     "kinetic_energy_density",
     "overlap",
-    "solve_eigen_ode",
     "CrossingResult",
     "CurrentLawFit",
     "MeasurementChain",

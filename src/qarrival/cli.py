@@ -38,7 +38,6 @@ from .operators import (
     EigenFamily,
     distribution,
     eigenstate_values,
-    kijowski_distribution,
     kinetic_energy_density,
 )
 from .measurement import (
@@ -101,7 +100,7 @@ class RunConfig:
     L: float = _field(0.2, "dwell region length")
     mode: str = _field("crossing", "measurement model")
     tau: float = _field(1.0, "eigenvalue tau")
-    with_reference: bool = _field(False, "add the Kijowski density and the kinetic-energy sqrt law")
+    with_reference: bool = _field(False, "add the Kijowski density (AB's distribution) and the kinetic-energy sqrt law")
     t1: float = _field(0.8, "conditional: first detection time")
     t2: float = _field(1.05, "conditional: second detection time")
     xbar1: float = _field(4.0, "conditional: first window center")
@@ -179,6 +178,10 @@ def load_config(path: str) -> dict:
     return raw
 
 
+# a boolean field's flag takes true or false, and alone means true
+_SWITCH = {"nargs": "?", "const": "true", "metavar": "{true,false}"}
+_SWITCH_VALUES = {"true": True, "false": False}
+
 _MODE_DEFAULTS = {
     "zeno": {"p0": 0.3, "x0": -20.0, "sigma_p": 0.125, "n": 1792, "p_max": 40.0,
              "tau_min": 0.015, "tau_max": 0.045, "tau_count": 9, "tau_spacing": "log",
@@ -190,19 +193,21 @@ _MODE_DEFAULTS = {
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """The validated RunConfig of parsed arguments: defaults, then the preset
     of the measure mode, then the --config file, then the flags.  A flag's
-    text and a file's JSON value go through the same conversion."""
+    text and a file's JSON value go through the same conversion, once a
+    boolean field's flag text true or false is read as that boolean (a
+    file's string never is)."""
     values = load_config(args.config) if args.config else {}
-    for name in _CONFIG_FIELDS:
+    for name, f in _CONFIG_FIELDS.items():
         flag_val = getattr(args, name, None)
         if flag_val is not None:
-            values[name] = flag_val
+            values[name] = _SWITCH_VALUES.get(flag_val, flag_val) if isinstance(f.default, bool) else flag_val
     cfg = RunConfig()
     for key, val in values.items():
         default = getattr(cfg, key)
         try:
             if isinstance(default, bool):
                 if not isinstance(val, bool):
-                    raise ValueError("not a JSON boolean")
+                    raise ValueError("not a boolean: JSON true or false in a file, true or false after a flag")
             elif isinstance(val, bool) and isinstance(default, (int, float)):
                 raise ValueError("a JSON boolean, not a number")
             elif isinstance(default, int):
@@ -289,7 +294,8 @@ def cmd_distribution(cfg: RunConfig, out: str | None, fmt: str) -> int:
     columns = ["tau", f"pi_{cfg.family}"]
     cols = [taus, dist.values]
     if cfg.with_reference:
-        kij = kijowski_distribution(psi, taus)
+        # the Kijowski density is AB's distribution
+        kij = distribution(psi, EigenFamily.AB, taus).values
         _, ked_abs = kinetic_energy_density(psi)
         coef = math.pi / (2.0 * GAMMA_3_4 ** 2)
         ked_curve = coef * np.sqrt(np.abs(taus)) * ked_abs / (cfg.mass**1.5 * cfg.hbar**0.5)
@@ -399,7 +405,7 @@ def _flag_help(name: str, presets: dict) -> str:
     if name in _CHOICES:
         text += f": {', '.join(_CHOICES[name])}"
     if isinstance(f.default, bool):
-        return text
+        return text + " (default false; the bare flag sets true)"
     text += f" (default {f.default}"
     for mode, preset in presets.items():
         if name in preset:
@@ -429,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
         presets = _MODE_DEFAULTS if command == "measure" else {}
         for name in names:
-            switch = {"action": "store_const", "const": True} if isinstance(_CONFIG_FIELDS[name].default, bool) else {}
+            switch = _SWITCH if isinstance(_CONFIG_FIELDS[name].default, bool) else {}
             sp.add_argument("--" + name.replace("_", "-"), dest=name, help=_flag_help(name, presets), **switch)
     return parser
 

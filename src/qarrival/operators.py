@@ -190,7 +190,7 @@ def _mi_norm(consts: PhysConsts) -> float:
 
 # Taus are evaluated in blocks of about this many evaluated samples: (tau, |p|)
 # pairs of the half grid for the eigenstates (of its trimmed part, _trim, in
-# distribution and kijowski_distribution), (t, p^2) pairs for the currents.
+# distribution), (t, p^2) pairs for the currents.
 # A block bounds the temporaries, and is large enough that the per-call
 # overhead of a NEW block's numpy calls is small against its work.
 _BLOCK_SAMPLES = 4096
@@ -552,6 +552,10 @@ def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -
     own sum over both sides of the kept |p| (_overlaps).  The kept samples
     depend on the packet alone, so a value equals a one-tau call bitwise, and
     equals the full-grid sum to rounding.  NEW takes taus of either sign.
+
+    For AB this is the Kijowski density (1/m)<psi_tau| |p|^(1/2) delta(x)
+    |p|^(1/2) |psi_tau>: with <p|delta(x)|p'> = 1/(2 pi hbar) it is rank one,
+    (1/(2 pi m hbar)) |sum dp |p|^(1/2) e^{-i p^2 tau / 2 m hbar} psi(p)|^2.
     """
     _check_momentum_state(psi)
     tau_grid = _check_taus(tau_grid, "tau_grid", increasing=True)
@@ -561,40 +565,6 @@ def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -
         half = _half_block(family, taus, ap, psi.consts)
         vals[start : start + taus.size] = np.abs(_overlaps(half, folded)) ** 2
     return Distribution(tau_grid, vals, family.value, {"norm": psi.norm_squared()})
-
-
-def kijowski_distribution(psi: WaveFunction, t: float | np.ndarray) -> float | np.ndarray:
-    """Kijowski arrival-time density (1/m)<psi_t| |p|^(1/2) delta(x) |p|^(1/2) |psi_t>,
-    for a scalar or 1-D array of times t.
-
-    With the exact momentum-basis kernel <p|delta(x)|p'> = 1/(2 pi hbar) this
-    is the rank-one form (1/(2 pi m hbar)) |integral dp |p|^(1/2) psi_t(p)|^2,
-    identical to |<psi|phi^AB_t>|^2.  The phase exp(-i p^2 t / 2 m hbar) is
-    even in p, so it is AB's eigenstate up to its amplitude: the same phase
-    row on both sides of the half grid, summed by _overlaps against
-    w |p|^(1/2) psi folded once onto the half grid and trimmed to its
-    support (_trim), in _tau_blocks blocks of times, each time its own sum.
-    So a value equals a one-time call bitwise, and equals the full-grid sum
-    to rounding.
-    """
-    _check_momentum_state(psi)
-    ts = _check_taus(t, "t")
-    if ts.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D array")
-    m, hbar = psi.consts.mass, psi.consts.hbar
-    p = psi.grid
-    w = simpson_weights(p.size, psi.dx)
-    ap, folded = _trim(*_fold(p, w * (np.sqrt(np.abs(p)) * psi.values)))
-    flat = ts.reshape(-1)
-    amp = np.empty(flat.size, dtype=complex)
-    for start, block in _tau_blocks(flat, ap.size):
-        # one phase row, broadcast over both sides
-        phase = np.exp(1j * ap**2 * block[:, None] / (2.0 * m * hbar))
-        amp[start : start + block.size] = _overlaps(phase[:, None, :], folded)
-    # Python's abs and ** on each amplitude: numpy's complex abs and square
-    # round differently in the last digit
-    dens = [abs(a) ** 2 / (2.0 * math.pi * m * hbar) for a in amp.tolist()]
-    return dens[0] if ts.ndim == 0 else np.array(dens)
 
 
 def kinetic_energy_density(psi: WaveFunction) -> tuple[float, float]:
@@ -706,63 +676,8 @@ def current_expectation(psi: WaveFunction, t: float | np.ndarray) -> float | np.
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue ODE and structural checks
+# Structural checks
 # ---------------------------------------------------------------------------
-
-
-def solve_eigen_ode(tau: float, grid: GridSpec, consts: PhysConsts = PhysConsts()) -> WaveFunction:
-    """NEW-family eigenstate by direct integration of the momentum-space ODE.
-
-    The antisymmetric part u satisfies  u'' - (2/p) u' + (tau/m hbar)^2 p^2 u = 0
-    with the regular branch u ~ p^3 (1 - (tau/m hbar)^2 p^4 / 28) at small p.
-    RK4 integration runs from the first grid momentum to p_max; the symmetric
-    part follows from the coupled first-order relation phi_S = (m hbar / tau |p|) u',
-    and p < 0 values from phi(-p) = conj(phi(p)).  The result carries an
-    arbitrary global scale.
-    """
-    if tau <= 0.0:
-        raise ValueError("solve_eigen_ode requires tau > 0")
-    m, hbar = consts.mass, consts.hbar
-    p = grid.momenta()
-    half = p[grid.n // 2 :]
-    kappa = tau / (m * hbar)
-
-    def rhs(pp: float, y0: float, y1: float) -> tuple[float, float]:
-        return y1, (2.0 / pp) * y1 - (kappa * pp) ** 2 * y0
-
-    # step resolving the local phase dz/dp = kappa p; RK4 phase error per
-    # radian ~ (kappa p h)^4, kept below ~1e-10 over the full sweep
-    h_target = min(grid.dp / 8.0, 4e-3 / (kappa * grid.p_max))
-    if h_target < 1e-9 * grid.p_max:
-        raise RuntimeError(f"step size underflow for tau = {tau} on this grid")
-    p0 = float(half[0])
-    a = -(kappa**2) / 28.0
-    # the state (y0, y1) = (u, u') is stepped as Python floats: the same IEEE
-    # operations, in the same order, as on a 2-vector, without numpy's
-    # per-call overhead
-    y0, y1 = p0**3 * (1.0 + a * p0**4), 3.0 * p0**2 + 7.0 * a * p0**6
-    u = np.empty(half.size)
-    du = np.empty(half.size)
-    u[0], du[0] = y0, y1
-    for i in range(half.size - 1):
-        span = float(half[i + 1] - half[i])
-        steps = max(1, int(math.ceil(span / h_target)))
-        h = span / steps
-        pp = float(half[i])
-        for _ in range(steps):
-            k1 = rhs(pp, y0, y1)
-            k2 = rhs(pp + 0.5 * h, y0 + 0.5 * h * k1[0], y1 + 0.5 * h * k1[1])
-            k3 = rhs(pp + 0.5 * h, y0 + 0.5 * h * k2[0], y1 + 0.5 * h * k2[1])
-            k4 = rhs(pp + h, y0 + h * k3[0], y1 + h * k3[1])
-            y0 = y0 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            y1 = y1 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            pp += h
-        if not (math.isfinite(y0) and math.isfinite(y1)):
-            raise RuntimeError("eigenvalue ODE integration failed (non-finite state)")
-        u[i + 1], du[i + 1] = y0, y1
-    phi_half = (m * hbar / (tau * half)) * du + 1j * u
-    values = np.concatenate([np.conj(phi_half[::-1]), phi_half])
-    return WaveFunction(Representation.MOMENTUM, p, values, consts)
 
 
 def completeness_check(

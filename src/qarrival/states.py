@@ -56,7 +56,10 @@ class WaveFunction:
         step = steps[0]
         if not step > 0.0:
             raise ValueError(f"grid must be increasing, got step {step}")
-        if np.abs(steps - step).max() > 1e-12 * step:
+        # linspace rounds each sample to an ulp or two of the largest |x|, which
+        # on fine grids exceeds 1e-12 of the step (measured: below 2 eps max|x|)
+        tol = max(1e-12 * step, 4.0 * np.finfo(float).eps * max(abs(grid[0]), abs(grid[-1])))
+        if np.abs(steps - step).max() > tol:
             raise ValueError("grid must be uniformly spaced")
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")

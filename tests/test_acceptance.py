@@ -24,11 +24,10 @@ from qarrival import (
     eigenstate_values,
     kinetic_energy_density,
     small_time_current_law,
-    solve_eigen_ode,
 )
 from qarrival.numerics import GAMMA_3_4
 from qarrival.states import Representation, WaveFunction
-from util_new_oracle import new_low_momentum_slope
+from util_new_oracle import new_low_momentum_slope, solve_eigen_ode
 from util_spectral import chebyshev_nodes_and_diff
 
 

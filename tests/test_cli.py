@@ -236,9 +236,11 @@ class TestMeasureModes:
         assert preset["config"]["packet"] == "reflected" and gaussian["config"]["packet"] == "gaussian"
         assert gaussian["rows"] != preset["rows"]
 
-    def test_conditional_two_peaks(self, tmp_path):
+    @staticmethod
+    def conditional_peaks(tmp_path, *flags):
+        """The two largest local maxima of the conditional preset's output."""
         out = tmp_path / "cond.json"
-        res = run_cli("measure", "--mode", "conditional", "--format", "json", "--out", str(out))
+        res = run_cli("measure", "--mode", "conditional", *flags, "--format", "json", "--out", str(out))
         assert res.returncode == 0, res.stderr
         rows = np.array(json.loads(out.read_text())["rows"])
         centers, masses = rows[:, 0], rows[:, 1]
@@ -248,8 +250,17 @@ class TestMeasureModes:
             if masses[i] > masses[i - 1] and masses[i] > masses[i + 1]
         ]
         local.sort(key=lambda i: -masses[i])
-        top2 = sorted(centers[i] for i in local[:2])
+        return sorted(centers[i] for i in local[:2])
+
+    def test_conditional_two_peaks(self, tmp_path):
+        top2 = self.conditional_peaks(tmp_path)
         # peaks at xbar1 -+ |p0| (t2 - t1) = 4 -+ 2.5
+        assert abs(top2[0] - 1.5) <= 0.5
+        assert abs(top2[1] - 6.5) <= 0.5
+
+    def test_conditional_fine_grid(self, tmp_path):
+        # linspace's rounding of [0, 40] at 16001 samples exceeds 1e-12 of the step
+        top2 = self.conditional_peaks(tmp_path, "--nx", "16001")
         assert abs(top2[0] - 1.5) <= 0.5
         assert abs(top2[1] - 6.5) <= 0.5
 
@@ -278,6 +289,13 @@ class TestInputValidation:
         res = run_cli("distribution", "--config", str(cfg), *SMALL)
         assert res.returncode == 2
         assert "with_reference" in res.stderr
+
+    @pytest.mark.parametrize("value", ["maybe", "True", "1"])
+    def test_bad_switch_value_exits_2(self, capsys, value):
+        from qarrival.cli import main
+
+        assert main(["distribution", "--with-reference", value]) == 2
+        assert "config field 'with_reference'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["p0", "sigma_p"])
     def test_json_boolean_for_number_exits_2(self, tmp_path, field):
@@ -461,6 +479,16 @@ class TestConfigPrecedence:
             recorded = json.loads(first.splitlines()[0].removeprefix("# config: "))
         cfg = self.write(tmp_path, recorded)
         assert self.run(capsys, "measure", "--config", cfg, "--format", fmt) == (0, first, "")
+
+    def test_switch_flag_overrides_file(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, {"with_reference": True})
+        distribution = ("distribution", *SMALL, "--format", "json")
+        off = self.run(capsys, *distribution, "--config", cfg, "--with-reference", "false")
+        assert off == self.run(capsys, *distribution) and off[0] == 0
+        on = self.run(capsys, *distribution, "--with-reference", "true")
+        assert on == self.run(capsys, *distribution, "--with-reference")
+        assert on == self.run(capsys, *distribution, "--config", cfg)
+        assert json.loads(on[1])["columns"] == ["tau", "pi_new", "pi_kijowski", "ked_sqrt_law"]
 
     def test_unhashable_mode_in_file_exits_2(self, tmp_path, capsys):
         cfg = self.write(tmp_path, {"mode": ["zeno"]})

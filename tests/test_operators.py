@@ -23,13 +23,11 @@ from qarrival import (
     eigenstate_values,
     hermiticity_defect,
     integrate,
-    kijowski_distribution,
     kinetic_energy_density,
     make_gaussian,
     numerics,
     overlap,
     simpson_weights,
-    solve_eigen_ode,
 )
 from qarrival.operators import (
     BAND_WIDTH,
@@ -46,6 +44,7 @@ from qarrival.states import Representation, WaveFunction, reflected_position_sta
 import util_new_oracle as oracle
 from test_numerics import brute_series_j
 from util_current import stencil_current
+from util_kijowski import kijowski_density
 from util_dense import dense_current_delta_form, dense_hermiticity_defect, dense_matrix, dense_operator
 from util_origin import derivative_at_origin, value_at_origin
 from util_pertau import completeness_per_tau, distribution_per_tau
@@ -338,10 +337,10 @@ class TestNonFiniteTau:
                 completeness_check(EigenFamily.KDM, fast_packet, window, 101)
 
 
-# The folded sums (distribution, completeness_check, kijowski_distribution)
-# against the full-grid per-tau sums, as a fraction of the oracle's peak; the
-# fold reorders the sums, which moved them by at most 2.2e-15 (the reflected
-# packet's cancelling overlaps; 1.3e-15 elsewhere) when pinned.
+# The folded sums (distribution, completeness_check) against the full-grid
+# per-tau sums, as a fraction of the oracle's peak; the fold reorders the
+# sums, which moved them by at most 2.2e-15 (the reflected packet's
+# cancelling overlaps; 1.3e-15 elsewhere) when pinned.
 FOLD_TOL = 4e-15
 
 
@@ -404,9 +403,8 @@ class TestBlockedSpectralCalls:
 
         monkeypatch.setattr("qarrival.operators._fold", counting)
         distribution(fast_packet, EigenFamily.KDM, np.linspace(0.0, 1.0, 201))
-        kijowski_distribution(fast_packet, np.linspace(0.0, 1.0, 201))
         completeness_check(EigenFamily.AB, fast_packet, (-0.25, 1.25), 101)
-        assert calls == [fast_packet.grid.size] * 3
+        assert calls == [fast_packet.grid.size] * 2
 
     @pytest.mark.parametrize(
         "family,window",
@@ -511,8 +509,8 @@ class TestFold:
 
 
 class TestTrim:
-    """distribution and kijowski_distribution sum over the half grid trimmed to
-    the packet's support (_trim); completeness_check keeps every |p|."""
+    """distribution sums over the half grid trimmed to the packet's support
+    (_trim); completeness_check keeps every |p|."""
 
     # packet fixture: its tau window
     WINDOWS = {"fast_packet": (0.0, 1.0), "slow_packet": (0.0, 2.0), "reflected_packet": (20.0, 120.0)}
@@ -521,13 +519,6 @@ class TestTrim:
     def slow_packet(self, consts, grid):
         # the spectral benchmark's slow packet: it overlaps x = 0 at tau = 0
         return make_gaussian(GaussianSpec(p0=1.0, x0=-0.5, sigma_p=1.0, consts=consts), grid)
-
-    @staticmethod
-    def _kijowski_full_grid(psi, taus):
-        p, m, hbar = psi.grid, psi.consts.mass, psi.consts.hbar
-        amps = [integrate(np.sqrt(np.abs(p)) * np.exp(-1j * p**2 * t / (2.0 * m * hbar)) * psi.values, psi.dx)
-                for t in taus]
-        return np.abs(amps) ** 2 / (2.0 * math.pi * m * hbar)
 
     @pytest.mark.parametrize("packet", list(WINDOWS))
     def test_matches_full_grid_oracle(self, packet, request):
@@ -540,12 +531,9 @@ class TestTrim:
             ref = distribution_per_tau(psi, family, taus)
             got = distribution(psi, family, taus).values
             assert np.max(np.abs(got - ref)) <= FOLD_TOL * ref.max(), family
-        ref = self._kijowski_full_grid(psi, taus)
-        assert np.max(np.abs(kijowski_distribution(psi, taus) - ref)) <= FOLD_TOL * ref.max()
 
     def test_trimmed_once_per_overlap_call(self, fast_packet, monkeypatch):
-        # distribution and kijowski_distribution trim; completeness_check's
-        # reconstruction needs every |p|
+        # distribution trims; completeness_check's reconstruction needs every |p|
         calls = []
 
         def counting(ap, folded):
@@ -554,9 +542,8 @@ class TestTrim:
 
         monkeypatch.setattr("qarrival.operators._trim", counting)
         distribution(fast_packet, EigenFamily.NEW, np.linspace(0.0, 1.0, 21))
-        kijowski_distribution(fast_packet, np.linspace(0.0, 1.0, 21))
         completeness_check(EigenFamily.KDM, fast_packet, (-0.25, 1.25), 101)
-        assert calls == [fast_packet.grid.size // 2] * 2
+        assert calls == [fast_packet.grid.size // 2]
 
     def test_kept_count_pinned(self, fast_packet, slow_packet):
         # one kept set per packet, whatever the family
@@ -582,10 +569,8 @@ class TestTrim:
         taus = np.linspace(0.0, 1.0, 201)
         assert _kept_samples(psi) == grid.n // 2
         trimmed = [distribution(psi, family, taus).values for family in EigenFamily]
-        trimmed.append(kijowski_distribution(psi, taus))
         monkeypatch.setattr("qarrival.operators._trim", lambda ap, folded: (ap, folded))
         untrimmed = [distribution(psi, family, taus).values for family in EigenFamily]
-        untrimmed.append(kijowski_distribution(psi, taus))
         for got, ref in zip(trimmed, untrimmed):
             assert got.tobytes() == ref.tobytes()
 
@@ -597,7 +582,6 @@ class TestTrim:
             warnings.simplefilter("error")
             for family in EigenFamily:
                 assert np.array_equal(distribution(psi, family, taus).values, np.zeros(taus.size)), family
-            assert np.array_equal(kijowski_distribution(psi, taus), np.zeros(taus.size))
 
     @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
     def test_overlaps_of_any_weight_layout(self, family, fast_packet):
@@ -838,42 +822,27 @@ class TestOverlapAndDistributions:
 
 
 class TestKijowski:
-    def test_nonnegative(self, fast_packet):
-        for t in np.linspace(0.0, 1.0, 11):
-            assert kijowski_distribution(fast_packet, float(t)) >= 0.0
+    """The Kijowski density is AB's distribution."""
 
     def test_peak_at_classical_arrival(self, consts):
         grid = GridSpec(1024, 40.0)
         psi = make_gaussian(GaussianSpec(10.0, -5.0, 0.5, consts), grid)
         taus = np.linspace(0.3, 0.7, 161)
-        vals = np.array([kijowski_distribution(psi, float(t)) for t in taus])
+        vals = distribution(psi, EigenFamily.AB, taus).values
         assert abs(taus[np.argmax(vals)] - 0.5) <= 0.025  # within 5%
 
-    def test_array_equals_scalar_calls(self, fast_packet):
+    def test_equals_kijowski_oracle(self, fast_packet):
+        # (1/m)|(|p|^(1/2) psi_t)(x = 0)|^2 by a rectangle sum over the full grid;
+        # |p|^(1/2) has a kink at p = 0, so a packet with weight there would
+        # compare the two quadratures instead
         taus = np.linspace(0.0, 1.0, 201)  # the CLI default preset
-        assert _has_partial_last_block(taus, _kept_samples(fast_packet))
-        vals = kijowski_distribution(fast_packet, taus)
-        assert vals.shape == taus.shape
-        assert np.array_equal(vals, [kijowski_distribution(fast_packet, float(t)) for t in taus])
-        assert isinstance(kijowski_distribution(fast_packet, 0.5), float)
-        # and the rank-one formula, one full-grid Simpson integral per time
-        p = fast_packet.grid
-
-        def rank_one(t):
-            amp = integrate(np.sqrt(np.abs(p)) * (np.exp(-1j * p**2 * t / 2.0) * fast_packet.values), fast_packet.dx)
-            return abs(amp) ** 2 / (2.0 * math.pi)
-
-        ref = np.array([rank_one(t) for t in taus])
+        ref = kijowski_density(fast_packet, taus)
+        vals = distribution(fast_packet, EigenFamily.AB, taus).values
         assert np.max(np.abs(vals - ref)) <= FOLD_TOL * ref.max()
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([0.1, math.nan])], ids=["nan", "inf", "nan_entry"])
-    def test_non_finite_time_rejected(self, fast_packet, bad):
-        with pytest.raises(ValueError, match="t must be finite"):
-            kijowski_distribution(fast_packet, bad)
 
     def test_two_dimensional_times_rejected(self, fast_packet):
         with pytest.raises(ValueError, match="1-D"):
-            kijowski_distribution(fast_packet, np.zeros((2, 2)))
+            distribution(fast_packet, EigenFamily.AB, np.zeros((2, 2)))
 
     def test_phase_covariance_kdm(self, fast_packet):
         # for a positive-momentum packet, |<e^{-iHt} psi|phi_tau>| = |<psi|phi_{tau+t}>|
@@ -1061,7 +1030,7 @@ class TestEigenvalueOde:
     @pytest.mark.parametrize("tau", [0.2, 1.0, 5.0])
     def test_correlation_with_closed_form(self, tau, consts):
         grid = GridSpec(512, 8.0)
-        ode = solve_eigen_ode(tau, grid, consts)
+        ode = oracle.solve_eigen_ode(tau, grid, consts)
         closed = eigenstate_values(EigenFamily.NEW, tau, grid.momenta(), consts)
         num = abs(np.vdot(ode.values, closed))
         den = np.linalg.norm(ode.values) * np.linalg.norm(closed)
@@ -1095,12 +1064,13 @@ class TestEigenvalueOde:
 
     def test_rejects_nonpositive_tau(self, consts):
         with pytest.raises(ValueError):
-            solve_eigen_ode(0.0, GridSpec(64, 4.0), consts)
+            oracle.solve_eigen_ode(0.0, GridSpec(64, 4.0), consts)
 
     @pytest.mark.parametrize("tau", [0.2, 3.0])
     def test_float_steps_equal_vector_steps(self, tau, consts):
         grid = GridSpec(48, 4.0)
-        assert solve_eigen_ode(tau, grid, consts).values.tobytes() == _ode_vector_steps(tau, grid, consts).tobytes()
+        ode = oracle.solve_eigen_ode(tau, grid, consts)
+        assert ode.values.tobytes() == _ode_vector_steps(tau, grid, consts).tobytes()
 
 
 class TestCompleteness:

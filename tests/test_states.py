@@ -56,6 +56,18 @@ class TestWaveFunctionValidation:
         psi = WaveFunction(Representation.POSITION, grid, np.ones(101), consts)
         assert psi.dx == grid[1] - grid[0]
 
+    def test_fine_grid_rounding_accepted(self, consts):
+        # the conditional preset's box at nx = 16001: steps differ by 1.9e-12 of the step
+        grid = np.linspace(0.0, 40.0, 16001)
+        assert np.ptp(np.diff(grid)) > 1e-12 * (grid[1] - grid[0])
+        WaveFunction(Representation.POSITION, grid, np.ones(grid.size), consts)
+
+    def test_one_moved_sample_rejected(self, consts):
+        grid = np.linspace(0.0, 40.0, 16001)
+        grid[8000] += 1e-6 * (grid[1] - grid[0])
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            WaveFunction(Representation.POSITION, grid, np.ones(grid.size), consts)
+
 
 class TestMakeGaussian:
     def test_symmetric_packet(self, consts):

@@ -5,14 +5,16 @@ This is the evaluator's earlier form: both orders of a table summed in one
 eigenstate assembled as complex products, amp (f0 + i z f1) below z = 10 and
 amp ((P1 cos A - Q1 sin A) + i (Q2 cos A + P2 sin A)) at and above it.  The
 real-row evaluator of qarrival.operators must equal it byte for byte.  The
-small-z slope of the eigenstate is here too.
+small-z slope of the eigenstate is here too, and the eigenstate integrated
+from its momentum-space ODE, which the closed form is checked against.
 """
 
 import math
 
 import numpy as np
 
-from qarrival.numerics import _BESSEL_HIGH, _BESSEL_LOW, BESSEL_SWITCHOVER, GAMMA_3_4, PhysConsts
+from qarrival.numerics import _BESSEL_HIGH, _BESSEL_LOW, BESSEL_SWITCHOVER, GAMMA_3_4, GridSpec, PhysConsts
+from qarrival.states import Representation, WaveFunction
 
 
 def clenshaw_2d(coefs, x):
@@ -69,3 +71,58 @@ def new_low_momentum_slope(tau, consts=PhysConsts()):
     tau^(1/4) / (2 Gamma(3/4) (m hbar)^(3/4))."""
     m, hbar = consts.mass, consts.hbar
     return tau**0.25 / (2.0 * GAMMA_3_4 * (m * hbar) ** 0.75)
+
+
+def solve_eigen_ode(tau: float, grid: GridSpec, consts: PhysConsts = PhysConsts()) -> WaveFunction:
+    """NEW-family eigenstate by direct integration of the momentum-space ODE.
+
+    The antisymmetric part u satisfies  u'' - (2/p) u' + (tau/m hbar)^2 p^2 u = 0
+    with the regular branch u ~ p^3 (1 - (tau/m hbar)^2 p^4 / 28) at small p.
+    RK4 integration runs from the first grid momentum to p_max; the symmetric
+    part follows from the coupled first-order relation phi_S = (m hbar / tau |p|) u',
+    and p < 0 values from phi(-p) = conj(phi(p)).  The result carries an
+    arbitrary global scale.
+    """
+    if tau <= 0.0:
+        raise ValueError("solve_eigen_ode requires tau > 0")
+    m, hbar = consts.mass, consts.hbar
+    p = grid.momenta()
+    half = p[grid.n // 2 :]
+    kappa = tau / (m * hbar)
+
+    def rhs(pp: float, y0: float, y1: float) -> tuple[float, float]:
+        return y1, (2.0 / pp) * y1 - (kappa * pp) ** 2 * y0
+
+    # step resolving the local phase dz/dp = kappa p; RK4 phase error per
+    # radian ~ (kappa p h)^4, kept below ~1e-10 over the full sweep
+    h_target = min(grid.dp / 8.0, 4e-3 / (kappa * grid.p_max))
+    if h_target < 1e-9 * grid.p_max:
+        raise RuntimeError(f"step size underflow for tau = {tau} on this grid")
+    p0 = float(half[0])
+    a = -(kappa**2) / 28.0
+    # the state (y0, y1) = (u, u') is stepped as Python floats: the same IEEE
+    # operations, in the same order, as on a 2-vector, without numpy's
+    # per-call overhead
+    y0, y1 = p0**3 * (1.0 + a * p0**4), 3.0 * p0**2 + 7.0 * a * p0**6
+    u = np.empty(half.size)
+    du = np.empty(half.size)
+    u[0], du[0] = y0, y1
+    for i in range(half.size - 1):
+        span = float(half[i + 1] - half[i])
+        steps = max(1, int(math.ceil(span / h_target)))
+        h = span / steps
+        pp = float(half[i])
+        for _ in range(steps):
+            k1 = rhs(pp, y0, y1)
+            k2 = rhs(pp + 0.5 * h, y0 + 0.5 * h * k1[0], y1 + 0.5 * h * k1[1])
+            k3 = rhs(pp + 0.5 * h, y0 + 0.5 * h * k2[0], y1 + 0.5 * h * k2[1])
+            k4 = rhs(pp + h, y0 + h * k3[0], y1 + h * k3[1])
+            y0 = y0 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            y1 = y1 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            pp += h
+        if not (math.isfinite(y0) and math.isfinite(y1)):
+            raise RuntimeError("eigenvalue ODE integration failed (non-finite state)")
+        u[i + 1], du[i + 1] = y0, y1
+    phi_half = (m * hbar / (tau * half)) * du + 1j * u
+    values = np.concatenate([np.conj(phi_half[::-1]), phi_half])
+    return WaveFunction(Representation.MOMENTUM, p, values, consts)
