@@ -53,6 +53,7 @@ from .measurement import (
     classical_stopwatch,
     conditional_distribution,
     crossing_probability,
+    free_evolve,
     halfline_propagate,
     make_zeno_chain,
     small_time_current_law,
@@ -101,6 +102,7 @@ __all__ = [
     "classical_stopwatch",
     "conditional_distribution",
     "crossing_probability",
+    "free_evolve",
     "halfline_propagate",
     "make_zeno_chain",
     "small_time_current_law",

@@ -1,5 +1,6 @@
-"""Measurement models: half-line propagation, sequential window measurements,
-crossing probabilities, the small-time current law, and classical oracles.
+"""Measurement models: free and half-line propagation, sequential window
+measurements, crossing probabilities, the small-time current law, and
+classical oracles.  Every state evolved here goes through free_evolve.
 
 Probabilities in this module use uniform-weight (rectangle) sums dx*sum|psi|^2:
 uniform weights keep the projector algebra exact on the grid (idempotence,
@@ -65,13 +66,11 @@ class MeasurementChain:
         if times and times[0] < self.start_time:
             raise ValueError("first event precedes the initial time")
         x = self.initial.grid
+        if self.propagator is not Propagator.FREE:
+            _check_wall(x, self.propagator)  # so the grid check below keeps windows on the half-line
         for _, w in self.events:
             if w.center - w.half_width < x[0] - 1e-12 or w.center + w.half_width > x[-1] + 1e-12:
                 raise ValueError(f"window {w} extends outside the position grid")
-            if self.propagator is Propagator.HALFLINE_DIRICHLET_POS and w.center - w.half_width < -1e-12:
-                raise ValueError("window leaves the x >= 0 half-line")
-            if self.propagator is Propagator.HALFLINE_DIRICHLET_NEG and w.center + w.half_width > 1e-12:
-                raise ValueError("window leaves the x <= 0 half-line")
 
 
 def _prob_mass(values: np.ndarray, dx: float) -> float:
@@ -83,20 +82,44 @@ def _prob_mass(values: np.ndarray, dx: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def free_evolve(psi: WaveFunction, dt: float) -> WaveFunction:
+    """Free evolution over dt: the phase e^{-i p^2 dt / 2 m hbar} in momentum.
+
+    A momentum state takes it at its samples.  A position state evolves in the
+    periodic box of its grid, exactly on the grid: one FFT, the phase at the
+    box momenta p = 2 pi hbar fftfreq(M, dx), one inverse FFT.  An odd grid of
+    N samples is a box of M = N - 1 whose last sample repeats the first.
+    """
+    m, hbar = psi.consts.mass, psi.consts.hbar
+    x, values = psi.grid, psi.values
+    box = x.size - x.size % 2
+    if psi.rep is Representation.MOMENTUM:
+        p = x
+    else:
+        p = 2.0 * math.pi * hbar * np.fft.fftfreq(box, (x[-1] - x[0]) / (x.size - 1))
+        values = np.fft.fft(values[:box])
+    values = values * np.exp(-1j * p**2 * dt / (2.0 * m * hbar))
+    if psi.rep is Representation.POSITION:
+        values = np.fft.ifft(values)[np.arange(x.size) % box]
+    return WaveFunction(psi.rep, x, values, psi.consts)
+
+
+def _check_wall(x: np.ndarray, side: Propagator) -> None:
+    end = x[0] if side is Propagator.HALFLINE_DIRICHLET_POS else x[-1]
+    if end != 0.0:
+        raise ValueError(f"a {side.value} grid must end at the wall x = 0, got an end at x = {end}")
+
+
 def halfline_propagate(
     psi: WaveFunction,
     t1: float,
     t0: float,
     side: Propagator = Propagator.HALFLINE_DIRICHLET_POS,
 ) -> WaveFunction:
-    """Propagate on a Dirichlet half-line with the direct-minus-image kernel.
-
-        g(x1,t1|x0,t0) = (m/(2 pi i hbar dt))^(1/2)
-                         [e^{i m (x1-x0)^2 / 2 hbar dt} - e^{i m (x1+x0)^2 / 2 hbar dt}]
-
-    restricted to the allowed half-line.  The 1/sqrt(i) = e^{-i pi/4} factor
-    is required for unitarity.  The input must vanish (<= 1e-8 of peak)
-    outside the allowed region.
+    """Propagate on a Dirichlet half-line by the method of images: the odd
+    extension about the wall x = 0, where the grid must end, evolves freely in
+    its periodic box (so the far end is a Dirichlet wall too) and is restricted
+    back.  The input must vanish (<= 1e-8 of peak) outside the allowed region.
     """
     if psi.rep is not Representation.POSITION:
         raise ValueError("halfline_propagate expects a position-representation state")
@@ -111,37 +134,16 @@ def halfline_propagate(
     outside = float(np.max(np.abs(psi.values[~allowed]))) if (~allowed).any() else 0.0
     if outside > 1e-8 * peak:
         raise ValueError("state has support outside the allowed half-line")
+    _check_wall(x, side)
 
-    m, hbar = psi.consts.mass, psi.consts.hbar
-    n = x.size
-    dx = (x[-1] - x[0]) / (n - 1)
-    a = 1j * m / (2.0 * hbar * dt)
-    # The direct kernel depends on x1 - x0 = (j - k) dx and the image kernel on
-    # x1 + x0 = 2 x[0] + (j + k) dx, so both rectangle-rule sums are linear
-    # convolutions (the image one of the reversed source), read at j + n - 1.
-    # Any FFT length >= 2n - 1 keeps the wrapped terms out of that range.
-    size = 1 << (2 * n - 2).bit_length()
-    direct = np.fft.fft(np.exp(a * (np.arange(1 - n, n) * dx) ** 2), size)
-    image = np.fft.fft(np.exp(a * (2.0 * x[0] + np.arange(2 * n - 1) * dx) ** 2), size)
-    src = np.where(allowed, psi.values, 0.0)
-    conv = np.fft.ifft(np.fft.fft(src, size) * direct - np.fft.fft(src[::-1], size) * image)
-    pref = math.sqrt(m / (2.0 * math.pi * hbar * dt)) * np.exp(-1j * math.pi / 4.0)
-    out = conv[n - 1 : 2 * n - 1] * (pref * dx)
-    out[~allowed] = 0.0
-    return WaveFunction(Representation.POSITION, x, out, psi.consts)
-
-
-def _free_propagate_position(psi: WaveFunction, dt: float) -> WaveFunction:
-    """Free evolution of a position-representation state via its conjugate
-    half-offset momentum grid (exact phase evolution between the transforms);
-    an odd grid of N positions pairs with N - 1 momenta."""
-    m, hbar = psi.consts.mass, psi.consts.hbar
-    x = psi.grid
-    p = GridSpec(x.size - x.size % 2, math.pi * hbar * (x.size - 1) / (x[-1] - x[0])).momenta()
-    vp = position_to_momentum(psi.values, x, p, hbar)
-    vp *= np.exp(-1j * p**2 * dt / (2.0 * m * hbar))
-    vx = momentum_to_position(vp, p, x, hbar)
-    return WaveFunction(Representation.POSITION, x, vx, psi.consts)
+    # distance y from the wall and the values there, wall first; both walls hold 0
+    flip = slice(None) if side is Propagator.HALFLINE_DIRICHLET_POS else slice(None, None, -1)
+    y, u = np.abs(x[flip]), psi.values[flip].copy()
+    u[[0, -1]] = 0.0
+    odd = WaveFunction(psi.rep, np.concatenate([-y[:0:-1], y]), np.concatenate([-u[:0:-1], u]), psi.consts)
+    out = free_evolve(odd, dt).values[y.size - 1 :]
+    out[[0, -1]] = 0.0
+    return WaveFunction(psi.rep, x, out[flip], psi.consts)
 
 
 def window_project(psi: WaveFunction, w: WindowSpec) -> WaveFunction:
@@ -159,15 +161,12 @@ def window_project(psi: WaveFunction, w: WindowSpec) -> WaveFunction:
 def chain_final_state(chain: MeasurementChain) -> tuple[WaveFunction, float]:
     """Thread the chain: propagate-project alternation; returns the final
     (unnormalized) state and the joint probability of all outcomes."""
-    state = chain.initial
-    t_prev = chain.start_time
+    state, t_prev = chain.initial, chain.start_time
     for t_event, window in chain.events:
-        dt = t_event - t_prev
-        if dt > 0.0:
-            if chain.propagator is Propagator.FREE:
-                state = _free_propagate_position(state, dt)
-            else:
-                state = halfline_propagate(state, t_event, t_prev, chain.propagator)
+        if t_event > t_prev and chain.propagator is Propagator.FREE:
+            state = free_evolve(state, t_event - t_prev)
+        elif t_event > t_prev:
+            state = halfline_propagate(state, t_event, t_prev, chain.propagator)
         state = window_project(state, window)
         t_prev = t_event
     return state, _prob_mass(state.values, state.dx)
@@ -213,12 +212,9 @@ def conditional_distribution(
     if p1 <= 1e-12:
         raise ValueError(f"first-event probability {p1:.3e} too small to condition on")
     state = halfline_propagate(state, t2, t1, side)
-    rho = np.abs(state.values) ** 2
-    x = state.grid
-    out = np.empty(len(xbar2_grid))
-    for i, c in enumerate(np.asarray(xbar2_grid, dtype=float)):
-        out[i] = float(np.sum(rho[np.abs(x - c) <= delta]) * state.dx) / p1
-    return out
+    rho, x = np.abs(state.values) ** 2, state.grid
+    masses = [np.sum(rho[np.abs(x - c) <= delta]) for c in np.asarray(xbar2_grid, dtype=float)]
+    return np.array(masses, dtype=float) * state.dx / p1
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +253,7 @@ def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> Crossing
     if psi.rep is not Representation.MOMENTUM:
         raise ValueError("crossing_probability expects a momentum-representation state")
     taus = _check_taus(np.atleast_1d(tau), "tau", increasing=True, nonnegative=True)
-    m, hbar = psi.consts.mass, psi.consts.hbar
+    hbar = psi.consts.hbar
     p = psi.grid
     # oversampled half-offset position grid at the conjugate extent
     x_grid = GridSpec(CROSSING_OVERSAMPLE * p.size, math.pi * hbar * (p.size - 1) / (p[-1] - p[0]))
@@ -267,16 +263,17 @@ def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> Crossing
     psi_x = momentum_to_position(psi.values, p, x, hbar)
     neg_p = position_to_momentum(np.where(left, psi_x, 0.0), x, p, hbar)
     pos_p = position_to_momentum(np.where(right, psi_x, 0.0), x, p, hbar)
+    neg, pos = (WaveFunction(Representation.MOMENTUM, p, v, psi.consts) for v in (neg_p, pos_p))
 
-    def evolved_mass(values_p: np.ndarray, t: float, target: np.ndarray) -> float:
-        vx = momentum_to_position(values_p * np.exp(-1j * p**2 * t / (2.0 * m * hbar)), p, x, hbar)
+    def evolved_mass(state: WaveFunction, t: float, target: np.ndarray) -> float:
+        vx = momentum_to_position(free_evolve(state, t).values, p, x, hbar)
         return float(np.sum(np.abs(vx[target]) ** 2) * dx)
 
     projector = np.zeros(taus.size)
     current = np.zeros(taus.size)
     live = np.flatnonzero(taus)
     for k in live:
-        projector[k] = evolved_mass(neg_p, taus[k], right) + evolved_mass(pos_p, taus[k], left)
+        projector[k] = evolved_mass(neg, taus[k], right) + evolved_mass(pos, taus[k], left)
     j = _free_current_integrals(np.stack([neg_p, pos_p], axis=1), p, psi.dx, taus[live], psi.consts)
     current[live] = j[:, 0] - j[:, 1]
     if np.ndim(tau) == 0:

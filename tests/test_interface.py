@@ -3,11 +3,13 @@
 bench/tracing.py binds each traced call to the function's signature and reads
 these arguments by name; a renamed parameter would break or silently change
 `numerics.fourier.points`, `operators.eigenstate_values.samples*` and
-`measurement.halfline_propagate.kernel_points`.  The eigenstate counter also
-reads `tau` as one number, so `eigenstate_values` keeps a scalar tau and the
-block evaluator over many taus stays private (untraced).  The tracer rebinds
-functions in the five library modules only, so the invariant registry
-(`qarrival.checks`) calls them through those modules.
+`measurement.halfline_propagate.kernel_points`.  `free_evolve(psi, dt)`, which
+`halfline_propagate` calls and the tracer times as a span of its own, is
+pinned with them.  The eigenstate counter also reads `tau` as one number, so
+`eigenstate_values` keeps a scalar tau and the block evaluator over many taus
+stays private (untraced).  The tracer rebinds functions in the five library
+modules only, so the invariant registry (`qarrival.checks`) calls them
+through those modules.
 """
 
 import inspect
@@ -24,6 +26,7 @@ from qarrival import (
     completeness_check,
     distribution,
     eigenstate_values,
+    free_evolve,
     halfline_propagate,
     operators,
     overlap,
@@ -37,6 +40,7 @@ from qarrival.numerics import momentum_to_position, position_to_momentum
         (momentum_to_position, ["values", "p", "x", "hbar"]),
         (position_to_momentum, ["values", "x", "p", "hbar"]),
         (halfline_propagate, ["psi", "t1", "t0", "side"]),
+        (free_evolve, ["psi", "dt"]),
         (eigenstate_values, ["family", "tau", "p", "consts"]),
     ],
     ids=lambda v: getattr(v, "__name__", None),

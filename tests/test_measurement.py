@@ -18,6 +18,7 @@ from qarrival import (
     classical_stopwatch,
     conditional_distribution,
     crossing_probability,
+    free_evolve,
     halfline_propagate,
     make_gaussian,
     make_reflected_state,
@@ -30,7 +31,7 @@ from qarrival import (
 )
 from qarrival.states import conjugate_position_grid
 from util_dense import dense_halfline
-from util_pertau import crossing_per_tau
+from util_pertau import crossing_per_tau, free_phase
 
 
 def analytic_free_gaussian(x, t, p0, x0, sigma_x, m=1.0, hbar=1.0):
@@ -88,12 +89,76 @@ class TestHalflinePropagate:
         ref = dense_halfline(psi, 0.8, sign * x >= -1e-12)
         assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("t", [0.05, 0.8])
+    @pytest.mark.parametrize(
+        "side,x",
+        [
+            (Propagator.HALFLINE_DIRICHLET_POS, np.linspace(0.0, 20.0, 801)),
+            (Propagator.HALFLINE_DIRICHLET_NEG, np.linspace(-20.0, 0.0, 801)),
+        ],
+        ids=["pos", "neg"],
+    )
+    def test_matches_image_solution(self, consts, side, x, t):
+        # the odd packet G(x) - G(-x) evolves into G(x, t) - G(-x, t) on the
+        # half-line; at t = 0.05, pi hbar t / (m dx) = 6.3 is below the grid's
+        # extent of 20, where a rectangle sum over the chirp kernel aliases
+        sign = 1.0 if side is Propagator.HALFLINE_DIRICHLET_POS else -1.0
+        p0, x0 = -8.0 * sign, 6.0 * sign
+
+        def image(t):
+            return analytic_free_gaussian(x, t, p0, x0, 0.5) - analytic_free_gaussian(-x, t, p0, x0, 0.5)
+
+        psi = WaveFunction(Representation.POSITION, x, image(0.0), consts)
+        out = halfline_propagate(psi, t, 0.0, side)
+        exact = image(t)
+        assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.max(np.abs(exact))
+
     def test_support_violation(self, consts):
         x = np.linspace(-10.0, 10.0, 801)
         vals = analytic_free_gaussian(x, 0.0, 1.0, 0.0, 1.0)
         psi = WaveFunction(Representation.POSITION, x, vals, consts)
         with pytest.raises(ValueError, match="support"):
             halfline_propagate(psi, 0.1, 0.0, Propagator.HALFLINE_DIRICHLET_POS)
+
+    @pytest.mark.parametrize(
+        "side,x",
+        [
+            (Propagator.HALFLINE_DIRICHLET_POS, np.linspace(1.0, 21.0, 801)),
+            (Propagator.HALFLINE_DIRICHLET_NEG, np.linspace(-21.0, -1.0, 801)),
+        ],
+        ids=["pos", "neg"],
+    )
+    def test_grid_must_end_at_the_wall(self, consts, side, x):
+        vals = analytic_free_gaussian(x, 0.0, 0.0, float(np.mean(x)), 1.0)
+        psi = WaveFunction(Representation.POSITION, x, vals, consts)
+        with pytest.raises(ValueError, match="wall x = 0"):
+            halfline_propagate(psi, 0.1, 0.0, side)
+
+
+class TestFreeEvolve:
+    def test_momentum_phase(self, fast_packet):
+        out = free_evolve(fast_packet, 0.37)
+        assert out.rep is Representation.MOMENTUM
+        assert np.array_equal(out.values, free_phase(fast_packet.values, fast_packet.grid, 0.37, fast_packet.consts))
+
+    @pytest.mark.parametrize("nx", [800, 801])
+    def test_position_round_trip_and_norm(self, consts, nx):
+        x = np.linspace(-20.0, 20.0, nx)
+        psi = WaveFunction(Representation.POSITION, x, analytic_free_gaussian(x, 0.0, 3.0, -2.0, 0.5), consts)
+        out = free_evolve(psi, 0.6)
+        back = free_evolve(out, -0.6)
+        assert np.max(np.abs(back.values - psi.values)) <= 1e-13
+        box = slice(0, nx - nx % 2)  # an odd grid's last sample repeats the first
+        mass = np.sum(np.abs(psi.values[box]) ** 2)
+        assert np.sum(np.abs(out.values[box]) ** 2) == pytest.approx(mass, rel=1e-14)
+
+    @pytest.mark.parametrize("nx", [800, 801])
+    def test_centred_packet_matches_analytic(self, consts, nx):
+        x = np.linspace(-20.0, 20.0, nx)
+        psi = WaveFunction(Representation.POSITION, x, analytic_free_gaussian(x, 0.0, 2.0, 0.0, 0.5), consts)
+        out = free_evolve(psi, 0.5)
+        exact = analytic_free_gaussian(x, 0.5, 2.0, 0.0, 0.5)
+        assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +216,21 @@ class TestSequentialProbability:
         w = WindowSpec(-4.0, 4.0)
         with pytest.raises(ValueError, match="increasing"):
             MeasurementChain(pos_packet, ((0.2, w), (0.1, w)))
+
+    @pytest.mark.parametrize(
+        "side,x,w",
+        [
+            (Propagator.HALFLINE_DIRICHLET_POS, np.linspace(1.0, 21.0, 801), WindowSpec(10.0, 2.0)),
+            (Propagator.HALFLINE_DIRICHLET_NEG, np.linspace(-21.0, -1.0, 801), WindowSpec(-10.0, 2.0)),
+        ],
+        ids=["pos", "neg"],
+    )
+    def test_halfline_chain_grid_must_end_at_the_wall(self, consts, side, x, w):
+        # rejected at construction, before any propagation
+        vals = analytic_free_gaussian(x, 0.0, 0.0, float(np.mean(x)), 1.0)
+        psi = WaveFunction(Representation.POSITION, x, vals, consts)
+        with pytest.raises(ValueError, match="wall x = 0"):
+            MeasurementChain(psi, ((0.1, w),), side)
 
     def test_zeno_limit_reproduces_reflected_state(self, consts, grid):
         # dense theta(-x) projections on a left-half packet approach the
@@ -214,8 +294,8 @@ class TestConditionalDistribution:
         # disjoint exhaustive second windows: conditional masses sum to 1.
         # The first window must contain the packet without truncating it: a
         # sharp amplitude cut creates 1/p momentum tails whose fast components
-        # leave the finite domain before t2 (an O(1e-3) real escape, not a
-        # quadrature artifact).
+        # reach the far wall of the finite domain before t2 and reflect there
+        # (an O(1e-3) real reflection, not a quadrature artifact).
         psi = self._initial(consts, p0=-5.0, sigma_p=0.5, xc=10.0, nx=4097, x_max=16.0)
         xbar1, t1, t2, delta = 8.0, 0.4, 0.65, 0.5
         x = psi.grid
@@ -223,6 +303,18 @@ class TestConditionalDistribution:
         centers = np.arange(x[0] + delta - psi.dx / 2.0, x[-1] - delta, 2.0 * delta)
         cond = conditional_distribution(psi, (xbar1, t1, 6.0), t2, centers, delta)
         assert np.sum(cond) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("nx,t2", [(4001, 0.81), (401, 1.05), (4001, 1.05)])
+    def test_unitary_over_the_whole_box(self, consts, nx, t2):
+        # windows partitioning [0, 40] hold all the mass: the box's walls at
+        # x = 0 and x = 40 keep it in, for a short second step and a coarse grid alike
+        psi = self._initial(consts, p0=-10.0, sigma_p=0.5, xc=8.0, nx=nx)
+        delta = 0.5
+        x = psi.grid
+        # seams placed between samples so each sample belongs to exactly one window
+        centers = np.arange(x[0] + delta - psi.dx / 2.0, x[-1] - delta, 2.0 * delta)
+        cond = conditional_distribution(psi, (4.0, 0.8, delta), t2, centers, delta)
+        assert abs(np.sum(cond) - 1.0) <= 1e-12
 
     def test_peaks_move_linearly_with_time(self, consts):
         # fitted peak-location slopes vs (t2 - t1) equal -+|p0|/m within 3%

@@ -18,7 +18,12 @@ def dense_fourier(values, src, dst, sign, hbar):
 
 
 def dense_halfline(psi, dt, allowed):
-    """Direct-minus-image Dirichlet kernel applied as a full matrix."""
+    """Direct-minus-image Dirichlet kernel applied as a full matrix.
+
+    The rectangle sum over the chirp kernel resolves its phase only while
+    pi hbar dt / (m dx) exceeds the grid's extent: at larger source-target
+    separations the kernel turns by more than pi per sample and the sum aliases.
+    """
     m, hbar = psi.consts.mass, psi.consts.hbar
     x = psi.grid
     dx = (x[-1] - x[0]) / (x.size - 1)

@@ -54,13 +54,18 @@ def completeness_per_tau(family, psi, tau_range, tau_n):
 TIME_SAMPLES = 801
 
 
+def free_phase(values_p, p, t, consts):
+    """Free evolution of momentum samples over t: psi(p) e^{-i p^2 t / 2 m hbar}."""
+    return values_p * np.exp(-1j * p**2 * t / (2.0 * consts.mass * consts.hbar))
+
+
 def crossing_per_tau(psi, tau):
     """(projector form, current form) of the crossing probability over [0, tau]:
     project, free-propagate and project for the first; Simpson's rule on
     TIME_SAMPLES times of [0, tau] for the integral of the current."""
     if tau == 0.0:
         return 0.0, 0.0
-    m, hbar = psi.consts.mass, psi.consts.hbar
+    hbar = psi.consts.hbar
     p = psi.grid
     x_grid = GridSpec(CROSSING_OVERSAMPLE * p.size, math.pi * hbar * (p.size - 1) / (p[-1] - p[0]))
     x = x_grid.momenta()
@@ -70,7 +75,7 @@ def crossing_per_tau(psi, tau):
     pos_p = position_to_momentum(np.where(x > 0.0, psi_x, 0.0), x, p, hbar)
 
     def evolved_mass(values_p, target_positive):
-        vx = momentum_to_position(values_p * np.exp(-1j * p**2 * tau / (2.0 * m * hbar)), p, x, hbar)
+        vx = momentum_to_position(free_phase(values_p, p, tau, psi.consts), p, x, hbar)
         mask = x > 0.0 if target_positive else x < 0.0
         return float(np.sum(np.abs(vx[mask]) ** 2) * dx)
 

@@ -8,8 +8,10 @@ at a tau whose phases underflow (signed zeros); `distribution`
 for all families as CSV, JSON and with the Kijowski reference, plus negative,
 log-spaced and reflected-packet windows, a packet that fills the grid, and
 `--with-reference false`; every `measure` mode, zeno also as JSON and with a
-Gaussian packet, and conditional also as JSON, at non-default geometry and on
-a 16001-sample box; and `classical`.  A
+Gaussian packet, and conditional also as JSON, at non-default geometry, on
+a 16001-sample box, and with a short second step (`--t2 0.81`) and on a
+401-sample box, where pi hbar dt / (m dx) is below the box's extent (a
+chirp-kernel propagator aliases there); and `classical`.  A
 change that should leave every output byte-identical is checked by running
 this on the parent and on the change and diffing:
 
@@ -80,6 +82,9 @@ def presets() -> list[list[str]]:
         ["measure", "--mode", "conditional", "--x0", "7", "--nx", "2001", "--delta", "0.25"],
         # a box whose linspace steps differ by more than 1e-12 of the step
         ["measure", "--mode", "conditional", "--nx", "16001"],
+        # pi hbar dt / (m dx) below the box's extent: a short second step and a coarse box
+        ["measure", "--mode", "conditional", "--t2", "0.81"],
+        ["measure", "--mode", "conditional", "--nx", "401"],
         ["classical"],
     ]
     return runs
