@@ -329,17 +329,10 @@ def cmd_measure(cfg: RunConfig, out: str | None, fmt: str) -> int:
     if cfg.mode == "zeno":
         taus = cfg.tau_grid()
         fit = small_time_current_law(cfg.state(), taus)
-        ratio_coef = math.pi ** 1.5 / GAMMA_3_4 ** 2
         checks = {
             "fit_exponent": fit.exponent,
             "fit_prefactor": fit.prefactor,
             "target_prefactor": 1.0 / (2.0 * math.sqrt(math.pi)),
-            "ked2_over_emeas_coefficient_ratio": ratio_coef,
-            "note": (
-                "coefficient ratio pi^(3/2)/Gamma(3/4)^2 reported verbatim; the source "
-                "remark that the two prefactors differ by about 20 percent is logged "
-                "here without being asserted"
-            ),
         }
         rows = np.column_stack([taus, fit.current, fit.current / np.sqrt(taus)]).tolist()
         write_table(out, fmt, cfg, ["tau", "current", "current_over_sqrt_tau"], rows, checks)

@@ -1,6 +1,7 @@
 """Measurement models: free and half-line propagation, sequential window
 measurements, crossing probabilities, the small-time current law, and
-classical oracles.  Every state evolved here goes through free_evolve.
+classical oracles.  Every state evolved here goes through free_evolve, and
+a half-line's Dirichlet wall is the end of its position grid at x = 0.
 
 Probabilities in this module use uniform-weight (rectangle) sums dx*sum|psi|^2:
 uniform weights keep the projector algebra exact on the grid (idempotence,
@@ -24,8 +25,7 @@ from .states import Representation, WaveFunction
 
 class Propagator(enum.Enum):
     FREE = "free"
-    HALFLINE_DIRICHLET_NEG = "halfline_neg"  # allowed region x <= 0
-    HALFLINE_DIRICHLET_POS = "halfline_pos"  # allowed region x >= 0
+    HALFLINE = "halfline"  # Dirichlet wall at the grid's end at x = 0
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,15 @@ class WindowSpec:
 class MeasurementChain:
     """Ordered projective window measurements applied to an evolving state.
 
-    The initial state is a position-representation wave function at time
-    start_time; events are (time, window) pairs with strictly increasing
-    times.  Between events the state evolves with the chain's propagator.
+    The initial state is a position-representation wave function at time 0;
+    events are (time, window) pairs with strictly increasing times, the first
+    at t >= 0.  Between events the state evolves with the chain's propagator;
+    a HALFLINE chain's grid must end at the wall x = 0.
     """
 
     initial: WaveFunction
     events: tuple
     propagator: Propagator = Propagator.FREE
-    start_time: float = 0.0
 
     def __post_init__(self) -> None:
         if self.initial.rep is not Representation.POSITION:
@@ -63,11 +63,11 @@ class MeasurementChain:
         times = [t for t, _ in self.events]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("event times must be strictly increasing")
-        if times and times[0] < self.start_time:
+        if times and times[0] < 0.0:
             raise ValueError("first event precedes the initial time")
         x = self.initial.grid
-        if self.propagator is not Propagator.FREE:
-            _check_wall(x, self.propagator)  # so the grid check below keeps windows on the half-line
+        if self.propagator is Propagator.HALFLINE:
+            _wall_first(x)  # so the grid check below keeps windows on the half-line
         for _, w in self.events:
             if w.center - w.half_width < x[0] - 1e-12 or w.center + w.half_width > x[-1] + 1e-12:
                 raise ValueError(f"window {w} extends outside the position grid")
@@ -104,40 +104,30 @@ def free_evolve(psi: WaveFunction, dt: float) -> WaveFunction:
     return WaveFunction(psi.rep, x, values, psi.consts)
 
 
-def _check_wall(x: np.ndarray, side: Propagator) -> None:
-    end = x[0] if side is Propagator.HALFLINE_DIRICHLET_POS else x[-1]
-    if end != 0.0:
-        raise ValueError(f"a {side.value} grid must end at the wall x = 0, got an end at x = {end}")
+def _wall_first(x: np.ndarray) -> slice:
+    """The order of x that puts the wall x = 0 first: x >= 0 when the first
+    sample is at 0, x <= 0 when the last one is."""
+    if x[0] == 0.0:
+        return slice(None)
+    if x[-1] == 0.0:
+        return slice(None, None, -1)
+    raise ValueError(f"a half-line grid must end at the wall x = 0, got ends at x = {x[0]} and x = {x[-1]}")
 
 
-def halfline_propagate(
-    psi: WaveFunction,
-    t1: float,
-    t0: float,
-    side: Propagator = Propagator.HALFLINE_DIRICHLET_POS,
-) -> WaveFunction:
-    """Propagate on a Dirichlet half-line by the method of images: the odd
-    extension about the wall x = 0, where the grid must end, evolves freely in
-    its periodic box (so the far end is a Dirichlet wall too) and is restricted
-    back.  The input must vanish (<= 1e-8 of peak) outside the allowed region.
-    """
+def halfline_propagate(psi: WaveFunction, t1: float, t0: float) -> WaveFunction:
+    """Propagate on a Dirichlet half-line by the method of images: the wall
+    is the grid's end at x = 0, its first sample (x >= 0) or its last (x <= 0).
+    The odd extension about the wall evolves freely in its periodic box (so
+    the far end is a Dirichlet wall too) and is restricted back."""
     if psi.rep is not Representation.POSITION:
         raise ValueError("halfline_propagate expects a position-representation state")
-    if side is Propagator.FREE:
-        raise ValueError("use a Dirichlet side, not FREE")
     dt = t1 - t0
     if dt <= 0.0:
         raise ValueError(f"need t1 > t0, got dt = {dt}")
     x = psi.grid
-    allowed = x <= 1e-12 if side is Propagator.HALFLINE_DIRICHLET_NEG else x >= -1e-12
-    peak = float(np.max(np.abs(psi.values)))
-    outside = float(np.max(np.abs(psi.values[~allowed]))) if (~allowed).any() else 0.0
-    if outside > 1e-8 * peak:
-        raise ValueError("state has support outside the allowed half-line")
-    _check_wall(x, side)
+    flip = _wall_first(x)
 
     # distance y from the wall and the values there, wall first; both walls hold 0
-    flip = slice(None) if side is Propagator.HALFLINE_DIRICHLET_POS else slice(None, None, -1)
     y, u = np.abs(x[flip]), psi.values[flip].copy()
     u[[0, -1]] = 0.0
     odd = WaveFunction(psi.rep, np.concatenate([-y[:0:-1], y]), np.concatenate([-u[:0:-1], u]), psi.consts)
@@ -161,12 +151,12 @@ def window_project(psi: WaveFunction, w: WindowSpec) -> WaveFunction:
 def chain_final_state(chain: MeasurementChain) -> tuple[WaveFunction, float]:
     """Thread the chain: propagate-project alternation; returns the final
     (unnormalized) state and the joint probability of all outcomes."""
-    state, t_prev = chain.initial, chain.start_time
+    state, t_prev = chain.initial, 0.0
     for t_event, window in chain.events:
         if t_event > t_prev and chain.propagator is Propagator.FREE:
             state = free_evolve(state, t_event - t_prev)
         elif t_event > t_prev:
-            state = halfline_propagate(state, t_event, t_prev, chain.propagator)
+            state = halfline_propagate(state, t_event, t_prev)
         state = window_project(state, window)
         t_prev = t_event
     return state, _prob_mass(state.values, state.dx)
@@ -194,24 +184,23 @@ def conditional_distribution(
     t2: float,
     xbar2_grid: np.ndarray,
     delta: float,
-    side: Propagator = Propagator.HALFLINE_DIRICHLET_POS,
 ) -> np.ndarray:
     """p(xbar2, t2 | xbar1, t1) over candidate second windows.
 
     event1 = (xbar1, t1, delta1); the state starts at time 0 on the half-line
-    grid, propagates to t1, is projected onto the first window, propagates to
-    t2, and the conditional probability of each second window is its mass
-    divided by the first-event probability.
+    whose wall is the grid's end at x = 0.  The first event is a one-event
+    HALFLINE chain (propagate to t1, project onto the first window); the state
+    then propagates to t2, and the conditional probability of each second
+    window is its mass divided by the first-event probability.
     """
     xbar1, t1, delta1 = event1
     if t2 <= t1 or t1 <= 0.0:
         raise ValueError("need 0 < t1 < t2")
-    state = halfline_propagate(psi, t1, 0.0, side)
-    state = window_project(state, WindowSpec(xbar1, delta1))
-    p1 = _prob_mass(state.values, state.dx)
+    first = MeasurementChain(psi, ((t1, WindowSpec(xbar1, delta1)),), Propagator.HALFLINE)
+    state, p1 = chain_final_state(first)
     if p1 <= 1e-12:
         raise ValueError(f"first-event probability {p1:.3e} too small to condition on")
-    state = halfline_propagate(state, t2, t1, side)
+    state = halfline_propagate(state, t2, t1)
     rho, x = np.abs(state.values) ** 2, state.grid
     masses = [np.sum(rho[np.abs(x - c) <= delta]) for c in np.asarray(xbar2_grid, dtype=float)]
     return np.array(masses, dtype=float) * state.dx / p1

@@ -144,20 +144,6 @@ class OperatorMatrix:
             out[rows[0]] += np.sum(values * f[cols], axis=0)
         return out
 
-    def compose(self, other: OperatorMatrix) -> OperatorMatrix:
-        """self @ other for two banded operators, from self's bands and other's
-        entry formula; the product's bands reach as far as both widths together."""
-        n, w = self.grid.n, self.width
-
-        def entries(j, k):
-            total = 0.0
-            for i in range(2 * w + 1):
-                for band, l in ((self.diag, j + i - w), (self.anti, n - 1 - j + i - w)):
-                    total = total + band[i, j] * other.entries(np.clip(l, 0, n - 1), k)
-            return total
-
-        return OperatorMatrix(entries, self.grid, self.consts, f"{self.kind}*{other.kind}", w + other.width)
-
 
 @dataclass(frozen=True)
 class Distribution:

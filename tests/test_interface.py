@@ -39,7 +39,7 @@ from qarrival.numerics import momentum_to_position, position_to_momentum
     [
         (momentum_to_position, ["values", "p", "x", "hbar"]),
         (position_to_momentum, ["values", "x", "p", "hbar"]),
-        (halfline_propagate, ["psi", "t1", "t0", "side"]),
+        (halfline_propagate, ["psi", "t1", "t0"]),
         (free_evolve, ["psi", "dt"]),
         (eigenstate_values, ["family", "tau", "p", "consts"]),
     ],

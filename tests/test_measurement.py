@@ -74,65 +74,53 @@ class TestHalflinePropagate:
             halfline_propagate(wall_packet, 0.0, 0.1)
 
     @pytest.mark.parametrize(
-        "side,x",
-        [
-            (Propagator.HALFLINE_DIRICHLET_POS, np.linspace(0.0, 20.0, 801)),
-            (Propagator.HALFLINE_DIRICHLET_NEG, np.linspace(-20.0, 0.0, 801)),
-        ],
+        "sign,x",
+        [(1.0, np.linspace(0.0, 20.0, 801)), (-1.0, np.linspace(-20.0, 0.0, 801))],
+        ids=["pos", "neg"],
     )
-    def test_matches_dense_kernel_sum(self, consts, side, x):
+    def test_matches_dense_kernel_sum(self, consts, sign, x):
         # packet at |x| = 6 heading into the wall, reflecting by t = 0.8
-        sign = 1.0 if side is Propagator.HALFLINE_DIRICHLET_POS else -1.0
         vals = analytic_free_gaussian(x, 0.0, -8.0 * sign, 6.0 * sign, 0.5)
         psi = WaveFunction(Representation.POSITION, x, vals, consts)
-        out = halfline_propagate(psi, 0.8, 0.0, side)
+        out = halfline_propagate(psi, 0.8, 0.0)
         ref = dense_halfline(psi, 0.8, sign * x >= -1e-12)
         assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("t", [0.05, 0.8])
     @pytest.mark.parametrize(
-        "side,x",
-        [
-            (Propagator.HALFLINE_DIRICHLET_POS, np.linspace(0.0, 20.0, 801)),
-            (Propagator.HALFLINE_DIRICHLET_NEG, np.linspace(-20.0, 0.0, 801)),
-        ],
+        "sign,x",
+        [(1.0, np.linspace(0.0, 20.0, 801)), (-1.0, np.linspace(-20.0, 0.0, 801))],
         ids=["pos", "neg"],
     )
-    def test_matches_image_solution(self, consts, side, x, t):
+    def test_matches_image_solution(self, consts, sign, x, t):
         # the odd packet G(x) - G(-x) evolves into G(x, t) - G(-x, t) on the
         # half-line; at t = 0.05, pi hbar t / (m dx) = 6.3 is below the grid's
         # extent of 20, where a rectangle sum over the chirp kernel aliases
-        sign = 1.0 if side is Propagator.HALFLINE_DIRICHLET_POS else -1.0
         p0, x0 = -8.0 * sign, 6.0 * sign
 
         def image(t):
             return analytic_free_gaussian(x, t, p0, x0, 0.5) - analytic_free_gaussian(-x, t, p0, x0, 0.5)
 
         psi = WaveFunction(Representation.POSITION, x, image(0.0), consts)
-        out = halfline_propagate(psi, t, 0.0, side)
+        out = halfline_propagate(psi, t, 0.0)
         exact = image(t)
         assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.max(np.abs(exact))
 
-    def test_support_violation(self, consts):
+    def test_grid_straddling_the_wall_rejected(self, consts):
         x = np.linspace(-10.0, 10.0, 801)
         vals = analytic_free_gaussian(x, 0.0, 1.0, 0.0, 1.0)
         psi = WaveFunction(Representation.POSITION, x, vals, consts)
-        with pytest.raises(ValueError, match="support"):
-            halfline_propagate(psi, 0.1, 0.0, Propagator.HALFLINE_DIRICHLET_POS)
+        with pytest.raises(ValueError, match="wall x = 0"):
+            halfline_propagate(psi, 0.1, 0.0)
 
     @pytest.mark.parametrize(
-        "side,x",
-        [
-            (Propagator.HALFLINE_DIRICHLET_POS, np.linspace(1.0, 21.0, 801)),
-            (Propagator.HALFLINE_DIRICHLET_NEG, np.linspace(-21.0, -1.0, 801)),
-        ],
-        ids=["pos", "neg"],
+        "x", [np.linspace(1.0, 21.0, 801), np.linspace(-21.0, -1.0, 801)], ids=["pos", "neg"]
     )
-    def test_grid_must_end_at_the_wall(self, consts, side, x):
+    def test_grid_must_end_at_the_wall(self, consts, x):
         vals = analytic_free_gaussian(x, 0.0, 0.0, float(np.mean(x)), 1.0)
         psi = WaveFunction(Representation.POSITION, x, vals, consts)
-        with pytest.raises(ValueError, match="wall x = 0"):
-            halfline_propagate(psi, 0.1, 0.0, side)
+        with pytest.raises(ValueError, match=rf"wall x = 0, got ends at x = {x[0]} and x = {x[-1]}"):
+            halfline_propagate(psi, 0.1, 0.0)
 
 
 class TestFreeEvolve:
@@ -218,19 +206,19 @@ class TestSequentialProbability:
             MeasurementChain(pos_packet, ((0.2, w), (0.1, w)))
 
     @pytest.mark.parametrize(
-        "side,x,w",
+        "x,w",
         [
-            (Propagator.HALFLINE_DIRICHLET_POS, np.linspace(1.0, 21.0, 801), WindowSpec(10.0, 2.0)),
-            (Propagator.HALFLINE_DIRICHLET_NEG, np.linspace(-21.0, -1.0, 801), WindowSpec(-10.0, 2.0)),
+            (np.linspace(1.0, 21.0, 801), WindowSpec(10.0, 2.0)),
+            (np.linspace(-21.0, -1.0, 801), WindowSpec(-10.0, 2.0)),
         ],
         ids=["pos", "neg"],
     )
-    def test_halfline_chain_grid_must_end_at_the_wall(self, consts, side, x, w):
+    def test_halfline_chain_grid_must_end_at_the_wall(self, consts, x, w):
         # rejected at construction, before any propagation
         vals = analytic_free_gaussian(x, 0.0, 0.0, float(np.mean(x)), 1.0)
         psi = WaveFunction(Representation.POSITION, x, vals, consts)
         with pytest.raises(ValueError, match="wall x = 0"):
-            MeasurementChain(psi, ((0.1, w),), side)
+            MeasurementChain(psi, ((0.1, w),), Propagator.HALFLINE)
 
     def test_zeno_limit_reproduces_reflected_state(self, consts, grid):
         # dense theta(-x) projections on a left-half packet approach the
@@ -252,8 +240,8 @@ class TestSequentialProbability:
 
 class TestConditionalDistribution:
     @staticmethod
-    def _initial(consts, p0, sigma_p, xc, nx=6001, x_max=40.0):
-        x = np.linspace(0.0, x_max, nx)
+    def _initial(consts, p0, sigma_p, xc, nx=6001, box=(0.0, 40.0)):
+        x = np.linspace(*box, nx)
         sigma_x = consts.hbar / (2.0 * sigma_p)
         vals = analytic_free_gaussian(x, 0.0, p0, xc, sigma_x)
         psi = WaveFunction(Representation.POSITION, x, vals, consts)
@@ -296,7 +284,7 @@ class TestConditionalDistribution:
         # sharp amplitude cut creates 1/p momentum tails whose fast components
         # reach the far wall of the finite domain before t2 and reflect there
         # (an O(1e-3) real reflection, not a quadrature artifact).
-        psi = self._initial(consts, p0=-5.0, sigma_p=0.5, xc=10.0, nx=4097, x_max=16.0)
+        psi = self._initial(consts, p0=-5.0, sigma_p=0.5, xc=10.0, nx=4097, box=(0.0, 16.0))
         xbar1, t1, t2, delta = 8.0, 0.4, 0.65, 0.5
         x = psi.grid
         # seams placed between samples so each sample belongs to exactly one window
@@ -344,6 +332,17 @@ class TestConditionalDistribution:
         slope_hi = np.polyfit(dts, hi_peaks, 1)[0]
         assert slope_lo == pytest.approx(-10.0, rel=0.03)
         assert slope_hi == pytest.approx(10.0, rel=0.03)
+
+    def test_mirrored_box_matches(self, consts):
+        # the same run on [-40, 0], with every position negated: the wall is
+        # the grid's last sample there, and the half-line is x <= 0
+        nx, xbar1, t1, t2, delta = 4001, 4.0, 0.8, 1.05, 0.5
+        centers = np.arange(0.25, 12.0, 0.125)
+        psi = self._initial(consts, p0=-10.0, sigma_p=0.5, xc=8.0, nx=nx)
+        mirrored = self._initial(consts, p0=10.0, sigma_p=0.5, xc=-8.0, nx=nx, box=(-40.0, 0.0))
+        cond = conditional_distribution(psi, (xbar1, t1, delta), t2, centers, delta)
+        cond_m = conditional_distribution(mirrored, (-xbar1, t1, delta), t2, -centers, delta)
+        assert np.max(np.abs(cond_m - cond)) <= 1e-12 * np.max(cond)
 
     def test_null_conditioning_rejected(self, consts):
         psi = self._initial(consts, p0=-10.0, sigma_p=2.0, xc=30.0)

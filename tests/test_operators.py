@@ -754,21 +754,6 @@ class TestBandFormAgainstDense:
         # transpose, so about n^2 evaluations mean about n^2 / 2 pairs
         assert sum(sizes) <= 1.01 * n**2
 
-    @pytest.mark.parametrize(
-        "left, right",
-        [
-            (OperatorKind.T_NEW_VIA_KDM, OperatorKind.XI),
-            (OperatorKind.R, OperatorKind.T_KDM),
-            (OperatorKind.T_KDM, OperatorKind.T_NEW_SYM),
-            (OperatorKind.T_DWELL, OperatorKind.SIGN_P),
-        ],
-    )
-    def test_compose_matches_dense_product(self, left, right, consts):
-        a, dense_a = self._pair(left, 64, consts)
-        b, dense_b = self._pair(right, 64, consts)
-        expected = dense_a @ dense_b
-        assert np.max(np.abs(dense_matrix(a.compose(b)) - expected)) <= 1e-13 * np.max(np.abs(expected))
-
 
 class TestOverlapAndDistributions:
     def test_sesquilinearity_phase(self, fast_packet):
