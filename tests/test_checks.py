@@ -44,6 +44,12 @@ def test_registry_check_passes(verify_report, name):
     assert check["pass"], check
 
 
+@pytest.mark.parametrize("name", ["reflection_squared_identity", "reflection_sign_conjugation"])
+def test_reflection_identities_hold_exactly(verify_report, name):
+    # R and sign(p) permute and negate entries, so their action is exact
+    assert verify_report[name]["value"] == 0.0
+
+
 def test_report_holds_no_dense_operator(fast_spec):
     """The whole report at n = 4096 peaks below 32 MB of allocations; one dense
     complex 4096 x 4096 operator alone would be 268 MB."""

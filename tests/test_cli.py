@@ -236,6 +236,15 @@ class TestMeasureModes:
         assert preset["config"]["packet"] == "reflected" and gaussian["config"]["packet"] == "gaussian"
         assert gaussian["rows"] != preset["rows"]
 
+    def test_zeno_checks_hold_only_computed_numbers(self, capsys):
+        # the fit and the reference it is checked against; no fixed constant or note
+        from qarrival.cli import main
+
+        assert main(["measure", "--mode", "zeno", "--n", "256", "--p-max", "8", "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)["checks"]
+        assert sorted(record) == ["fit_exponent", "fit_prefactor", "target_prefactor"]
+        assert all(isinstance(v, float) for v in record.values())
+
     @staticmethod
     def conditional_peaks(tmp_path, *flags):
         """The two largest local maxima of the conditional preset's output."""

@@ -205,6 +205,36 @@ class TestSequentialProbability:
         with pytest.raises(ValueError, match="increasing"):
             MeasurementChain(pos_packet, ((0.2, w), (0.1, w)))
 
+    def test_first_event_before_time_zero_rejected(self, pos_packet):
+        w = WindowSpec(-4.0, 4.0)
+        with pytest.raises(ValueError, match="precedes the initial time"):
+            MeasurementChain(pos_packet, ((-0.1, w), (0.1, w)))
+
+    def test_event_at_time_zero_projects_the_initial_state(self, pos_packet):
+        # the chain starts at t = 0, so an event there projects without evolving
+        w = WindowSpec(-4.0, 4.0)
+        final, _ = chain_final_state(MeasurementChain(pos_packet, ((0.0, w),)))
+        assert np.array_equal(final.values, window_project(pos_packet, w).values)
+
+    @pytest.mark.parametrize(
+        "x,w",
+        [
+            (np.linspace(0.0, 20.0, 801), WindowSpec(4.0, 1.0)),
+            (np.linspace(-20.0, 0.0, 801), WindowSpec(-4.0, 1.0)),
+        ],
+        ids=["pos", "neg"],
+    )
+    def test_halfline_chain_is_propagate_then_project(self, consts, x, w):
+        # a packet at |x| = 6 heading into the wall, measured at t = 0.4
+        sign = np.sign(w.center)
+        vals = analytic_free_gaussian(x, 0.0, -8.0 * sign, 6.0 * sign, 0.5)
+        psi = WaveFunction(Representation.POSITION, x, vals, consts)
+        final, prob = chain_final_state(MeasurementChain(psi, ((0.4, w),), Propagator.HALFLINE))
+        expected = window_project(halfline_propagate(psi, 0.4, 0.0), w)
+        assert np.array_equal(final.values, expected.values)
+        assert prob == pytest.approx(np.sum(np.abs(expected.values) ** 2) * expected.dx, rel=1e-12)
+        assert prob > 0.01
+
     @pytest.mark.parametrize(
         "x,w",
         [
