@@ -36,6 +36,8 @@ class WindowSpec:
     half_width: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 
@@ -202,7 +204,8 @@ def conditional_distribution(
         raise ValueError(f"first-event probability {p1:.3e} too small to condition on")
     state = halfline_propagate(state, t2, t1)
     rho, x = np.abs(state.values) ** 2, state.grid
-    masses = [np.sum(rho[np.abs(x - c) <= delta]) for c in np.asarray(xbar2_grid, dtype=float)]
+    windows = [WindowSpec(c, delta) for c in np.asarray(xbar2_grid, dtype=float).tolist()]
+    masses = [np.sum(rho[w.indicator(x)]) for w in windows]
     return np.array(masses, dtype=float) * state.dx / p1
 
 

@@ -13,9 +13,12 @@ an exact permutation.
 
 The NEW eigenstates need J_nu at two orders only, nu = -1/4 and 3/4.  Both
 come from two Chebyshev tables evaluated by Clenshaw's recurrence with a
-fixed degree, one real series at a time: below z = 10 the entire function
-z^(-nu) J_nu(z) in (z/10)^2 (DLMF 10.2.2), at and above it the Hankel
-modulation P + iQ in 10/z (DLMF 10.17), P and Q as separate real series.
+fixed degree: below z = 10 the entire function z^(-nu) J_nu(z) in (z/10)^2
+(DLMF 10.2.2), at and above it the Hankel modulation P + iQ in 10/z
+(DLMF 10.17).  The recurrence is linear in its coefficients, so its real
+series are summed two to a complex series, the low table's two orders as one
+and the high table's P and Q of both orders as two; each part is bitwise the
+sum of its real series.
 tools/bessel_tables.py generates both with mpmath; they agree to better than
 1e-9 on the overlap window z in [8, 12] and err by about 2e-15 of
 max(|J_nu|, sqrt(2/(pi z))) against mpmath.
@@ -122,25 +125,33 @@ _BESSEL_HIGH = np.array([
 ])
 
 
-# The tables as real series of Python floats, for _clenshaw: the low table's
-# two orders, then the high table's P for both orders and its Q for both.
-_LOW_ROWS = tuple(tuple(row.tolist()) for row in _BESSEL_LOW)
-_HIGH_ROWS = tuple(tuple(row.tolist()) for row in (*_BESSEL_HIGH.real, *_BESSEL_HIGH.imag))
+# The tables for _clenshaw, two real series to a complex one: the low table's
+# orders as f_(-1/4) + i f_(3/4), the high table's P and Q as
+# U = P_(-1/4) + i Q_(3/4) and V = Q_(-1/4) - i P_(3/4).
+_LOW_SERIES = (tuple(map(complex, *_BESSEL_LOW)),)
+_HIGH_SERIES = (
+    tuple(map(complex, _BESSEL_HIGH[0].real, _BESSEL_HIGH[1].imag)),
+    tuple(map(complex, _BESSEL_HIGH[0].imag, -_BESSEL_HIGH[1].real)),
+)
 
 
-def _clenshaw(rows: tuple[tuple[float, ...], ...], x: np.ndarray) -> np.ndarray:
-    """sum_k c_k T_k(x) for each real series c of rows at the float array x
-    (contiguous and 1-D, for speed); shape (len(rows),) + x.shape.
+def _clenshaw(series: tuple[tuple[complex, ...], ...], x: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k(x) for each complex series c of `series` at the float
+    array x (contiguous and 1-D, for speed); shape (len(series),) + x.shape.
 
     Clenshaw's recurrence (Clenshaw, MTAC 9, 118, 1955), one series at a time:
     b_k = c_k + 2x b_(k+1) - b_(k+2) as three in-place operations, in that
     order, on three rotating buffers, then c_0 + x b_1 - b_2.  The first two
     steps take b_(N-1) = c_(N-1) as a scalar and skip subtracting b_N = 0.
+    x and 2x are cast to x + 0i once: each product's parts are then x a - 0 b
+    and x b + 0 a, so the real and imaginary parts are, bit for bit, the sums
+    of the two real series.
     """
-    x2 = 2.0 * x
-    out = np.empty((len(rows),) + x.shape)
-    scratch = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    for c, res in zip(rows, out):
+    xc = x.astype(complex)
+    x2 = xc + xc
+    out = np.empty((len(series),) + x.shape, dtype=complex)
+    scratch = np.empty_like(xc), np.empty_like(xc), np.empty_like(xc)
+    for c, res in zip(series, out):
         b2, b1, t = scratch
         np.multiply(x2, c[-1], out=b2)
         b2 += c[-2]
@@ -152,23 +163,24 @@ def _clenshaw(rows: tuple[tuple[float, ...], ...], x: np.ndarray) -> np.ndarray:
             t += c[k]
             t -= b2
             b1, b2, t = t, b1, b2
-        np.multiply(x, b1, out=res)
+        np.multiply(xc, b1, out=res)
         res += c[0]
         res -= b2
     return out
 
 
 def _bessel_scaled(z: np.ndarray) -> np.ndarray:
-    """z^(-nu) J_nu(z) for nu = -1/4, 3/4 (first axis), for 0 <= z < BESSEL_SWITCHOVER."""
-    return _clenshaw(_LOW_ROWS, z * z / 72.0 - 1.0)
+    """f_(-1/4) + i f_(3/4) with f_nu = z^(-nu) J_nu(z), for 0 <= z < BESSEL_SWITCHOVER."""
+    return _clenshaw(_LOW_SERIES, z * z / 72.0 - 1.0)[0]
 
 
 def _hankel_modulation(z: np.ndarray) -> np.ndarray:
-    """(P, Q) for nu = -1/4, 3/4 (second axis), for z >= BESSEL_SWITCHOVER:
-    P + iQ = sqrt(pi z/2) e^(-i omega) H1_nu(z), omega = z - nu pi/2 - pi/4,
-    and J_nu(z) = sqrt(2/(pi z)) (P cos omega - Q sin omega).
+    """(U, V) = (P_(-1/4) + i Q_(3/4), Q_(-1/4) - i P_(3/4)) for z >= BESSEL_SWITCHOVER,
+    where P_nu + iQ_nu = sqrt(pi z/2) e^(-i omega) H1_nu(z), omega = z - nu pi/2 - pi/4,
+    and J_nu(z) = sqrt(2/(pi z)) (P_nu cos omega - Q_nu sin omega).  With
+    A = z - pi/8, J_(-1/4) + i J_(3/4) = sqrt(2/(pi z)) (U cos A - V sin A).
     """
-    return _clenshaw(_HIGH_ROWS, 16.0 / z - 1.0).reshape((2, 2) + z.shape)
+    return _clenshaw(_HIGH_SERIES, 16.0 / z - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -201,23 +201,28 @@ def _new_amplitudes(ap: np.ndarray, tau: np.ndarray, consts: PhysConsts) -> tupl
     return low, np.sqrt(ap / (2.0 * math.pi * m * hbar))
 
 
-def _new_low_table(z: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the NEW-family eigenstate from the low Bessel
-    table, given its prefactor."""
-    f0, f1 = _bessel_scaled(z)
-    return amp * f0, amp * (z * f1)
+def _new_low_table(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """The NEW-family eigenstate from the low Bessel table, given its prefactor."""
+    # J_nu(z) = z^nu f_nu(z): amp (f_(-1/4) + i z f_(3/4))
+    f = _bessel_scaled(z)
+    f.imag *= z
+    f *= amp
+    return f
 
 
-def _new_high_table(z: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the NEW-family eigenstate from the high
-    (Hankel) table, given its prefactor."""
+def _new_high_table(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """The NEW-family eigenstate from the high (Hankel) table, given its prefactor."""
     # J_nu(z) = sqrt(2/(pi z)) (P cos omega - Q sin omega).  With A = z - pi/8
     # the two phases omega are A and A - pi/2, so
-    # J_{-1/4} + i J_{3/4} = sqrt(2/(pi z)) ((P1 + i Q2) cos A - (Q1 - i P2) sin A).
-    (p1, p2), (q1, q2) = _hankel_modulation(z)
+    # J_{-1/4} + i J_{3/4} = sqrt(2/(pi z)) ((P1 + i Q2) cos A - (Q1 - i P2) sin A),
+    # and _hankel_modulation's U and V are those two brackets.
+    u, v = _hankel_modulation(z)
     phase = z - math.pi / 8.0
-    cos, sin = np.cos(phase), np.sin(phase)
-    return amp * (p1 * cos - q1 * sin), amp * (q2 * cos + p2 * sin)
+    u *= np.cos(phase)
+    v *= np.sin(phase)
+    u -= v
+    u *= amp
+    return u
 
 
 def _mirror_half(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,8 +255,8 @@ def _fold(p: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _new_eigenstate_half(taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -> np.ndarray:
     """NEW-family eigenstates at |p| = ap for taus >= 0, one row per tau; the
     low Bessel table below the switchover z = 10, the high table at and above it.
-    Each table's samples are gathered into one contiguous array, and the real
-    and imaginary parts are written straight into the complex result."""
+    Each table's samples are gathered into one contiguous array, and its
+    complex values are written straight into the result."""
     m, hbar = consts.mass, consts.hbar
     half = np.zeros((taus.size, ap.size), dtype=complex)
     # phi_tau ~ tau^(1/4) -> 0, so rows with tau = 0 stay zero
@@ -260,13 +265,12 @@ def _new_eigenstate_half(taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -
     z = ap * ap * tau / (2.0 * m * hbar)
     low_amp, high_amp = _new_amplitudes(ap, tau, consts)
     out = np.empty(z.shape, dtype=complex)
-    re, im = out.real, out.imag
     lo = z < BESSEL_SWITCHOVER
     if lo.any():
-        re[lo], im[lo] = _new_low_table(z[lo], low_amp[lo])
+        out[lo] = _new_low_table(z[lo], low_amp[lo])
     hi = ~lo
     if hi.any():
-        re[hi], im[hi] = _new_high_table(z[hi], np.broadcast_to(high_amp, z.shape)[hi])
+        out[hi] = _new_high_table(z[hi], np.broadcast_to(high_amp, z.shape)[hi])
     half[rows] = out
     return half
 
@@ -298,7 +302,10 @@ def _half_block(family: EigenFamily, taus: np.ndarray, ap: np.ndarray, consts: P
     tau = taus[:, None]
     phase = ap * ap * (np.abs(tau) if family is EigenFamily.T3 else tau) / (2.0 * m * hbar)
     if family in (EigenFamily.AB, EigenFamily.KDM):
-        amp, wave = np.sqrt(ap / (2.0 * math.pi * m * hbar)), np.exp(1j * phase)
+        amp, wave = np.sqrt(ap / (2.0 * math.pi * m * hbar)), np.empty(phase.shape, dtype=complex)
+        # e^(i phase), bitwise as np.exp(1j * phase) but without forming 1j * phase
+        np.cos(phase, out=wave.real)
+        np.sin(phase, out=wave.imag)
         np.multiply(amp, wave, out=plus)
         if family is EigenFamily.KDM:
             np.multiply(amp, np.conjugate(wave, out=wave), out=minus)

@@ -176,6 +176,12 @@ class TestWindowProject:
         with pytest.raises(ValueError, match="outside"):
             window_project(pos_packet, WindowSpec(100.0, 1.0))
 
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg_inf"])
+    def test_non_finite_center_rejected(self, center):
+        # a NaN centre selects no sample, so it would read as probability 0
+        with pytest.raises(ValueError, match="center must be finite"):
+            WindowSpec(center, 1.0)
+
 
 class TestSequentialProbability:
     def test_single_full_window(self, pos_packet):
@@ -333,6 +339,15 @@ class TestConditionalDistribution:
         centers = np.arange(x[0] + delta - psi.dx / 2.0, x[-1] - delta, 2.0 * delta)
         cond = conditional_distribution(psi, (4.0, 0.8, delta), t2, centers, delta)
         assert abs(np.sum(cond) - 1.0) <= 1e-12
+
+    def test_non_finite_window_centres_rejected(self, consts):
+        # a NaN first or second centre is an error, not a first-event
+        # probability of 0 or a conditional mass of 0
+        psi = self._initial(consts, p0=-10.0, sigma_p=0.5, xc=8.0, nx=2001)
+        with pytest.raises(ValueError, match="center must be finite"):
+            conditional_distribution(psi, (math.nan, 0.8, 0.5), 1.05, np.array([4.0]), 0.5)
+        with pytest.raises(ValueError, match="center must be finite"):
+            conditional_distribution(psi, (4.0, 0.8, 0.5), 1.05, np.array([4.0, math.nan]), 0.5)
 
     def test_peaks_move_linearly_with_time(self, consts):
         # fitted peak-location slopes vs (t2 - t1) equal -+|p0|/m within 3%

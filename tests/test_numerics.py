@@ -61,6 +61,20 @@ class TestGridSpec:
             PhysConsts(hbar=0.0)
 
 
+def low_rows(z):
+    """f_nu = z^(-nu) J_nu(z), one row per order (-1/4, 3/4), from the packed
+    low sum f_(-1/4) + i f_(3/4)."""
+    f = _bessel_scaled(z)
+    return np.stack((f.real, f.imag))
+
+
+def modulation_rows(z):
+    """(P, Q), one row per order (-1/4, 3/4), from the packed high sums
+    U = P_(-1/4) + i Q_(3/4) and V = Q_(-1/4) - i P_(3/4)."""
+    u, v = _hankel_modulation(z)
+    return np.stack((u.real, -v.imag)), np.stack((v.real, u.imag))
+
+
 def _modulation_oracle(nu, z):
     """P + iQ = sqrt(pi z/2) e^(-i omega) H1_nu(z) at the working precision of mpmath."""
     nu, z = mpmath.mpf(nu), mpmath.mpf(z)
@@ -78,10 +92,10 @@ def table_j(nu, z):
     """
     for row, order in enumerate((-0.25, 0.75)):
         if nu == order and z < numerics.BESSEL_SWITCHOVER:
-            return z**order * _bessel_scaled(np.array([z]))[row, 0]
+            return z**order * low_rows(np.array([z]))[row, 0]
         if nu == order or (nu == -order and z >= 8.0):
             omega = z - order * math.pi / 2.0 - math.pi / 4.0
-            pq = complex(*_hankel_modulation(np.array([z]))[:, row, 0])
+            pq = complex(*(part[row, 0] for part in modulation_rows(np.array([z]))))
             h1 = math.sqrt(2.0 / (math.pi * z)) * pq * complex(math.cos(omega), math.sin(omega))
             if nu == order:
                 return h1.real
@@ -106,7 +120,7 @@ class TestBessel:
     def test_low_table_against_mpmath(self):
         # J_nu = z^nu f_nu within 2e-14 of the envelope max(|J_nu|, sqrt(2/(pi z)))
         z = np.concatenate([np.geomspace(1e-6, 1.0, 40, endpoint=False), np.linspace(1.0, 10.0, 60, endpoint=False)])
-        f = _bessel_scaled(z)
+        f = low_rows(z)
         with mpmath.workdps(30):
             for nu, row in zip(self.ORDERS, f):
                 exact = np.array([float(mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(x))) for x in z])
@@ -115,25 +129,31 @@ class TestBessel:
 
     @pytest.mark.parametrize("table", ["_BESSEL_LOW", "_BESSEL_HIGH"])
     def test_clenshaw_equals_textbook_recurrence(self, table):
-        # each real series of the table (the high table's P rows, then its Q
-        # rows), summed one at a time in place with rotating buffers, equals
-        # b_k = c_k + 2x b_(k+1) - b_(k+2) bitwise
+        # each real series of the table, packed two to a complex series (the
+        # low table's orders as f_(-1/4) + i f_(3/4), the high table's as
+        # U = P_(-1/4) + i Q_(3/4) and V = Q_(-1/4) - i P_(3/4)) and summed in
+        # place with rotating buffers, equals b_k = c_k + 2x b_(k+1) - b_(k+2)
+        # over its real coefficients bitwise
         coefs = getattr(numerics, table)
-        series = [*coefs] if table == "_BESSEL_LOW" else [*coefs.real, *coefs.imag]
-        rows = numerics._LOW_ROWS if table == "_BESSEL_LOW" else numerics._HIGH_ROWS
+        if table == "_BESSEL_LOW":
+            series, packed = [(coefs[0], coefs[1])], numerics._LOW_SERIES
+        else:
+            series = [(coefs[0].real, coefs[1].imag), (coefs[0].imag, -coefs[1].real)]
+            packed = numerics._HIGH_SERIES
         x = np.linspace(-1.0, 1.0, 301)
-        result = numerics._clenshaw(rows, x)
+        result = numerics._clenshaw(packed, x)
         assert result.shape == (len(series), x.size)
-        for c, got in zip(series, result):
-            b1, b2 = c[-1], 0.0
-            for k in range(c.size - 2, 0, -1):
-                b1, b2 = c[k] + 2.0 * x * b1 - b2, b1
-            expected = c[0] + x * b1 - b2
-            assert got.tobytes() == expected.tobytes()
+        for pair, got in zip(series, result):
+            for c, part in zip(pair, (got.real, got.imag)):
+                b1, b2 = c[-1], 0.0
+                for k in range(c.size - 2, 0, -1):
+                    b1, b2 = c[k] + 2.0 * x * b1 - b2, b1
+                expected = c[0] + x * b1 - b2
+                assert part.tobytes() == expected.tobytes()
 
     def test_modulation_against_mpmath(self):
         z = np.concatenate([np.linspace(8.0, 12.0, 20, endpoint=False), np.geomspace(12.0, 1e5, 80)])
-        p, q = _hankel_modulation(z)
+        p, q = modulation_rows(z)
         with mpmath.workdps(30):
             for nu, row in zip(self.ORDERS, p + 1j * q):
                 exact = np.array([_modulation_oracle(nu, x) for x in z])
@@ -144,19 +164,19 @@ class TestBessel:
         # the two tables must agree on z in [8, 12] to 1e-9 (50-point grid)
         z = np.linspace(8.0, 12.0, 50)
         row = self.ORDERS.index(nu)
-        low = z**nu * _bessel_scaled(z)[row]
+        low = z**nu * low_rows(z)[row]
         bound = 1e-9 * np.maximum(1.0, np.abs(low))
         assert np.all(np.abs(_bessel_table_gap(z)[row]) <= bound)
 
     def test_zero_argument(self):
         # z^(-nu) J_nu(z) -> 1 / (2^nu Gamma(nu + 1)) as z -> 0
-        f = _bessel_scaled(np.array([0.0]))[:, 0]
+        f = low_rows(np.array([0.0]))[:, 0]
         expected = [1.0 / (2.0**nu * math.gamma(nu + 1.0)) for nu in self.ORDERS]
         assert f == pytest.approx(expected, rel=1e-14)
 
     def test_against_brute_series(self):
         # frozen oracle: brute ascending series at z = 1, where J_nu = f_nu
-        j = _bessel_scaled(np.array([1.0]))[:, 0]
+        j = low_rows(np.array([1.0]))[:, 0]
         assert j[0] == pytest.approx(0.6693848172615744, abs=1e-14)
         assert j[0] == pytest.approx(brute_series_j(-0.25, 1.0), abs=1e-13)
         assert j[1] == pytest.approx(brute_series_j(0.75, 1.0), abs=1e-13)

@@ -242,8 +242,10 @@ class TestEigenstateBlock:
                              ids=lambda f: f.value)
     def test_half_grid_equals_full_grid_formula(self, family, grid, consts, rng):
         # byte for byte, so signed zeros too (tau = +-0 and an underflowing
-        # phase), and C-ordered like the formula's own result
-        taus = np.array([-0.9, -0.0, 0.0, 1e-320, 1e-4, 0.3, 1.9])
+        # phase), and C-ordered like the formula's own result; at tau = +-120
+        # cos and sin reduce phases of up to ~1e5 rad, and at 1e-322 some
+        # phases underflow: cos and sin must equal the formula's exp(i phase) there
+        taus = np.array([-120.0, -0.9, -0.0, 0.0, 1e-322, 1e-320, 1e-4, 0.3, 1.9, 120.0])
         if family is EigenFamily.MI:
             taus = taus[~np.signbit(taus)]
         for p in (grid.momenta(), rng.permutation(grid.momenta())[:100], np.array([-1.5, 3.0, 1.5])):
@@ -271,18 +273,38 @@ class TestEigenstateBlock:
 
 
 class TestNewAgainstComplexOracle:
-    """The real-row NEW evaluator against its earlier complex form
+    """The packed NEW evaluator against its earlier complex form
     (tests/util_new_oracle.py), byte for byte."""
+
+    def test_one_clenshaw_call_per_table(self, consts, monkeypatch):
+        # a block that straddles z = 10 sums each Bessel table in one call:
+        # the low table's one packed series, then the high table's two
+        calls = []
+
+        def counting(series, x):
+            calls.append(len(series))
+            return clenshaw(series, x)
+
+        clenshaw = numerics._clenshaw
+        monkeypatch.setattr("qarrival.numerics._clenshaw", counting)
+        ap = _mirror_half(GridSpec(512, 20.0).momenta())[0]
+        block = _half_block(EigenFamily.NEW, np.linspace(0.0, 1.5, 16), ap, consts)
+        z = ap * ap * 1.5 / (2.0 * consts.mass * consts.hbar)
+        assert (z < 10.0).any() and (z >= 10.0).any()
+        assert np.all(np.isfinite(block))
+        assert calls == [1, 2]
 
     def test_tables_equal_complex_clenshaw(self):
         z_low = np.linspace(0.0, 12.0, 97)
         z_high = np.concatenate([np.linspace(8.0, 12.0, 41), np.geomspace(12.0, 1e5, 60)])
+        # the packed sums f_(-1/4) + i f_(3/4), U = P1 + i Q2 and V = Q1 - i P2
         expected = oracle.clenshaw_2d(numerics._BESSEL_LOW, z_low * z_low / 72.0 - 1.0)
-        assert numerics._bessel_scaled(z_low).tobytes() == expected.tobytes()
+        f = numerics._bessel_scaled(z_low)
+        assert np.stack((f.real, f.imag)).tobytes() == expected.tobytes()
         pq = oracle.clenshaw_2d(numerics._BESSEL_HIGH, 16.0 / z_high - 1.0)
-        p, q = numerics._hankel_modulation(z_high)
-        assert p.tobytes() == pq.real.tobytes()
-        assert q.tobytes() == pq.imag.tobytes()
+        u, v = numerics._hankel_modulation(z_high)
+        assert np.stack((u.real, -v.imag)).tobytes() == pq.real.tobytes()
+        assert np.stack((v.real, u.imag)).tobytes() == pq.imag.tobytes()
 
     @pytest.mark.parametrize(
         "taus,ap",

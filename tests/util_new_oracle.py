@@ -4,7 +4,8 @@ This is the evaluator's earlier form: both orders of a table summed in one
 2-D Clenshaw pass, the high table with complex coefficients, and the
 eigenstate assembled as complex products, amp (f0 + i z f1) below z = 10 and
 amp ((P1 cos A - Q1 sin A) + i (Q2 cos A + P2 sin A)) at and above it.  The
-real-row evaluator of qarrival.operators must equal it byte for byte.  The
+packed evaluator of qarrival.operators, two real series to a complex one,
+must equal it byte for byte.  The
 small-z slope of the eigenstate is here too, and the eigenstate integrated
 from its momentum-space ODE, which the closed form is checked against.
 """

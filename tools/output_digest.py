@@ -3,11 +3,13 @@
 
 Each line reads `<sha256 of stdout>  <argv>`, with `  [exit N]` appended when
 the command does not exit 0.  The presets cover every subcommand: `verify` at
-several grid sizes; `spectrum` for all families at four taus, and for KDM
-at a tau whose phases underflow (signed zeros); `distribution`
+several grid sizes; `spectrum` for all families at four taus, for KDM
+at a tau whose phases underflow (signed zeros) and at tau = 120 (phases up
+to ~1e5 rad), and for NEW at m = 2, hbar = 0.5; `distribution`
 for all families as CSV, JSON and with the Kijowski reference, plus negative,
-log-spaced and reflected-packet windows, a packet that fills the grid, and
-`--with-reference false`; every `measure` mode, zeno also as JSON and with a
+log-spaced and reflected-packet windows, a packet that fills the grid,
+`--with-reference false`, and NEW at m = 2, hbar = 0.5 on its default and on
+a negative window; every `measure` mode, zeno also as JSON and with a
 Gaussian packet, and conditional also as JSON, at non-default geometry, on
 a 16001-sample box, and with a short second step (`--t2 0.81`) and on a
 401-sample box, where pi hbar dt / (m dx) is below the box's extent (a
@@ -58,6 +60,10 @@ def presets() -> list[list[str]]:
     runs += [["spectrum", "--family", f, "--tau", tau] for f in FAMILIES for tau in ("0", "0.7", "-0.5", "1e-5")]
     # some phases underflow to 0 here, so im_phi holds both -0.0 and 0.0
     runs.append(["spectrum", "--family", "kdm", "--tau", "1e-322"])
+    # phases of up to ~1e5 rad, where cos and sin reduce their argument
+    runs.append(["spectrum", "--family", "kdm", "--tau", "120"])
+    # off the unit constants, where each NEW amplitude carries m and hbar
+    runs.append(["spectrum", "--family", "new", "--mass", "2", "--hbar", "0.5", "--tau", "0.7"])
     for f in FAMILIES:
         runs += [["distribution", "--family", f],
                  ["distribution", "--family", f, "--format", "json"],
@@ -72,6 +78,8 @@ def presets() -> list[list[str]]:
          "--tau-count", "9", "--tau-spacing", "log"],
         ["distribution", "--family", "ab", *REFLECTED, "--tau-min", "20", "--tau-max", "120", "--tau-count", "51"],
         ["distribution", "--family", "kdm", "--with-reference", "false"],
+        ["distribution", "--family", "new", "--mass", "2", "--hbar", "0.5"],
+        ["distribution", "--family", "new", "--mass", "2", "--hbar", "0.5", "--tau-min", "-1", "--tau-max", "1"],
     ]
     runs += [["measure", "--mode", mode] for mode in ("crossing", "zeno", "conditional")]
     runs += [
