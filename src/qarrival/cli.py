@@ -337,7 +337,9 @@ def cmd_measure(cfg: RunConfig, out: str | None, fmt: str) -> int:
         rows = np.column_stack([taus, fit.current, fit.current / np.sqrt(taus)]).tolist()
         write_table(out, fmt, cfg, ["tau", "current", "current_over_sqrt_tau"], rows, checks)
         return EXIT_OK
-    # conditional
+    # conditional: the model propagates a Gaussian sampled in position
+    if cfg.packet != "gaussian":
+        raise ConfigError(f"config field 'packet': measure --mode conditional takes only 'gaussian' (got '{cfg.packet}')")
     psi = position_gaussian(cfg.gaussian(), np.linspace(0.0, cfg.x_extent, cfg.nx))
     centers = np.arange(cfg.delta, cfg.x_extent / 2.0, cfg.delta / 2.0)
     cond = conditional_distribution(psi, (cfg.xbar1, cfg.t1, cfg.delta), cfg.t2, centers, cfg.delta)

@@ -18,7 +18,9 @@ fixed degree: below z = 10 the entire function z^(-nu) J_nu(z) in (z/10)^2
 (DLMF 10.17).  The recurrence is linear in its coefficients, so its real
 series are summed two to a complex series, the low table's two orders as one
 and the high table's P and Q of both orders as two; each part is bitwise the
-sum of its real series.
+sum of its real series.  That packing stays in this module: _bessel_low and
+_bessel_high return J_(-1/4) + i J_(3/4) times the real scale z^(1/4) below
+the switchover and sqrt(pi z/2) at and above it.
 tools/bessel_tables.py generates both with mpmath; they agree to better than
 1e-9 on the overlap window z in [8, 12] and err by about 2e-15 of
 max(|J_nu|, sqrt(2/(pi z))) against mpmath.
@@ -169,18 +171,31 @@ def _clenshaw(series: tuple[tuple[complex, ...], ...], x: np.ndarray) -> np.ndar
     return out
 
 
-def _bessel_scaled(z: np.ndarray) -> np.ndarray:
-    """f_(-1/4) + i f_(3/4) with f_nu = z^(-nu) J_nu(z), for 0 <= z < BESSEL_SWITCHOVER."""
-    return _clenshaw(_LOW_SERIES, z * z / 72.0 - 1.0)[0]
+def _bessel_low(z: np.ndarray) -> np.ndarray:
+    """z^(1/4) (J_(-1/4)(z) + i J_(3/4)(z)) for 0 <= z < BESSEL_SWITCHOVER.
 
-
-def _hankel_modulation(z: np.ndarray) -> np.ndarray:
-    """(U, V) = (P_(-1/4) + i Q_(3/4), Q_(-1/4) - i P_(3/4)) for z >= BESSEL_SWITCHOVER,
-    where P_nu + iQ_nu = sqrt(pi z/2) e^(-i omega) H1_nu(z), omega = z - nu pi/2 - pi/4,
-    and J_nu(z) = sqrt(2/(pi z)) (P_nu cos omega - Q_nu sin omega).  With
-    A = z - pi/8, J_(-1/4) + i J_(3/4) = sqrt(2/(pi z)) (U cos A - V sin A).
+    With f_nu = z^(-nu) J_nu(z) from the low table this is f_(-1/4) + i z f_(3/4).
     """
-    return _clenshaw(_HIGH_SERIES, 16.0 / z - 1.0)
+    f = _clenshaw(_LOW_SERIES, z * z / 72.0 - 1.0)[0]
+    f.imag *= z
+    return f
+
+
+def _bessel_high(z: np.ndarray) -> np.ndarray:
+    """sqrt(pi z/2) (J_(-1/4)(z) + i J_(3/4)(z)) for z >= BESSEL_SWITCHOVER.
+
+    J_nu(z) = sqrt(2/(pi z)) (P_nu cos omega - Q_nu sin omega), where
+    P_nu + iQ_nu = sqrt(pi z/2) e^(-i omega) H1_nu(z) and omega = z - nu pi/2 - pi/4.
+    With A = z - pi/8 the two phases omega are A and A - pi/2, so this is
+    U cos A - V sin A for the high table's U = P_(-1/4) + i Q_(3/4) and
+    V = Q_(-1/4) - i P_(3/4).
+    """
+    u, v = _clenshaw(_HIGH_SERIES, 16.0 / z - 1.0)
+    phase = z - math.pi / 8.0
+    u *= np.cos(phase)
+    v *= np.sin(phase)
+    u -= v
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ from .numerics import (
     BESSEL_SWITCHOVER,
     GridSpec,
     PhysConsts,
-    _bessel_scaled,
-    _hankel_modulation,
+    _bessel_high,
+    _bessel_low,
     integrate,
     simpson_weights,
 )
@@ -191,38 +191,15 @@ def _tau_blocks(taus: np.ndarray, samples: int):
 
 
 def _new_amplitudes(ap: np.ndarray, tau: np.ndarray, consts: PhysConsts) -> tuple[np.ndarray, np.ndarray]:
-    """Prefactors of the NEW eigenstate for the low and the high Bessel table,
-    at |p| and tau (broadcast against each other for the low one)."""
+    """The factors that take numerics' _bessel_low and _bessel_high values to
+    the NEW eigenstate at |p| and tau (broadcast against each other for the
+    low one)."""
     m, hbar = consts.mass, consts.hbar
-    # low: J_nu(z) = z^nu f_nu(z), and the prefactor times |p|^(3/2) z^(-1/4)
-    # is |p| (tau / 2 m hbar)^(1/4) / (2 sqrt(m hbar)); high: the prefactor
-    # times |p|^(3/2) sqrt(2/(pi z)) is sqrt(|p| / 2 pi m hbar)
+    # the prefactor times |p|^(3/2) undoes each table's scale: times z^(-1/4)
+    # it is |p| (tau / 2 m hbar)^(1/4) / (2 sqrt(m hbar)), and times
+    # sqrt(2/(pi z)) it is sqrt(|p| / 2 pi m hbar)
     low = ap * ((tau / (2.0 * m * hbar)) ** 0.25 / (2.0 * math.sqrt(m * hbar)))
     return low, np.sqrt(ap / (2.0 * math.pi * m * hbar))
-
-
-def _new_low_table(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """The NEW-family eigenstate from the low Bessel table, given its prefactor."""
-    # J_nu(z) = z^nu f_nu(z): amp (f_(-1/4) + i z f_(3/4))
-    f = _bessel_scaled(z)
-    f.imag *= z
-    f *= amp
-    return f
-
-
-def _new_high_table(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """The NEW-family eigenstate from the high (Hankel) table, given its prefactor."""
-    # J_nu(z) = sqrt(2/(pi z)) (P cos omega - Q sin omega).  With A = z - pi/8
-    # the two phases omega are A and A - pi/2, so
-    # J_{-1/4} + i J_{3/4} = sqrt(2/(pi z)) ((P1 + i Q2) cos A - (Q1 - i P2) sin A),
-    # and _hankel_modulation's U and V are those two brackets.
-    u, v = _hankel_modulation(z)
-    phase = z - math.pi / 8.0
-    u *= np.cos(phase)
-    v *= np.sin(phase)
-    u -= v
-    u *= amp
-    return u
 
 
 def _mirror_half(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +233,7 @@ def _new_eigenstate_half(taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -
     """NEW-family eigenstates at |p| = ap for taus >= 0, one row per tau; the
     low Bessel table below the switchover z = 10, the high table at and above it.
     Each table's samples are gathered into one contiguous array, and its
-    complex values are written straight into the result."""
+    values are scaled in place and written straight into the result."""
     m, hbar = consts.mass, consts.hbar
     half = np.zeros((taus.size, ap.size), dtype=complex)
     # phi_tau ~ tau^(1/4) -> 0, so rows with tau = 0 stay zero
@@ -266,11 +243,11 @@ def _new_eigenstate_half(taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -
     low_amp, high_amp = _new_amplitudes(ap, tau, consts)
     out = np.empty(z.shape, dtype=complex)
     lo = z < BESSEL_SWITCHOVER
-    if lo.any():
-        out[lo] = _new_low_table(z[lo], low_amp[lo])
-    hi = ~lo
-    if hi.any():
-        out[hi] = _new_high_table(z[hi], np.broadcast_to(high_amp, z.shape)[hi])
+    for on, table, amp in ((lo, _bessel_low, low_amp), (~lo, _bessel_high, np.broadcast_to(high_amp, z.shape))):
+        if on.any():
+            values = table(z[on])
+            values *= amp[on]
+            out[on] = values
     half[rows] = out
     return half
 

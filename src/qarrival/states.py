@@ -143,9 +143,14 @@ def position_gaussian(spec: GaussianSpec, x: np.ndarray) -> WaveFunction:
 
     psi(x) = (2 pi sigma_x^2)^(-1/4) exp(-(x-x0)^2 / (4 sigma_x^2)) exp(i p0 x / hbar),
     with sigma_x = spec.sigma_x, normalized by the rectangle rule
-    sum |psi|^2 dx = 1.
+    sum |psi|^2 dx = 1.  The samples must cover x0 +- 6 sigma_x.
     """
     sigma_x, hbar = spec.sigma_x, spec.consts.hbar
+    if not (x[0] <= spec.x0 - 6.0 * sigma_x and spec.x0 + 6.0 * sigma_x <= x[-1]):
+        raise ValueError(
+            f"box [{x[0]}, {x[-1]}] clips the 6-sigma window of the packet "
+            f"(needs [{spec.x0 - 6.0 * sigma_x}, {spec.x0 + 6.0 * sigma_x}])"
+        )
     values = (
         (2.0 * math.pi * sigma_x**2) ** (-0.25)
         * np.exp(-((x - spec.x0) ** 2) / (4.0 * sigma_x**2))

@@ -282,8 +282,12 @@ class TestInputValidation:
             (["--x0", "nan"], "'x0'"),
             # grid step 40/10 = 4: a window of width 1 can miss every sample
             (["--nx", "11", "--delta", "1.0"], "'delta'"),
+            # the model propagates a position-space Gaussian, never the reflected state
+            (["--packet", "reflected"], "'packet'"),
+            # sigma_x = 1: the packet's 6-sigma window [39, 51] leaves the box [0, 40]
+            (["--x0", "45"], "6-sigma window"),
         ],
-        ids=["zero_delta", "nan_center", "sub_step_delta"],
+        ids=["zero_delta", "nan_center", "sub_step_delta", "reflected_packet", "packet_outside_box"],
     )
     def test_conditional_flags_exit_2(self, tmp_path, flags, named):
         out = tmp_path / "cond.csv"

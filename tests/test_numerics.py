@@ -13,8 +13,6 @@ from qarrival import GaussianSpec, GridSpec, PhysConsts, integrate, numerics
 from qarrival.checks import _bessel_table_gap
 from qarrival.numerics import (
     GAMMA_3_4,
-    _bessel_scaled,
-    _hankel_modulation,
     momentum_to_position,
     position_to_momentum,
 )
@@ -64,14 +62,14 @@ class TestGridSpec:
 def low_rows(z):
     """f_nu = z^(-nu) J_nu(z), one row per order (-1/4, 3/4), from the packed
     low sum f_(-1/4) + i f_(3/4)."""
-    f = _bessel_scaled(z)
+    f = numerics._clenshaw(numerics._LOW_SERIES, z * z / 72.0 - 1.0)[0]
     return np.stack((f.real, f.imag))
 
 
 def modulation_rows(z):
     """(P, Q), one row per order (-1/4, 3/4), from the packed high sums
     U = P_(-1/4) + i Q_(3/4) and V = Q_(-1/4) - i P_(3/4)."""
-    u, v = _hankel_modulation(z)
+    u, v = numerics._clenshaw(numerics._HIGH_SERIES, 16.0 / z - 1.0)
     return np.stack((u.real, -v.imag)), np.stack((v.real, u.imag))
 
 
@@ -127,6 +125,26 @@ class TestBessel:
                 envelope = np.maximum(np.abs(exact), np.sqrt(2.0 / (math.pi * z)))
                 assert np.max(np.abs(z**nu * row - exact) / envelope) <= 2e-14
 
+    @pytest.mark.parametrize(
+        "table,z",
+        [
+            ("_bessel_low", np.concatenate([np.geomspace(1e-6, 1.0, 40, endpoint=False), np.linspace(1.0, 10.0, 60, endpoint=False)])),
+            ("_bessel_high", np.concatenate([np.linspace(8.0, 12.0, 20, endpoint=False), np.geomspace(12.0, 100.0, 40)])),
+        ],
+        ids=["low", "high"],
+    )
+    def test_j_pair_against_mpmath(self, table, z):
+        # J_(-1/4) + i J_(3/4), the value operators and checks read, within 5e-15
+        # of the envelope max(|J_nu|, sqrt(2/(pi z))).  Above z ~ 100 the
+        # rounding of z in the high table's phase dominates (6e-13 at 1e4).
+        scale = z**-0.25 if table == "_bessel_low" else np.sqrt(2.0 / (math.pi * z))
+        pair = scale * getattr(numerics, table)(z)
+        with mpmath.workdps(30):
+            for nu, got in zip(self.ORDERS, (pair.real, pair.imag)):
+                exact = np.array([float(mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(x))) for x in z])
+                envelope = np.maximum(np.abs(exact), np.sqrt(2.0 / (math.pi * z)))
+                assert np.max(np.abs(got - exact) / envelope) <= 5e-15
+
     @pytest.mark.parametrize("table", ["_BESSEL_LOW", "_BESSEL_HIGH"])
     def test_clenshaw_equals_textbook_recurrence(self, table):
         # each real series of the table, packed two to a complex series (the
@@ -166,7 +184,8 @@ class TestBessel:
         row = self.ORDERS.index(nu)
         low = z**nu * low_rows(z)[row]
         bound = 1e-9 * np.maximum(1.0, np.abs(low))
-        assert np.all(np.abs(_bessel_table_gap(z)[row]) <= bound)
+        gap = _bessel_table_gap(z)
+        assert np.all(np.abs((gap.real, gap.imag)[row]) <= bound)
 
     def test_zero_argument(self):
         # z^(-nu) J_nu(z) -> 1 / (2^nu Gamma(nu + 1)) as z -> 0

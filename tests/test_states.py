@@ -113,6 +113,18 @@ class TestPositionGaussian:
         phase_step = np.angle(psi.values[1:] * np.conj(psi.values[:-1]))
         assert phase_step == pytest.approx(-10.0 * psi.dx, abs=1e-12)
 
+    @pytest.mark.parametrize("x0,fits", [(6.0, True), (34.0, True), (5.9, False), (36.0, False), (60.0, False)])
+    def test_box_must_hold_six_sigma(self, consts, x0, fits):
+        # sigma_x = 1 in the box [0, 40]: x0 - 6 and x0 + 6 must both lie in it, as
+        # make_gaussian asks of p0 +- 6 sigma_p on the momentum grid
+        x = np.linspace(0.0, 40.0, 401)
+        spec = GaussianSpec(-10.0, x0, 0.5, consts)
+        if fits:
+            position_gaussian(spec, x)
+        else:
+            with pytest.raises(ValueError, match="clips the 6-sigma window"):
+                position_gaussian(spec, x)
+
 
 class TestReflectedState:
     def test_zero_at_origin(self, reflected_spec, reflected_grid):

@@ -13,7 +13,8 @@ a negative window; every `measure` mode, zeno also as JSON and with a
 Gaussian packet, and conditional also as JSON, at non-default geometry, on
 a 16001-sample box, and with a short second step (`--t2 0.81`) and on a
 401-sample box, where pi hbar dt / (m dx) is below the box's extent (a
-chirp-kernel propagator aliases there); and `classical`.  A
+chirp-kernel propagator aliases there), and conditional with a reflected
+packet and with a packet that leaves its box, both rejected; and `classical`.  A
 change that should leave every output byte-identical is checked by running
 this on the parent and on the change and diffing:
 
@@ -93,6 +94,9 @@ def presets() -> list[list[str]]:
         # pi hbar dt / (m dx) below the box's extent: a short second step and a coarse box
         ["measure", "--mode", "conditional", "--t2", "0.81"],
         ["measure", "--mode", "conditional", "--nx", "401"],
+        # rejected (exit 2): the model takes only a Gaussian, and one that fits its box by 6 sigma
+        ["measure", "--mode", "conditional", "--packet", "reflected"],
+        ["measure", "--mode", "conditional", "--x0", "45"],
         ["classical"],
     ]
     return runs
