@@ -28,7 +28,6 @@ HERMITIAN = {
     "t_dwell": OperatorKind.T_DWELL,
     "h": OperatorKind.H,
     "xi": OperatorKind.XI,
-    "j_current": OperatorKind.J_CURRENT,
 }
 
 COMMUTATORS = ("commutator_h_t_new", "commutator_xi_t_new", "commutator_xi_t_kdm")
@@ -57,8 +56,8 @@ CHECKS: dict[str, tuple[float, bool]] = {
 def _operator_checks(grid: GridSpec, consts: PhysConsts, L: float) -> dict:
     hbar = consts.hbar
     p = grid.momenta()
-    # T_DWELL takes the dwell length, J_CURRENT the time; the others ignore both
-    ops = {name: operators.build_operator(kind, grid, consts, L=L, t=0.3) for name, kind in HERMITIAN.items()}
+    # T_DWELL takes the dwell length; the others ignore it
+    ops = {name: operators.build_operator(kind, grid, consts, L=L) for name, kind in HERMITIAN.items()}
     values = {f"hermiticity_{name}": operators.hermiticity_defect(op) for name, op in ops.items()}
     # both constructions have the same band width, so they agree entrywise where their bands do
     sym, via = (np.stack((op.diag, op.anti)) for op in (ops["t_new_sym"], ops["t_new_via_kdm"]))

@@ -31,9 +31,8 @@ exactly); hermiticity and commutator statements therefore hold on interior
 rows only.  An operator is held as its entry formula, evaluated on its
 nonzero pattern only: at most nine diagonals of the stencil band and nine
 anti-diagonals that R mirrors them onto, stored as two bands of shape (9, n)
-or less, so building, applying and checking one costs O(n).  The rank-two
-current J is the one full pattern; it is evaluated a block at a time.  No
-n x n array is formed.
+or less, so building, applying and checking one costs O(n).  No n x n array
+is formed.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ class OperatorKind(enum.Enum):
     T_NEW_SYM = "t_new_sym"
     T_NEW_VIA_KDM = "t_new_via_kdm"
     T_DWELL = "t_dwell"
-    J_CURRENT = "j_current"
 
 
 # Reach of an operator's stored diagonals, about the main diagonal and about
@@ -83,54 +81,40 @@ class OperatorKind(enum.Enum):
 # reach offset 4, and R mirrors that band onto the anti-diagonal.
 BAND_WIDTH = 4
 
-# Entries per block of an operator with a full pattern.
-_BLOCK_ENTRIES = 1 << 13
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Operator in the discrete momentum basis, M[j,k] ~= <p_j|O|p_k> dp.
 
     `entries(j, k)` is the entry formula at broadcast index arrays; it is
-    evaluated on the operator's nonzero pattern only.  With a band width w
-    that is the stencil band k = j + o and the reflected band
-    k = n - 1 - j + o, |o| <= w, stored as `diag` and `anti` of shape
-    (2w + 1, n):  diag[w + o, j] = M[j, j + o], anti[w + o, j] = M[j, n - 1 - j + o],
+    evaluated once, at construction, on the operator's nonzero pattern only.
+    With the band width w that is the stencil band k = j + o and the
+    reflected band k = n - 1 - j + o, |o| <= w, stored as `diag` and `anti`
+    of shape (2w + 1, n):  diag[w + o, j] = M[j, j + o], anti[w + o, j] = M[j, n - 1 - j + o],
     zero where that entry is outside the matrix or, in `anti`, in `diag`.
     The pattern is closed under transposition: M[k, j] of a stencil entry is
     stored at diag[w - o, k], of a reflected one at anti[w + o, k].
-    With width None the pattern is the full matrix, evaluated a block of
-    columns at a time and never stored.
     """
 
     entries: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grid: GridSpec
     consts: PhysConsts
     kind: str
-    width: int | None = BAND_WIDTH
+    width: int = BAND_WIDTH
     diag: np.ndarray | None = field(init=False, default=None)
     anti: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.width is not None:
-            diag, anti = (np.where(inside, self.entries(rows, cols), 0.0) for rows, cols, inside, _ in self.chunks())
-            object.__setattr__(self, "diag", diag)
-            object.__setattr__(self, "anti", anti)
+        diag, anti = (np.where(inside, self.entries(rows, cols), 0.0) for rows, cols, inside, _ in self.chunks())
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "anti", anti)
 
     def chunks(self):
-        """(rows, cols, inside, values) over the pattern: the two bands, or the
-        column blocks.  Axis 1 runs over rows and axis 0 along a row; cols is
-        clipped into the matrix, and `inside` marks the entries really in it."""
+        """(rows, cols, inside, values) over the two bands.  Axis 1 runs over
+        rows and axis 0 along a row; cols is clipped into the matrix, and
+        `inside` marks the entries really in it."""
         n, w = self.grid.n, self.width
         rows = np.arange(n)[None, :]
-        if w is None:
-            step = max(1, _BLOCK_ENTRIES // n)
-            for start in range(0, n, step):
-                cols = np.arange(start, min(start + step, n))[:, None]
-                # whole index arrays: a product of two stride-0 broadcasts is ~10x slower
-                block = np.broadcast_to(rows, (cols.size, n))
-                yield block, cols, np.True_, self.entries(block, cols)
-            return
         offsets = np.arange(-w, w + 1)[:, None]
         stencil, reflected = rows + offsets, (n - 1 - rows) + offsets
         yield rows, np.clip(stencil, 0, n - 1), (stencil >= 0) & (stencil < n), self.diag
@@ -372,18 +356,17 @@ def build_operator(
     consts: PhysConsts = PhysConsts(),
     *,
     L: float | None = None,
-    t: float | None = None,
 ) -> OperatorMatrix:
     """Momentum-basis operator of the requested kind, from its entry formula.
 
-    T_DWELL requires the region length L > 0; J_CURRENT requires the time t.
+    T_DWELL requires the region length L > 0.
     """
     m, hbar = consts.mass, consts.hbar
     p = grid.momenta()
     n = grid.n
     # the diagonal kinds, R and T_DWELL sit on offset 0 of the two bands
     stencil = kind in (OperatorKind.T_KDM, OperatorKind.T_NEW_SYM, OperatorKind.T_NEW_VIA_KDM)
-    width = None if kind is OperatorKind.J_CURRENT else BAND_WIDTH if stencil else 0
+    width = BAND_WIDTH if stencil else 0
     d, g = derivative_band(grid) if stencil else None, 1.0 / np.abs(p)
 
     def diagonal(values: np.ndarray):
@@ -435,18 +418,6 @@ def build_operator(
         def entries(j, k):
             return diagonal(scale)(j, k) + np.where(k == n - 1 - j, refl[j], 0.0)
 
-    elif kind is OperatorKind.J_CURRENT:
-        if t is None:
-            raise ValueError("J_CURRENT requires the evaluation time t")
-        # (p delta + delta p) / 2m, delta = (dp / 2 pi hbar) v w^T, as (p c) w^T + c (p w)^T
-        v = np.exp(1j * p**2 * t / (2.0 * m * hbar))
-        w = np.conj(v)
-        c = (grid.dp / (2.0 * math.pi * hbar)) / (2.0 * m) * v
-        pc, pw = p * c, p * w
-
-        def entries(j, k):  # rank two, so every entry is nonzero
-            return pc[j] * w[k] + c[j] * pw[k]
-
     else:
         raise ValueError(f"unknown operator kind {kind}")
     return OperatorMatrix(entries, grid, consts, kind.name, width)
@@ -456,29 +427,17 @@ def hermiticity_defect(op: OperatorMatrix) -> float:
     """max |M - M^dagger| / max |M| on the interior sub-block (without the two
     edge rows and columns on each side, where the one-sided stencils sit).
 
-    The pattern is closed under transposition, so M^dagger lies on it too; an
-    entry off the pattern is zero in both.  A banded operator reads each
-    transpose from its stored bands and evaluates no entry.  A full pattern
-    is evaluated on one triangle, since |M[j,k] - conj M[k,j]| is the same
-    number at (k, j): each interior column block [start, stop) against the
-    rows below stop, at every entry and its transpose.  An all-zero interior
-    is hermitian, with defect 0."""
+    The two bands are closed under transposition, so M^dagger lies on them
+    too and each transpose is read from the stored bands; no entry is
+    evaluated, and an entry off the bands is zero in both.  An all-zero
+    interior is hermitian, with defect 0."""
     n = op.grid.n
     defect = scale = 0.0
-    if op.width is None:
-        step = max(1, _BLOCK_ENTRIES // n)
-        for start in range(2, n - 2, step):
-            stop = min(start + step, n - 2)
-            rows, cols = np.arange(2, stop)[None, :], np.arange(start, stop)[:, None]
-            values, dagger = op.entries(rows, cols), np.conj(op.entries(cols, rows))
-            defect = max(defect, float(np.max(np.abs(values - dagger))))
-            scale = max(scale, float(np.max(np.abs(values))), float(np.max(np.abs(dagger))))
-    else:
-        for (rows, cols, inside, values), transposed in zip(op.chunks(), (op.diag[::-1], op.anti)):
-            inside = inside & (rows >= 2) & (rows < n - 2) & (cols >= 2) & (cols < n - 2)
-            dagger = np.conj(np.take_along_axis(transposed, cols, axis=1))
-            defect = max(defect, float(np.max(np.abs(values - dagger), where=inside, initial=0.0)))
-            scale = max(scale, float(np.max(np.abs(values), where=inside, initial=0.0)))
+    for (rows, cols, inside, values), transposed in zip(op.chunks(), (op.diag[::-1], op.anti)):
+        inside = inside & (rows >= 2) & (rows < n - 2) & (cols >= 2) & (cols < n - 2)
+        dagger = np.conj(np.take_along_axis(transposed, cols, axis=1))
+        defect = max(defect, float(np.max(np.abs(values - dagger), where=inside, initial=0.0)))
+        scale = max(scale, float(np.max(np.abs(values), where=inside, initial=0.0)))
     return defect / scale if scale else 0.0
 
 
@@ -634,10 +593,11 @@ def current_expectation(psi: WaveFunction, t: float | np.ndarray) -> float | np.
     """<J(t)> at x = 0 after free evolution, for a scalar or 1-D array of times.
 
     J = (p delta(x) + delta(x) p) / 2m with the exact momentum-basis kernel
-    <p|delta(x)|p'> = 1/(2 pi hbar), the one build_operator(J_CURRENT) uses,
-    is rank two:  J(t) = Re[conj(A0) A1] / (2 pi hbar m)  with
-    A0 = sum dp psi_t(p) and A1 = sum dp p psi_t(p).  The sums carry equal
-    weights, as J_CURRENT does, so the two agree to rounding.
+    <p|delta(x)|p'> = 1/(2 pi hbar) is rank two:
+    J(t) = Re[conj(A0) A1] / (2 pi hbar m)  with  A0 = sum dp psi_t(p) and
+    A1 = sum dp p psi_t(p).  The sums carry equal weights, so this equals
+    psi^dagger J psi dp, with J the n x n matrix of the kernel on the grid,
+    to rounding.
     """
     _check_momentum_state(psi)
     ts = _check_taus(t, "t")

@@ -15,7 +15,6 @@ PINNED = [
     ("hermiticity_t_dwell", 1e-10, False),
     ("hermiticity_h", 1e-10, False),
     ("hermiticity_xi", 1e-10, False),
-    ("hermiticity_j_current", 1e-10, False),
     ("t_new_constructions_agree", 1e-8, False),
     ("reflection_squared_identity", 1e-15, False),
     ("reflection_sign_conjugation", 1e-15, False),
@@ -64,7 +63,7 @@ def test_report_holds_no_dense_operator(fast_spec):
 
 
 def test_operator_checks_evaluate_banded_entries_once(consts, monkeypatch):
-    """Each banded operator of the hermiticity and constructions checks
+    """Each operator of the hermiticity and constructions checks
     evaluates its entry formula once per band, at construction, and never
     again: both checks read its stored bands."""
     build = operators.build_operator
@@ -72,7 +71,7 @@ def test_operator_checks_evaluate_banded_entries_once(consts, monkeypatch):
 
     def counted_build(kind, *args, **kwargs):
         op = build(kind, *args, **kwargs)
-        if op.width is None or kind in (OperatorKind.R, OperatorKind.SIGN_P):
+        if kind in (OperatorKind.R, OperatorKind.SIGN_P):
             return op  # R and SIGN_P are evaluated by the reflection checks
 
         def counted(j, k):
@@ -83,6 +82,5 @@ def test_operator_checks_evaluate_banded_entries_once(consts, monkeypatch):
 
     monkeypatch.setattr(operators, "build_operator", counted_build)
     values = checks._operator_checks(GridSpec(64, 40.0), consts, 0.2)
-    banded = [kind for kind in checks.HERMITIAN.values() if kind is not OperatorKind.J_CURRENT]
-    assert calls == dict.fromkeys(banded, 2)
+    assert calls == dict.fromkeys(checks.HERMITIAN.values(), 2)
     assert values["t_new_constructions_agree"] <= checks.CHECKS["t_new_constructions_agree"][0]

@@ -95,4 +95,4 @@ def test_registry_calls_are_visible_to_the_tracer(monkeypatch, grid, fast_spec):
 
         monkeypatch.setattr(operators, name, spy)
     checks.run_checks(grid, fast_spec, 0.2)
-    assert calls == {"build_operator": 9, "hermiticity_defect": 7, "dwell_low_momentum_check": 2}
+    assert calls == {"build_operator": 8, "hermiticity_defect": 6, "dwell_low_momentum_check": 2}

@@ -16,6 +16,7 @@ from qarrival import (
     PhysConsts,
     build_operator,
     completeness_check,
+    crossing_probability,
     current_expectation,
     distribution,
     dwell_low_momentum_check,
@@ -45,7 +46,7 @@ import util_new_oracle as oracle
 from test_numerics import brute_series_j
 from util_current import stencil_current
 from util_kijowski import kijowski_density
-from util_dense import dense_current_delta_form, dense_hermiticity_defect, dense_matrix, dense_operator
+from util_dense import dense_current, dense_current_delta_form, dense_hermiticity_defect, dense_matrix, dense_operator
 from util_origin import derivative_at_origin, value_at_origin
 from util_pertau import completeness_per_tau, distribution_per_tau
 from util_spectral import chebyshev_nodes_and_diff
@@ -668,8 +669,6 @@ class TestOperatorMatrices:
     def test_invalid_kind_params(self, grid, consts):
         with pytest.raises(ValueError):
             build_operator(OperatorKind.T_DWELL, grid, consts)
-        with pytest.raises(ValueError):
-            build_operator(OperatorKind.J_CURRENT, grid, consts)
         with pytest.raises(ValueError, match="n >= 6"):
             build_operator(OperatorKind.T_KDM, GridSpec(4, 1.0), consts)
 
@@ -680,8 +679,8 @@ class TestBandFormAgainstDense:
     @staticmethod
     def _pair(kind, n, consts):
         grid = GridSpec(n, 40.0)
-        op = build_operator(kind, grid, consts, L=0.2, t=0.3)
-        return op, dense_operator(kind, grid, consts, L=0.2, t=0.3)
+        op = build_operator(kind, grid, consts, L=0.2)
+        return op, dense_operator(kind, grid, consts, L=0.2)
 
     @pytest.mark.parametrize("n", [64, 1024])
     @pytest.mark.parametrize("kind", list(OperatorKind))
@@ -697,7 +696,6 @@ class TestBandFormAgainstDense:
         expected = dense @ f
         assert np.max(np.abs(op.apply(f) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    # J_CURRENT's triangle is one column block at n <= 92, two at n = 130
     @pytest.mark.parametrize("n", [6, 10, 64, 130, 1024])
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_hermiticity_defect_equals_dense(self, kind, n, consts):
@@ -706,75 +704,54 @@ class TestBandFormAgainstDense:
 
     @pytest.mark.parametrize("n", [64, 1024])
     def test_current_oracle_matches_delta_form(self, n, consts):
-        # the outer-product oracle (the library's rounding) against the
-        # current's defining (p delta + delta p) / 2m form
+        # the outer-product oracle of test_equals_j_current_operator against
+        # the current's defining (p delta + delta p) / 2m form
         grid = GridSpec(n, 40.0)
-        outer = dense_operator(OperatorKind.J_CURRENT, grid, consts, t=0.3)
+        outer = dense_current(grid, consts, 0.3)
         delta_form = dense_current_delta_form(grid, consts, 0.3)
         assert np.max(np.abs(outer - delta_form)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(delta_form))
 
     @staticmethod
-    def _planted(mat, consts, width=None):
-        return OperatorMatrix(lambda j, k: mat[j, k], GridSpec(mat.shape[0], 40.0), consts, "planted", width)
+    def _planted(mat, consts):
+        return OperatorMatrix(lambda j, k: mat[j, k], GridSpec(mat.shape[0], 40.0), consts, "planted", BAND_WIDTH)
 
-    @pytest.mark.parametrize("width", [BAND_WIDTH, None])
+    def _hermitian_bands(self, n, consts, rng):
+        """A random hermitian matrix on the BAND_WIDTH pattern."""
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return dense_matrix(self._planted(a + a.conj().T, consts))
+
+    @pytest.mark.parametrize("width", [0, BAND_WIDTH])
     def test_zero_interior_is_hermitian(self, width, consts):
         zero = OperatorMatrix(lambda j, k: np.zeros(np.broadcast(j, k).shape, complex), GridSpec(8, 40.0), consts,
                               "zero", width)
         assert hermiticity_defect(zero) == 0.0
 
-    @pytest.mark.parametrize("where", ["diag", "anti", "both"])
+    @pytest.mark.parametrize("where", ["diag", "lower", "main_diagonal", "anti", "both"])
     def test_planted_band_defect_found_at_dense_value(self, where, consts, rng):
         # negative control for the transposes read from the bands: a hermitian
         # matrix on the band pattern with one entry moved, in the stencil
-        # band, the reflected band, or one of each
+        # band above or below the diagonal, on the diagonal, in the reflected
+        # band, or one in each band.  The moved entry is the largest, so it
+        # sets the scale too.
         n = 40
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        mat = dense_matrix(self._planted(a + a.conj().T, consts, BAND_WIDTH))
-        planted = {"diag": [(n // 2, n // 2 + 3)], "anti": [(7, n - 5)], "both": [(n // 2, n // 2 + 3), (7, n - 5)]}
+        mat = self._hermitian_bands(n, consts, rng)
+        planted = {"diag": [(n // 2, n // 2 + 3)], "lower": [(n // 2 + 3, n // 2)],
+                   "main_diagonal": [(n // 2, n // 2)], "anti": [(7, n - 5)],
+                   "both": [(n // 2, n // 2 + 3), (7, n - 5)]}
         for size, (j, k) in enumerate(planted[where], 1):
-            mat[j, k] += 40j * size
-        defect = hermiticity_defect(self._planted(mat, consts, BAND_WIDTH))
-        assert defect == dense_hermiticity_defect(mat)
-        assert defect >= 0.5
-
-    @pytest.mark.parametrize("n", [40, 200])
-    @pytest.mark.parametrize("where", ["lower", "upper", "diagonal", "both"])
-    def test_planted_defect_found_at_dense_value(self, where, n, consts, rng):
-        # negative control: a hermitian matrix with one entry moved, in the
-        # lower triangle, the upper one, on the diagonal, or one of each
-        # (n = 200 spans five column blocks).  The moved entry is the largest,
-        # so it sets the scale too.
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        mat = a + a.conj().T
-        planted = {"lower": [(n - 5, 3)], "upper": [(7, n - 4)], "diagonal": [(n // 2, n // 2)],
-                   "both": [(n - 5, 3), (7, n - 4)]}[where]
-        for size, (j, k) in enumerate(planted, 1):
             mat[j, k] += 40j * size
         defect = hermiticity_defect(self._planted(mat, consts))
         assert defect == dense_hermiticity_defect(mat)
         assert defect >= 0.5
 
     def test_defect_outside_interior_ignored(self, consts, rng):
-        a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-        mat = a + a.conj().T
-        mat[1, 20] += 5.0
-        mat[20, 38] += 5.0
+        # entries moved in the two edge rows and columns, in the stencil band
+        # (rows 1 and n - 2) and in the reflected band (row 0, column n - 2)
+        n = 40
+        mat = self._hermitian_bands(n, consts, rng)
+        for j, k in [(1, 3), (n - 2, n - 5), (0, n - 3), (3, n - 2)]:
+            mat[j, k] += 5.0
         assert hermiticity_defect(self._planted(mat, consts)) == 0.0
-
-    def test_current_check_visits_half_the_pairs(self, consts):
-        n = 1024
-        op = build_operator(OperatorKind.J_CURRENT, GridSpec(n, 40.0), consts, t=0.3)
-        sizes = []
-
-        def counted(j, k):
-            sizes.append(np.broadcast(j, k).size)
-            return op.entries(j, k)
-
-        hermiticity_defect(OperatorMatrix(counted, op.grid, consts, op.kind, None))
-        # each visited pair costs two evaluations, the entry and its
-        # transpose, so about n^2 evaluations mean about n^2 / 2 pairs
-        assert sum(sizes) <= 1.01 * n**2
 
 
 class TestOverlapAndDistributions:
@@ -922,9 +899,9 @@ class TestCurrentExpectation:
 
     @pytest.mark.parametrize("t", [0.3, 0.5])
     def test_equals_j_current_operator(self, fast_packet, grid, consts, t):
-        op = build_operator(OperatorKind.J_CURRENT, grid, consts, t=t)
+        # psi^dagger J psi dp with J the dense rank-two matrix of the kernel
         psi = fast_packet.values
-        expected = float((np.conj(psi) @ op.apply(psi)).real * grid.dp)
+        expected = float((np.conj(psi) @ (dense_current(grid, consts, t) @ psi)).real * grid.dp)
         assert current_expectation(fast_packet, t) == pytest.approx(expected, rel=1e-12)
 
     def test_array_times_match_scalar_calls(self, fast_packet, reflected_packet):
@@ -982,6 +959,25 @@ class TestCurrentIntegrals:
 
     def test_zero_at_tau_zero(self, fast_packet):
         assert self._closed(fast_packet, [0.0])[0] == 0.0
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.5])
+def test_units_covariance(lam, fast_spec, fast_packet, grid):
+    """Times scale with the mass: with m -> lam m and tau -> lam tau, lam Pi(lam tau)
+    is the unit-mass Pi(tau) for every family.  And the two crossing forms,
+    which take m through the free propagator and through the current, agree
+    at m = lam, hbar = 1 / lam over taus that scale with m.  Most of the suite
+    runs at m = hbar = 1, where a misplaced m or hbar goes unseen."""
+    taus = np.linspace(0.05, 1.5, 201)
+    heavy = make_gaussian(GaussianSpec(fast_spec.p0, fast_spec.x0, fast_spec.sigma_p, PhysConsts(lam, 1.0)), grid)
+    for family in EigenFamily:
+        ref = distribution(fast_packet, family, taus).values
+        scaled = lam * distribution(heavy, family, lam * taus).values
+        assert np.max(np.abs(scaled - ref)) <= 1e-12 * np.max(ref), family
+    consts = PhysConsts(lam, 1.0 / lam)
+    psi = make_gaussian(GaussianSpec(fast_spec.p0, fast_spec.x0, fast_spec.sigma_p, consts), grid)
+    res = crossing_probability(psi, consts.mass * np.linspace(0.0, 1.0, 11))
+    assert np.max(np.abs(res.projector_form - res.current_form)) <= 1e-4  # criterion 9
 
 
 class TestKineticEnergyDensity:

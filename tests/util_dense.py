@@ -1,4 +1,4 @@
-"""Dense reference forms: O(N M) transform sums, the propagator kernel and full operator matrices."""
+"""Dense reference forms: O(N M) transform sums, the propagator kernel, full operator matrices and the current."""
 
 import math
 
@@ -51,7 +51,7 @@ def dense_derivative(grid):
     return d
 
 
-def dense_operator(kind, grid, consts, L=None, t=None):
+def dense_operator(kind, grid, consts, L=None):
     """The full n x n matrix of an operator kind, built with whole-matrix products."""
     from qarrival import OperatorKind
 
@@ -83,13 +83,19 @@ def dense_operator(kind, grid, consts, L=None, t=None):
         scale = m * L / np.abs(p)
         refl = scale * np.exp(-1j * b) * np.sinc(b / math.pi)
         return np.diag(scale).astype(complex) + np.diag(refl)[:, ::-1]
-    if kind is OperatorKind.J_CURRENT:
-        # the library's rounding: (p c) w^T + c (p w)^T, c = (dp / 2 pi hbar) v / 2m
-        v = np.exp(1j * p**2 * t / (2.0 * m * hbar))
-        w = np.conj(v)
-        c = (grid.dp / (2.0 * math.pi * hbar)) / (2.0 * m) * v
-        return np.outer(p * c, w) + np.outer(c, p * w)
     raise ValueError(f"unknown operator kind {kind}")
+
+
+def dense_current(grid, consts, t):
+    """The current J = (p delta + delta p) / 2m at x = 0 and time t as a full
+    matrix, delta = (dp / 2 pi hbar) v w^T, w = conj v, rounded as two outer
+    products: (p c) w^T + c (p w)^T, c = (dp / 2 pi hbar) v / 2m."""
+    m, hbar = consts.mass, consts.hbar
+    p = grid.momenta()
+    v = np.exp(1j * p**2 * t / (2.0 * m * hbar))
+    w = np.conj(v)
+    c = (grid.dp / (2.0 * math.pi * hbar)) / (2.0 * m) * v
+    return np.outer(p * c, w) + np.outer(c, p * w)
 
 
 def dense_current_delta_form(grid, consts, t):
