@@ -682,13 +682,15 @@ class TestBandFormAgainstDense:
         op = build_operator(kind, grid, consts, L=0.2)
         return op, dense_operator(kind, grid, consts, L=0.2)
 
-    @pytest.mark.parametrize("n", [64, 1024])
+    # at n = 10 the two bands overlap in the middle rows and are clipped at
+    # the edges, and the reflected band still holds entries of its own
+    @pytest.mark.parametrize("n", [10, 64, 1024])
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_matrix_equals_dense(self, kind, n, consts):
         op, dense = self._pair(kind, n, consts)
         assert np.array_equal(dense_matrix(op), dense)
 
-    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("n", [10, 64, 1024])
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_apply_matches_dense_product(self, kind, n, consts, rng):
         op, dense = self._pair(kind, n, consts)
@@ -739,6 +741,23 @@ class TestBandFormAgainstDense:
                    "main_diagonal": [(n // 2, n // 2)], "anti": [(7, n - 5)],
                    "both": [(n // 2, n // 2 + 3), (7, n - 5)]}
         for size, (j, k) in enumerate(planted[where], 1):
+            mat[j, k] += 40j * size
+        defect = hermiticity_defect(self._planted(mat, consts))
+        assert defect == dense_hermiticity_defect(mat)
+        assert defect >= 0.5
+
+    @pytest.mark.parametrize("n", [40, 200])
+    @pytest.mark.parametrize("where", ["lower", "upper", "diagonal", "both"])
+    def test_planted_defect_found_at_dense_value(self, where, n, consts, rng):
+        # negative control away from the middle rows, at two sizes: a
+        # hermitian band matrix with one entry moved in the reflected band
+        # below the diagonal, at the reflected band's outer edge above it,
+        # on the diagonal, or one of each.  The moved entry is the largest,
+        # so it sets the scale too.
+        mat = self._hermitian_bands(n, consts, rng)
+        planted = {"lower": [(n - 5, 3)], "upper": [(7, n - 4)], "diagonal": [(n // 2, n // 2)],
+                   "both": [(n - 5, 3), (7, n - 4)]}[where]
+        for size, (j, k) in enumerate(planted, 1):
             mat[j, k] += 40j * size
         defect = hermiticity_defect(self._planted(mat, consts))
         assert defect == dense_hermiticity_defect(mat)
