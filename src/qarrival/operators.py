@@ -28,11 +28,11 @@ acts directly on sample vectors.  The position operator in the momentum
 basis, x = i hbar d/dp, is discretized with 4th-order central differences
 (one-sided at the two rows on each edge, mirrored so that R D R = -D holds
 exactly); hermiticity and commutator statements therefore hold on interior
-rows only.  An operator is held as its entry formula, evaluated on its
-nonzero pattern only: at most nine diagonals of the stencil band and nine
-anti-diagonals that R mirrors them onto, stored as two bands of shape (9, n)
-or less, so building, applying and checking one costs O(n).  No n x n array
-is formed.
+rows only.  An operator is held as its two bands: at most nine diagonals of
+the stencil band and the nine anti-diagonals that R mirrors them onto, each
+of shape (9, n) or less.  They are built from the band of x, its reversals
+and shifted copies of 1/|p|, and applied and checked one offset at a time, so
+building, applying and checking one costs O(n).  No n x n array is formed.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -82,50 +81,68 @@ class OperatorKind(enum.Enum):
 BAND_WIDTH = 4
 
 
+def _band_rows(n: int, o: int, edge: int = 0) -> tuple[int, int]:
+    """The rows j in [edge, n - edge) whose column j + o lies in [edge, n - edge) too.
+
+    Row j of the reflected band reaches column n - 1 - j + o, so its rows are
+    those of offset -o."""
+    return edge + max(0, -o), n - edge - max(0, o)
+
+
+def _overlap_rows(n: int, w: int):
+    """(j, stencil, reflected) for each row j where the two bands meet: the
+    entry at diag[stencil, j] is the one at anti[reflected, j] (the 2w middle
+    rows, every row when n <= 2w)."""
+    for j in range(max(0, (n - 2 * w) // 2), min(n, (n - 1 + 2 * w) // 2 + 1)):
+        s = 2 * j - n + 1  # anti offset minus diag offset on row j
+        yield j, slice(max(0, -s), 2 * w + 1 - max(0, s)), slice(max(0, s), 2 * w + 1 - max(0, -s))
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Operator in the discrete momentum basis, M[j,k] ~= <p_j|O|p_k> dp.
+    """Operator in the discrete momentum basis, M[j,k] ~= <p_j|O|p_k> dp, held as two bands.
 
-    `entries(j, k)` is the entry formula at broadcast index arrays; it is
-    evaluated once, at construction, on the operator's nonzero pattern only.
-    With the band width w that is the stencil band k = j + o and the
-    reflected band k = n - 1 - j + o, |o| <= w, stored as `diag` and `anti`
-    of shape (2w + 1, n):  diag[w + o, j] = M[j, j + o], anti[w + o, j] = M[j, n - 1 - j + o],
-    zero where that entry is outside the matrix or, in `anti`, in `diag`.
-    The pattern is closed under transposition: M[k, j] of a stencil entry is
-    stored at diag[w - o, k], of a reflected one at anti[w + o, k].
+    With the band width w, `diag` holds the stencil band k = j + o and `anti`
+    the reflected band k = n - 1 - j + o, |o| <= w, each of shape (2w + 1, n):
+    diag[w + o, j] = M[j, j + o], anti[w + o, j] = M[j, n - 1 - j + o], zero
+    where that entry is outside the matrix or, in `anti`, in `diag`.  Every
+    other entry of M is zero.  The pattern is closed under transposition:
+    M[k, j] of a stencil entry is stored at diag[w - o, k], of a reflected
+    one at anti[w + o, k].
     """
 
-    entries: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    diag: np.ndarray
+    anti: np.ndarray
     grid: GridSpec
     consts: PhysConsts
     kind: str
-    width: int = BAND_WIDTH
-    diag: np.ndarray | None = field(init=False, default=None)
-    anti: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        diag, anti = (np.where(inside, self.entries(rows, cols), 0.0) for rows, cols, inside, _ in self.chunks())
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "anti", anti)
+        shape, other = np.shape(self.diag), np.shape(self.anti)
+        if other != shape or len(shape) != 2 or shape[0] % 2 != 1 or shape[1] != self.grid.n:
+            raise ValueError(f"diag and anti must both have shape (2w + 1, {self.grid.n}), got {shape} and {other}")
 
-    def chunks(self):
-        """(rows, cols, inside, values) over the two bands.  Axis 1 runs over
-        rows and axis 0 along a row; cols is clipped into the matrix, and
-        `inside` marks the entries really in it."""
-        n, w = self.grid.n, self.width
-        rows = np.arange(n)[None, :]
-        offsets = np.arange(-w, w + 1)[:, None]
-        stencil, reflected = rows + offsets, (n - 1 - rows) + offsets
-        yield rows, np.clip(stencil, 0, n - 1), (stencil >= 0) & (stencil < n), self.diag
-        inside = (reflected >= 0) & (reflected < n) & (np.abs(reflected - rows) > w)
-        yield rows, np.clip(reflected, 0, n - 1), inside, self.anti
+    @property
+    def width(self) -> int:
+        return self.diag.shape[0] // 2
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """The matrix-vector product M f, one pass over the pattern."""
-        out = np.zeros(self.grid.n, dtype=complex)
-        for rows, cols, _, values in self.chunks():
-            out[rows[0]] += np.sum(values * f[cols], axis=0)
+        """The matrix-vector product M f, one offset of each band at a time."""
+        n, w = self.grid.n, self.width
+        f = np.asarray(f)
+        if f.shape != (n,):
+            raise ValueError(f"expected a vector of shape ({n},), got {f.shape}")
+        out = np.zeros(n, dtype=complex)
+        # row j of offset o reads f[j + o] from the stencil band and
+        # f[n - 1 - j + o] = f[::-1][j - o] from the reflected one.  Each band
+        # is summed over its offsets, in order, before the two are added; that
+        # order fixes the rounding of M f, which the checks report bitwise.
+        for band, src, sign in ((self.diag, f, 1), (self.anti, f[::-1], -1)):
+            acc = np.zeros(n, dtype=complex)
+            for o in range(-w, w + 1):
+                lo, hi = _band_rows(n, sign * o)
+                acc[lo:hi] += band[w + o, lo:hi] * src[lo + sign * o : hi + sign * o]
+            out += acc
         return out
 
 
@@ -357,70 +374,68 @@ def build_operator(
     *,
     L: float | None = None,
 ) -> OperatorMatrix:
-    """Momentum-basis operator of the requested kind, from its entry formula.
+    """Momentum-basis operator of the requested kind, built as its two bands.
 
     T_DWELL requires the region length L > 0.
     """
     m, hbar = consts.mass, consts.hbar
     p = grid.momenta()
     n = grid.n
+
+    def banded(diag: np.ndarray, anti: np.ndarray | None = None) -> OperatorMatrix:
+        diag = np.asarray(diag, dtype=complex)
+        anti = np.zeros_like(diag) if anti is None else np.asarray(anti, dtype=complex)
+        return OperatorMatrix(diag, anti, grid, consts, kind.name)
+
     # the diagonal kinds, R and T_DWELL sit on offset 0 of the two bands
-    stencil = kind in (OperatorKind.T_KDM, OperatorKind.T_NEW_SYM, OperatorKind.T_NEW_VIA_KDM)
-    width = BAND_WIDTH if stencil else 0
-    d, g = derivative_band(grid) if stencil else None, 1.0 / np.abs(p)
-
-    def diagonal(values: np.ndarray):
-        return lambda j, k: np.where(j == k, values[j], 0.0).astype(complex)
-
-    def x_op(j, k):  # i hbar d/dp
-        off = np.clip(k - j + BAND_WIDTH, 0, 2 * BAND_WIDTH)
-        return 1j * hbar * np.where(np.abs(k - j) <= BAND_WIDTH, d[off, j], 0.0)
-
-    def t_kdm(j, k):  # -(m/2) (x diag(g) + diag(g) x)
-        x = x_op(j, k)
-        return -(m / 2.0) * (x * g[k] + g[j] * x)
-
     if kind is OperatorKind.H:
-        entries = diagonal(p**2 / (2.0 * m))
-    elif kind is OperatorKind.XI:
-        entries = diagonal(p * np.abs(p) / (2.0 * m))
-    elif kind is OperatorKind.R:
-        entries = lambda j, k: np.where(k == n - 1 - j, 1.0, 0.0).astype(complex)  # noqa: E731
-    elif kind is OperatorKind.SIGN_P:
-        entries = diagonal(np.sign(p))
-    elif kind is OperatorKind.T_KDM:
-        entries = t_kdm
-    elif kind is OperatorKind.T_NEW_SYM:
-        # A = (1/|p|)(1 + R); right-multiplying by R reflects the column
-        # index, left-multiplying the row index (the grid is mirror-symmetric)
-        def entries(j, k):
-            x, xr = x_op(j, k), x_op(j, n - 1 - k)
-            return -(m / 2.0) * ((x * g[k] + xr * g[n - 1 - k]) + (g[j] * x + g[j] * x_op(n - 1 - j, k)))
+        return banded([p**2 / (2.0 * m)])
+    if kind is OperatorKind.XI:
+        return banded([p * np.abs(p) / (2.0 * m)])
+    if kind is OperatorKind.R:
+        return banded(np.zeros((1, n)), np.ones((1, n)))
+    if kind is OperatorKind.SIGN_P:
+        return banded([np.sign(p)])
+    if kind is OperatorKind.T_DWELL:
+        if L is None or L <= 0.0:
+            raise ValueError("T_DWELL requires a region length L > 0")
+        b = p * L / hbar
+        scale = m * L / np.abs(p)
+        return banded([scale], [scale * np.exp(-1j * b) * np.sinc(b / math.pi)])
+    if kind not in (OperatorKind.T_KDM, OperatorKind.T_NEW_SYM, OperatorKind.T_NEW_VIA_KDM):
+        raise ValueError(f"unknown operator kind {kind}")
 
-    elif kind is OperatorKind.T_NEW_VIA_KDM:
+    w = BAND_WIDTH
+    x = 1j * hbar * derivative_band(grid)  # i hbar d/dp, x[w + o, j] = X[j, j + o]
+    g = 1.0 / np.abs(p)
+    g_pad = np.concatenate((np.zeros(w), g, np.zeros(w)))
+    xg = x * np.lib.stride_tricks.sliding_window_view(g_pad, n)  # x diag(g): X[j, j + o] g[j + o]
+    gx = g * x  # diag(g) x
+    diag = -(m / 2.0) * (xg + gx)  # T_KDM = -(m/2) (x diag(g) + diag(g) x)
+    if kind is OperatorKind.T_KDM:
+        return banded(diag)
+    # On the reflected band, anti[w + o, j] = M[j, n - 1 - j + o]: (x R)[j, k]
+    # = X[j, j - o] is x[w - o, j], so x R diag(g) is xg[::-1]; (R x)[j, k] =
+    # X[n - 1 - j, k] is x[w + o, n - 1 - j], so diag(g) R x is g * x[:, ::-1].
+    # Where the bands meet, the reflected terms add to the stencil entry.
+    if kind is OperatorKind.T_NEW_SYM:
+        # A = (1/|p|)(1 + R): T = -(m/2) (x A + A x), with R diag(g) R = diag(g)
+        rx = g * x[:, ::-1]
+        anti = -(m / 2.0) * (xg[::-1] + rx)
+        for j, sd, sa in _overlap_rows(n, w):
+            diag[sd, j] = -(m / 2.0) * ((xg[sd, j] + xg[::-1][sa, j]) + (gx[sd, j] + rx[sa, j]))
+            anti[sa, j] = 0.0
+    else:
         # Reflection term (i hbar m / 2) (1/(p|p|)) R, with 1/(p|p|) realized
         # as the commutator-induced discrete operator (i/hbar) [x, 1/|p|] so
         # that both constructions refer to the same discretized x and agree
         # entrywise (a literal diagonal differs at O(1) near the anti-diagonal
         # on any finite-difference grid).
-        def entries(j, k):
-            xr = x_op(j, n - 1 - k)
-            g_d = (1j / hbar) * (xr * g[n - 1 - k] - g[j] * xr)
-            return t_kdm(j, k) + (1j * hbar * m / 2.0) * g_d
-
-    elif kind is OperatorKind.T_DWELL:
-        if L is None or L <= 0.0:
-            raise ValueError("T_DWELL requires a region length L > 0")
-        b = p * L / hbar
-        scale = m * L / np.abs(p)
-        refl = scale * np.exp(-1j * b) * np.sinc(b / math.pi)
-
-        def entries(j, k):
-            return diagonal(scale)(j, k) + np.where(k == n - 1 - j, refl[j], 0.0)
-
-    else:
-        raise ValueError(f"unknown operator kind {kind}")
-    return OperatorMatrix(entries, grid, consts, kind.name, width)
+        anti = (1j * hbar * m / 2.0) * ((1j / hbar) * (xg[::-1] - gx[::-1]))
+        for j, sd, sa in _overlap_rows(n, w):
+            diag[sd, j] += anti[sa, j]
+            anti[sa, j] = 0.0
+    return banded(diag, anti)
 
 
 def hermiticity_defect(op: OperatorMatrix) -> float:
@@ -428,16 +443,19 @@ def hermiticity_defect(op: OperatorMatrix) -> float:
     edge rows and columns on each side, where the one-sided stencils sit).
 
     The two bands are closed under transposition, so M^dagger lies on them
-    too and each transpose is read from the stored bands; no entry is
-    evaluated, and an entry off the bands is zero in both.  An all-zero
-    interior is hermitian, with defect 0."""
-    n = op.grid.n
+    too and each transpose is read from the stored bands, one offset at a
+    time; an entry off the bands is zero in both.  An all-zero interior is
+    hermitian, with defect 0."""
+    n, w = op.grid.n, op.width
     defect = scale = 0.0
-    for (rows, cols, inside, values), transposed in zip(op.chunks(), (op.diag[::-1], op.anti)):
-        inside = inside & (rows >= 2) & (rows < n - 2) & (cols >= 2) & (cols < n - 2)
-        dagger = np.conj(np.take_along_axis(transposed, cols, axis=1))
-        defect = max(defect, float(np.max(np.abs(values - dagger), where=inside, initial=0.0)))
-        scale = max(scale, float(np.max(np.abs(values), where=inside, initial=0.0)))
+    # M[j + o, j] is diag[::-1][w + o, j + o]; M[n - 1 - j + o, j] is anti[:, ::-1][w + o, j - o]
+    for band, partner, sign in ((op.diag, op.diag[::-1], 1), (op.anti, op.anti[:, ::-1], -1)):
+        for o in range(-w, w + 1):
+            lo, hi = _band_rows(n, sign * o, edge=2)
+            values = band[w + o, lo:hi]
+            dagger = np.conj(partner[w + o, lo + sign * o : hi + sign * o])
+            defect = max(defect, float(np.abs(values - dagger).max(initial=0.0)))
+            scale = max(scale, float(np.abs(values).max(initial=0.0)))
     return defect / scale if scale else 0.0
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from qarrival import GridSpec, OperatorKind, OperatorMatrix, checks, operators
+from qarrival import GridSpec, OperatorKind, checks, operators
 
 # (name, tolerance, larger_is_pass) of every check, in report order, at
 # hbar = 1.  The registry may not loosen, drop or reorder a check silently.
@@ -62,25 +62,30 @@ def test_report_holds_no_dense_operator(fast_spec):
     assert peak < 32 * 2**20
 
 
-def test_operator_checks_evaluate_banded_entries_once(consts, monkeypatch):
-    """Each operator of the hermiticity and constructions checks
-    evaluates its entry formula once per band, at construction, and never
-    again: both checks read its stored bands."""
-    build = operators.build_operator
-    calls = {}
+def test_operator_checks_build_each_operator_once(consts, monkeypatch):
+    """The operator checks build each operator once, and each stencil
+    operator reads the derivative band once, at construction; every check
+    then reads the stored bands."""
+    build, derivative_band = operators.build_operator, operators.derivative_band
+    band_calls = []
+    built = {}
+
+    def counted_band(grid):
+        band_calls.append(grid.n)
+        return derivative_band(grid)
 
     def counted_build(kind, *args, **kwargs):
+        before = len(band_calls)
         op = build(kind, *args, **kwargs)
-        if kind in (OperatorKind.R, OperatorKind.SIGN_P):
-            return op  # R and SIGN_P are evaluated by the reflection checks
+        assert kind not in built, f"{kind} built twice"
+        built[kind] = len(band_calls) - before
+        return op
 
-        def counted(j, k):
-            calls[kind] = calls.get(kind, 0) + 1
-            return op.entries(j, k)
-
-        return OperatorMatrix(counted, op.grid, op.consts, op.kind, op.width)
-
+    monkeypatch.setattr(operators, "derivative_band", counted_band)
     monkeypatch.setattr(operators, "build_operator", counted_build)
     values = checks._operator_checks(GridSpec(64, 40.0), consts, 0.2)
-    assert calls == dict.fromkeys(checks.HERMITIAN.values(), 2)
+    stencil = {OperatorKind.T_KDM, OperatorKind.T_NEW_SYM, OperatorKind.T_NEW_VIA_KDM}
+    assert set(built) == {*checks.HERMITIAN.values(), OperatorKind.R, OperatorKind.SIGN_P}
+    assert built == {kind: int(kind in stencil) for kind in built}
+    assert len(band_calls) == len(stencil)
     assert values["t_new_constructions_agree"] <= checks.CHECKS["t_new_constructions_agree"][0]

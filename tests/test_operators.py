@@ -46,7 +46,14 @@ import util_new_oracle as oracle
 from test_numerics import brute_series_j
 from util_current import stencil_current
 from util_kijowski import kijowski_density
-from util_dense import dense_current, dense_current_delta_form, dense_hermiticity_defect, dense_matrix, dense_operator
+from util_dense import (
+    banded,
+    dense_current,
+    dense_current_delta_form,
+    dense_hermiticity_defect,
+    dense_matrix,
+    dense_operator,
+)
 from util_origin import derivative_at_origin, value_at_origin
 from util_pertau import completeness_per_tau, distribution_per_tau
 from util_spectral import chebyshev_nodes_and_diff
@@ -666,6 +673,22 @@ class TestOperatorMatrices:
         assert diag == pytest.approx(consts.mass * 1e-4 / np.abs(p), rel=1e-12)
         assert np.max(np.abs(anti - diag)) <= 2e-4 * np.max(diag)
 
+    @pytest.mark.parametrize("shape", [(60,), (70,), (1, 64)], ids=str)
+    def test_apply_rejects_a_vector_of_another_shape(self, shape, consts):
+        # the per-offset slices of a vector of another length would be cut short or broadcast
+        op = build_operator(OperatorKind.T_KDM, GridSpec(64, 40.0), consts)
+        with pytest.raises(ValueError, match=r"shape \(64,\)"):
+            op.apply(np.ones(shape, dtype=complex))
+
+    def test_bands_of_another_shape_rejected(self, consts):
+        grid = GridSpec(64, 40.0)
+        with pytest.raises(ValueError, match="2w \\+ 1"):
+            OperatorMatrix(np.zeros((9, 64)), np.zeros((1, 64)), grid, consts, "mismatched")
+        with pytest.raises(ValueError, match="2w \\+ 1"):
+            OperatorMatrix(np.zeros((8, 64)), np.zeros((8, 64)), grid, consts, "even")
+        with pytest.raises(ValueError, match="2w \\+ 1"):
+            OperatorMatrix(np.zeros((9, 60)), np.zeros((9, 60)), grid, consts, "short")
+
     def test_invalid_kind_params(self, grid, consts):
         with pytest.raises(ValueError):
             build_operator(OperatorKind.T_DWELL, grid, consts)
@@ -683,14 +706,16 @@ class TestBandFormAgainstDense:
         return op, dense_operator(kind, grid, consts, L=0.2)
 
     # at n = 10 the two bands overlap in the middle rows and are clipped at
-    # the edges, and the reflected band still holds entries of its own
-    @pytest.mark.parametrize("n", [10, 64, 1024])
+    # the edges, and the reflected band still holds entries of its own; at
+    # n = 6 every row is in reach of both bands and every offset's slice is
+    # clipped at both ends
+    @pytest.mark.parametrize("n", [6, 10, 64, 1024])
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_matrix_equals_dense(self, kind, n, consts):
         op, dense = self._pair(kind, n, consts)
         assert np.array_equal(dense_matrix(op), dense)
 
-    @pytest.mark.parametrize("n", [10, 64, 1024])
+    @pytest.mark.parametrize("n", [6, 10, 64, 1024])
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_apply_matches_dense_product(self, kind, n, consts, rng):
         op, dense = self._pair(kind, n, consts)
@@ -715,7 +740,7 @@ class TestBandFormAgainstDense:
 
     @staticmethod
     def _planted(mat, consts):
-        return OperatorMatrix(lambda j, k: mat[j, k], GridSpec(mat.shape[0], 40.0), consts, "planted", BAND_WIDTH)
+        return banded(mat, consts, BAND_WIDTH)
 
     def _hermitian_bands(self, n, consts, rng):
         """A random hermitian matrix on the BAND_WIDTH pattern."""
@@ -724,8 +749,7 @@ class TestBandFormAgainstDense:
 
     @pytest.mark.parametrize("width", [0, BAND_WIDTH])
     def test_zero_interior_is_hermitian(self, width, consts):
-        zero = OperatorMatrix(lambda j, k: np.zeros(np.broadcast(j, k).shape, complex), GridSpec(8, 40.0), consts,
-                              "zero", width)
+        zero = banded(np.zeros((8, 8), dtype=complex), consts, width, "zero")
         assert hermiticity_defect(zero) == 0.0
 
     @pytest.mark.parametrize("where", ["diag", "lower", "main_diagonal", "anti", "both"])

@@ -1,4 +1,5 @@
-"""Dense reference forms: O(N M) transform sums, the propagator kernel, full operator matrices and the current."""
+"""Dense reference forms: O(N M) transform sums, the propagator kernel, full operator
+matrices, the index pattern of the operator bands, and the current."""
 
 import math
 
@@ -108,13 +109,37 @@ def dense_current_delta_form(grid, consts, t):
     return (p[:, None] * delta + delta * p[None, :]) / (2.0 * m)
 
 
+def band_pattern(n, w):
+    """(rows, cols, inside) of the stencil band k = j + o and the reflected band
+    k = n - 1 - j + o, |o| <= w, as (2w + 1, n) index arrays: axis 1 runs over
+    rows and axis 0 along a row, cols is clipped into the matrix, and `inside`
+    marks the entries really in it (in the reflected band, those off the
+    stencil band).  The operator's bands are stored in this layout."""
+    rows = np.broadcast_to(np.arange(n)[None, :], (2 * w + 1, n))
+    offsets = np.arange(-w, w + 1)[:, None]
+    stencil, reflected = rows + offsets, (n - 1 - rows) + offsets
+    inside = (reflected >= 0) & (reflected < n) & (np.abs(reflected - rows) > w)
+    return [(rows, np.clip(stencil, 0, n - 1), (stencil >= 0) & (stencil < n)),
+            (rows, np.clip(reflected, 0, n - 1), inside)]
+
+
 def dense_matrix(op):
-    """The n x n matrix of an OperatorMatrix, assembled from its pattern."""
+    """The n x n matrix of an OperatorMatrix, assembled from its two bands by the index pattern."""
     mat = np.zeros((op.grid.n, op.grid.n), dtype=complex)
-    for rows, cols, inside, values in op.chunks():
-        rows, cols, inside, values = np.broadcast_arrays(rows, cols, inside, values)
+    for (rows, cols, inside), values in zip(band_pattern(op.grid.n, op.width), (op.diag, op.anti)):
         mat[rows[inside], cols[inside]] = values[inside]
     return mat
+
+
+def banded(mat, consts, width, kind="planted"):
+    """The OperatorMatrix holding the entries of the n x n matrix `mat` on the
+    band pattern of this width, read off by the index pattern; every entry of
+    `mat` off the pattern is dropped."""
+    from qarrival import GridSpec, OperatorMatrix
+
+    n = mat.shape[0]
+    diag, anti = (np.where(inside, mat[rows, cols], 0.0) for rows, cols, inside in band_pattern(n, width))
+    return OperatorMatrix(diag, anti, GridSpec(n, 40.0), consts, kind)
 
 
 def dense_hermiticity_defect(mat):

@@ -56,8 +56,9 @@ REFLECTED = ["--packet", "reflected", "--p0", "0.3", "--x0", "-20", "--sigma-p",
 
 
 def presets() -> list[list[str]]:
-    # n = 6 is the smallest interior (2 x 2), where clipping the band columns matters most
-    runs = [["verify", "--n", str(n)] for n in (6, 64, 512, 1024, 4096)]
+    # n = 6 is the smallest interior (2 x 2), where clipping the band columns
+    # matters most; at n = 10 the two bands meet in the middle rows
+    runs = [["verify", "--n", str(n)] for n in (6, 10, 64, 512, 1024, 4096)]
     runs += [["spectrum", "--family", f, "--tau", tau] for f in FAMILIES for tau in ("0", "0.7", "-0.5", "1e-5")]
     # some phases underflow to 0 here, so im_phi holds both -0.0 and 0.0
     runs.append(["spectrum", "--family", "kdm", "--tau", "1e-322"])
