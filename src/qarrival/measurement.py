@@ -50,9 +50,9 @@ class MeasurementChain:
     """Ordered projective window measurements applied to an evolving state.
 
     The initial state is a position-representation wave function at time 0;
-    events are (time, window) pairs with strictly increasing times, the first
-    at t >= 0.  Between events the state evolves with the chain's propagator;
-    a HALFLINE chain's grid must end at the wall x = 0.
+    events are (time, window) pairs with finite, strictly increasing times,
+    the first at t >= 0.  Between events the state evolves with the chain's
+    propagator; a HALFLINE chain's grid must end at the wall x = 0.
     """
 
     initial: WaveFunction
@@ -62,10 +62,10 @@ class MeasurementChain:
     def __post_init__(self) -> None:
         if self.initial.rep is not Representation.POSITION:
             raise ValueError("chain initial state must be in the position representation")
-        times = [t for t, _ in self.events]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        times = _check_taus([t for t, _ in self.events], "event times")
+        if np.any(np.diff(times) <= 0.0):
             raise ValueError("event times must be strictly increasing")
-        if times and times[0] < 0.0:
+        if times.size and times[0] < 0.0:
             raise ValueError("first event precedes the initial time")
         x = self.initial.grid
         if self.propagator is Propagator.HALFLINE:
@@ -167,8 +167,10 @@ def chain_final_state(chain: MeasurementChain) -> tuple[WaveFunction, float]:
 def make_zeno_chain(initial: WaveFunction, n_proj: int, total_time: float) -> MeasurementChain:
     """Chain of n_proj equally spaced projections onto x < 0 (free evolution
     between projections); the window covers the negative half of the grid."""
-    if n_proj < 1 or total_time <= 0.0:
-        raise ValueError("need n_proj >= 1 and total_time > 0")
+    if not isinstance(n_proj, (int, np.integer)) or n_proj < 1:
+        raise ValueError(f"need an integer n_proj >= 1, got {n_proj!r}")
+    if not (total_time > 0.0 and math.isfinite(total_time)):
+        raise ValueError(f"need a finite total_time > 0, got {total_time}")
     x = initial.grid
     window = WindowSpec(center=x[0] / 2.0, half_width=abs(x[0]) / 2.0)
     times = total_time * (np.arange(1, n_proj + 1) / n_proj)
@@ -346,10 +348,12 @@ def classical_stopwatch(x: float, p: float, T: float, m: float = 1.0) -> float:
     by bisection on the indicator itself (60 iterations, no use of the closed
     form), and the integral is the measure of the interval where it holds.
     """
-    if p <= 0.0:
-        raise ValueError("stopwatch oracle requires p > 0")
-    if T <= 0.0:
-        raise ValueError("horizon T must be positive")
+    if not (p > 0.0 and math.isfinite(p)):
+        raise ValueError(f"stopwatch oracle requires a finite p > 0, got {p}")
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
+    if not (math.isfinite(x) and m > 0.0 and math.isfinite(m)):
+        raise ValueError(f"stopwatch oracle requires a finite x and a finite m > 0, got x = {x}, m = {m}")
 
     def on(t: float) -> bool:
         return -x - p * t / m > 0.0

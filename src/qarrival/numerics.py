@@ -207,8 +207,8 @@ def simpson_weights(n: int, dx: float) -> np.ndarray:
     """Composite Simpson weights; even sample counts get a trapezoid end cell."""
     if n < 3:
         raise ValueError(f"need at least 3 samples, got {n}")
-    if dx <= 0.0:
-        raise ValueError(f"dx must be positive, got {dx}")
+    if not (dx > 0.0 and math.isfinite(dx)):
+        raise ValueError(f"dx must be positive and finite, got {dx}")
     w = np.zeros(n)
     if n % 2 == 1:
         w[0] = w[-1] = 1.0

@@ -28,11 +28,12 @@ acts directly on sample vectors.  The position operator in the momentum
 basis, x = i hbar d/dp, is discretized with 4th-order central differences
 (one-sided at the two rows on each edge, mirrored so that R D R = -D holds
 exactly); hermiticity and commutator statements therefore hold on interior
-rows only.  An operator is held as its two bands: at most nine diagonals of
-the stencil band and the nine anti-diagonals that R mirrors them onto, each
-of shape (9, n) or less.  They are built from the band of x, its reversals
-and shifted copies of 1/|p|, and applied and checked one offset at a time, so
-building, applying and checking one costs O(n).  No n x n array is formed.
+rows only.  An operator is held as its two bands, the stencil band and the
+anti-diagonals that R mirrors it onto, each with only the offsets the
+operator has (at most nine).  They are built from the band of x, its
+reversals and shifted copies of 1/|p|, and applied and checked one stored
+offset at a time, so building, applying and checking one costs O(n).  No
+n x n array is formed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,33 +103,35 @@ def _overlap_rows(n: int, w: int):
 class OperatorMatrix:
     """Operator in the discrete momentum basis, M[j,k] ~= <p_j|O|p_k> dp, held as two bands.
 
-    With the band width w, `diag` holds the stencil band k = j + o and `anti`
-    the reflected band k = n - 1 - j + o, |o| <= w, each of shape (2w + 1, n):
+    `diag` holds the stencil band k = j + o and `anti` the reflected band
+    k = n - 1 - j + o, |o| <= w, each with its own width w: a band of shape
+    (2w + 1, n), or (0, n) where the operator has no entry on it.
     diag[w + o, j] = M[j, j + o], anti[w + o, j] = M[j, n - 1 - j + o], zero
     where that entry is outside the matrix or, in `anti`, in `diag`.  Every
-    other entry of M is zero.  The pattern is closed under transposition:
+    other entry of M is zero.  Each band is closed under transposition:
     M[k, j] of a stencil entry is stored at diag[w - o, k], of a reflected
-    one at anti[w + o, k].
+    one at anti[w + o, k].  Every entry must be finite, so that no NaN can
+    read as a zero defect.
     """
 
     diag: np.ndarray
     anti: np.ndarray
-    grid: GridSpec
-    consts: PhysConsts
-    kind: str
 
     def __post_init__(self) -> None:
-        shape, other = np.shape(self.diag), np.shape(self.anti)
-        if other != shape or len(shape) != 2 or shape[0] % 2 != 1 or shape[1] != self.grid.n:
-            raise ValueError(f"diag and anti must both have shape (2w + 1, {self.grid.n}), got {shape} and {other}")
+        shapes = np.shape(self.diag), np.shape(self.anti)
+        rows_ok = all(len(s) == 2 and (s[0] == 0 or s[0] % 2 == 1) for s in shapes)
+        if not rows_ok or shapes[0][1] != shapes[1][1]:
+            raise ValueError(f"diag and anti must have shapes (2w + 1, n) or (0, n) with one n, got {shapes}")
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.anti).all()):
+            raise ValueError("band entries must be finite")
 
     @property
-    def width(self) -> int:
-        return self.diag.shape[0] // 2
+    def n(self) -> int:
+        return self.diag.shape[1]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """The matrix-vector product M f, one offset of each band at a time."""
-        n, w = self.grid.n, self.width
+        """The matrix-vector product M f, one stored offset of each band at a time."""
+        n = self.n
         f = np.asarray(f)
         if f.shape != (n,):
             raise ValueError(f"expected a vector of shape ({n},), got {f.shape}")
@@ -139,9 +142,9 @@ class OperatorMatrix:
         # order fixes the rounding of M f, which the checks report bitwise.
         for band, src, sign in ((self.diag, f, 1), (self.anti, f[::-1], -1)):
             acc = np.zeros(n, dtype=complex)
-            for o in range(-w, w + 1):
+            for o, row in enumerate(band, -(len(band) // 2)):
                 lo, hi = _band_rows(n, sign * o)
-                acc[lo:hi] += band[w + o, lo:hi] * src[lo + sign * o : hi + sign * o]
+                acc[lo:hi] += row[lo:hi] * src[lo + sign * o : hi + sign * o]
             out += acc
         return out
 
@@ -152,8 +155,6 @@ class Distribution:
 
     tau_grid: np.ndarray
     values: np.ndarray
-    family: str
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         tau = np.asarray(self.tau_grid, dtype=float)
@@ -376,29 +377,30 @@ def build_operator(
 ) -> OperatorMatrix:
     """Momentum-basis operator of the requested kind, built as its two bands.
 
-    T_DWELL requires the region length L > 0.
+    Each band holds the offsets the kind has: T_KDM, H, XI and SIGN_P have no
+    reflected band and R no stencil band.  T_DWELL requires a finite region
+    length L > 0.
     """
     m, hbar = consts.mass, consts.hbar
     p = grid.momenta()
     n = grid.n
 
-    def banded(diag: np.ndarray, anti: np.ndarray | None = None) -> OperatorMatrix:
-        diag = np.asarray(diag, dtype=complex)
-        anti = np.zeros_like(diag) if anti is None else np.asarray(anti, dtype=complex)
-        return OperatorMatrix(diag, anti, grid, consts, kind.name)
+    def banded(diag=(), anti=()) -> OperatorMatrix:
+        """The operator of these bands' rows; a band not given holds none."""
+        return OperatorMatrix(*(np.asarray(band, dtype=complex).reshape(-1, n) for band in (diag, anti)))
 
-    # the diagonal kinds, R and T_DWELL sit on offset 0 of the two bands
+    # the diagonal kinds, R and T_DWELL sit on offset 0 of their bands
     if kind is OperatorKind.H:
         return banded([p**2 / (2.0 * m)])
     if kind is OperatorKind.XI:
         return banded([p * np.abs(p) / (2.0 * m)])
     if kind is OperatorKind.R:
-        return banded(np.zeros((1, n)), np.ones((1, n)))
+        return banded(anti=[np.ones(n)])
     if kind is OperatorKind.SIGN_P:
         return banded([np.sign(p)])
     if kind is OperatorKind.T_DWELL:
-        if L is None or L <= 0.0:
-            raise ValueError("T_DWELL requires a region length L > 0")
+        if L is None or not (L > 0.0 and math.isfinite(L)):
+            raise ValueError(f"T_DWELL requires a finite region length L > 0, got {L}")
         b = p * L / hbar
         scale = m * L / np.abs(p)
         return banded([scale], [scale * np.exp(-1j * b) * np.sinc(b / math.pi)])
@@ -442,18 +444,18 @@ def hermiticity_defect(op: OperatorMatrix) -> float:
     """max |M - M^dagger| / max |M| on the interior sub-block (without the two
     edge rows and columns on each side, where the one-sided stencils sit).
 
-    The two bands are closed under transposition, so M^dagger lies on them
-    too and each transpose is read from the stored bands, one offset at a
-    time; an entry off the bands is zero in both.  An all-zero interior is
-    hermitian, with defect 0."""
-    n, w = op.grid.n, op.width
+    Each band is closed under transposition, so M^dagger lies on the two
+    bands too and each transpose is read from the stored bands, one stored
+    offset at a time; an entry off the bands, or on a band of no rows, is zero
+    in both.  An all-zero interior is hermitian, with defect 0."""
+    n = op.n
     defect = scale = 0.0
     # M[j + o, j] is diag[::-1][w + o, j + o]; M[n - 1 - j + o, j] is anti[:, ::-1][w + o, j - o]
     for band, partner, sign in ((op.diag, op.diag[::-1], 1), (op.anti, op.anti[:, ::-1], -1)):
-        for o in range(-w, w + 1):
+        for o, (row, twin) in enumerate(zip(band, partner), -(len(band) // 2)):
             lo, hi = _band_rows(n, sign * o, edge=2)
-            values = band[w + o, lo:hi]
-            dagger = np.conj(partner[w + o, lo + sign * o : hi + sign * o])
+            values = row[lo:hi]
+            dagger = np.conj(twin[lo + sign * o : hi + sign * o])
             defect = max(defect, float(np.abs(values - dagger).max(initial=0.0)))
             scale = max(scale, float(np.abs(values).max(initial=0.0)))
     return defect / scale if scale else 0.0
@@ -511,7 +513,7 @@ def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -
     for start, taus in _tau_blocks(tau_grid, ap.size):
         half = _half_block(family, taus, ap, psi.consts)
         vals[start : start + taus.size] = np.abs(_overlaps(half, folded)) ** 2
-    return Distribution(tau_grid, vals, family.value, {"norm": psi.norm_squared()})
+    return Distribution(tau_grid, vals)
 
 
 def kinetic_energy_density(psi: WaveFunction) -> tuple[float, float]:

@@ -216,6 +216,23 @@ class TestSequentialProbability:
         with pytest.raises(ValueError, match="precedes the initial time"):
             MeasurementChain(pos_packet, ((-0.1, w), (0.1, w)))
 
+    @pytest.mark.parametrize("times", [(math.nan,), (0.1, math.nan), (0.1, math.inf)], ids=["nan", "later_nan", "inf"])
+    def test_non_finite_event_time_rejected(self, pos_packet, times):
+        # NaN passes both `<=` order checks, and the chain would then skip its evolution
+        w = WindowSpec(-4.0, 4.0)
+        with pytest.raises(ValueError, match="event times must be finite"):
+            MeasurementChain(pos_packet, tuple((t, w) for t in times))
+
+    @pytest.mark.parametrize(
+        "n_proj,total_time,match",
+        [(2.5, 1.0, "integer n_proj"), (0, 1.0, "integer n_proj"), (3, math.nan, "finite total_time"),
+         (3, math.inf, "finite total_time"), (3, 0.0, "finite total_time")],
+    )
+    def test_zeno_chain_arguments_checked(self, pos_packet, n_proj, total_time, match):
+        # n_proj = 2.5 would put its last event at 1.2, past total_time
+        with pytest.raises(ValueError, match=match):
+            make_zeno_chain(pos_packet, n_proj, total_time)
+
     def test_event_at_time_zero_projects_the_initial_state(self, pos_packet):
         # the chain starts at t = 0, so an event there projects without evolving
         w = WindowSpec(-4.0, 4.0)
@@ -507,6 +524,17 @@ class TestClassicalOracles:
     def test_arrival_zero_momentum(self):
         with pytest.raises(ValueError):
             classical_arrival(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "x,p,T,m",
+        [(-1.0, math.nan, 10.0, 1.0), (-1.0, math.inf, 10.0, 1.0), (-1.0, 1.0, math.nan, 1.0),
+         (-1.0, 1.0, math.inf, 1.0), (math.nan, 1.0, 10.0, 1.0), (-1.0, 1.0, 10.0, math.nan)],
+        ids=["p_nan", "p_inf", "T_nan", "T_inf", "x_nan", "m_nan"],
+    )
+    def test_stopwatch_rejects_non_finite_inputs(self, x, p, T, m):
+        # a NaN p read 0.0 and a NaN T read NaN
+        with pytest.raises(ValueError, match="finite"):
+            classical_stopwatch(x, p, T, m)
 
     def test_stopwatch_example(self):
         assert classical_stopwatch(-4.0, 2.0, T=10.0) == pytest.approx(2.0, abs=1e-9)

@@ -295,6 +295,17 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(np.ones(2), 0.1)
 
+    @pytest.mark.parametrize("dx", [0.0, -0.1, math.nan, math.inf])
+    def test_simpson_weights_need_finite_positive_step(self, dx):
+        # a NaN step passes a `dx <= 0` guard and gives NaN weights
+        with pytest.raises(ValueError, match="dx must be positive and finite"):
+            numerics.simpson_weights(5, dx)
+
+    @pytest.mark.parametrize("dx", [0.0, -0.1, math.nan, math.inf])
+    def test_integrate_needs_finite_positive_step(self, dx):
+        with pytest.raises(ValueError, match="dx must be positive and finite"):
+            integrate(np.ones(5), dx)
+
 
 class TestTransforms:
     def test_centered_gaussian_real_positive(self, consts):

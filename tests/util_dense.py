@@ -109,37 +109,40 @@ def dense_current_delta_form(grid, consts, t):
     return (p[:, None] * delta + delta * p[None, :]) / (2.0 * m)
 
 
-def band_pattern(n, w):
+def band_pattern(n, stencil_width, reflected_width):
     """(rows, cols, inside) of the stencil band k = j + o and the reflected band
-    k = n - 1 - j + o, |o| <= w, as (2w + 1, n) index arrays: axis 1 runs over
-    rows and axis 0 along a row, cols is clipped into the matrix, and `inside`
+    k = n - 1 - j + o, |o| <= w, each at its own width w, as (2w + 1, n)
+    index arrays; a width of -1 is a band of no rows.  Axis 1 runs over rows
+    and axis 0 along a row, cols is clipped into the matrix, and `inside`
     marks the entries really in it (in the reflected band, those off the
     stencil band).  The operator's bands are stored in this layout."""
-    rows = np.broadcast_to(np.arange(n)[None, :], (2 * w + 1, n))
-    offsets = np.arange(-w, w + 1)[:, None]
-    stencil, reflected = rows + offsets, (n - 1 - rows) + offsets
-    inside = (reflected >= 0) & (reflected < n) & (np.abs(reflected - rows) > w)
-    return [(rows, np.clip(stencil, 0, n - 1), (stencil >= 0) & (stencil < n)),
-            (rows, np.clip(reflected, 0, n - 1), inside)]
+    rows = np.arange(n)[None, :]
+    stencil = rows + np.arange(-stencil_width, stencil_width + 1)[:, None]
+    reflected = (n - 1 - rows) + np.arange(-reflected_width, reflected_width + 1)[:, None]
+    inside = (reflected >= 0) & (reflected < n) & (np.abs(reflected - rows) > stencil_width)
+    return [(np.broadcast_to(rows, stencil.shape), np.clip(stencil, 0, n - 1), (stencil >= 0) & (stencil < n)),
+            (np.broadcast_to(rows, reflected.shape), np.clip(reflected, 0, n - 1), inside)]
 
 
 def dense_matrix(op):
-    """The n x n matrix of an OperatorMatrix, assembled from its two bands by the index pattern."""
-    mat = np.zeros((op.grid.n, op.grid.n), dtype=complex)
-    for (rows, cols, inside), values in zip(band_pattern(op.grid.n, op.width), (op.diag, op.anti)):
+    """The n x n matrix of an OperatorMatrix, assembled from its two bands by the
+    index pattern, each band's width read off its 2w + 1 (or no) rows."""
+    n = op.diag.shape[1]
+    mat = np.zeros((n, n), dtype=complex)
+    pattern = band_pattern(n, *((len(band) - 1) // 2 for band in (op.diag, op.anti)))
+    for (rows, cols, inside), values in zip(pattern, (op.diag, op.anti)):
         mat[rows[inside], cols[inside]] = values[inside]
     return mat
 
 
-def banded(mat, consts, width, kind="planted"):
+def banded(mat, stencil_width, reflected_width):
     """The OperatorMatrix holding the entries of the n x n matrix `mat` on the
-    band pattern of this width, read off by the index pattern; every entry of
-    `mat` off the pattern is dropped."""
-    from qarrival import GridSpec, OperatorMatrix
+    band pattern of these widths, read off by the index pattern; every entry
+    of `mat` off the pattern is dropped."""
+    from qarrival import OperatorMatrix
 
-    n = mat.shape[0]
-    diag, anti = (np.where(inside, mat[rows, cols], 0.0) for rows, cols, inside in band_pattern(n, width))
-    return OperatorMatrix(diag, anti, GridSpec(n, 40.0), consts, kind)
+    pattern = band_pattern(mat.shape[0], stencil_width, reflected_width)
+    return OperatorMatrix(*(np.where(inside, mat[rows, cols], 0.0) for rows, cols, inside in pattern))
 
 
 def dense_hermiticity_defect(mat):

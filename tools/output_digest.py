@@ -3,11 +3,11 @@
 
 Each line reads `<sha256 of stdout>  <argv>`, with `  [exit N]` appended when
 the command does not exit 0.  The presets cover every subcommand: `verify` at
-several grid sizes; `spectrum` for all families at four taus, for KDM
-at a tau whose phases underflow (signed zeros) and at tau = 120 (phases up
-to ~1e5 rad), and for NEW at m = 2, hbar = 0.5; `distribution`
-for all families as CSV, JSON and with the Kijowski reference, plus negative,
-log-spaced and reflected-packet windows, a packet that fills the grid,
+several grid sizes, at m = 2, hbar = 0.5 and at L = 1.3; `spectrum` for all
+families at four taus, for KDM at a tau whose phases underflow (signed zeros)
+and at tau = 120 (phases up to ~1e5 rad), and for NEW at m = 2, hbar = 0.5;
+`distribution` for all families as CSV, JSON and with the Kijowski reference,
+plus negative, log-spaced and reflected-packet windows, a packet that fills the grid,
 `--with-reference false`, and NEW at m = 2, hbar = 0.5 on its default and on
 a negative window; every `measure` mode, zeno also as JSON and with a
 Gaussian packet, and conditional also as JSON, at non-default geometry, on
@@ -59,6 +59,8 @@ def presets() -> list[list[str]]:
     # n = 6 is the smallest interior (2 x 2), where clipping the band columns
     # matters most; at n = 10 the two bands meet in the middle rows
     runs = [["verify", "--n", str(n)] for n in (6, 10, 64, 512, 1024, 4096)]
+    # the operator layer off the unit constants and at another dwell length
+    runs += [["verify", "--mass", "2", "--hbar", "0.5"], ["verify", "--L", "1.3"]]
     runs += [["spectrum", "--family", f, "--tau", tau] for f in FAMILIES for tau in ("0", "0.7", "-0.5", "1e-5")]
     # some phases underflow to 0 here, so im_phi holds both -0.0 and 0.0
     runs.append(["spectrum", "--family", "kdm", "--tau", "1e-322"])
