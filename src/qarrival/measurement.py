@@ -1,7 +1,8 @@
 """Measurement models: free and half-line propagation, sequential window
 measurements, crossing probabilities, the small-time current law, and
-classical oracles.  Every state evolved here goes through free_evolve, and
-a half-line's Dirichlet wall is the end of its position grid at x = 0.
+classical oracles.  Every free evolution here takes its phase from
+_free_phase, and a half-line's Dirichlet wall is the end of its position
+grid at x = 0.
 
 Probabilities in this module use uniform-weight (rectangle) sums dx*sum|psi|^2:
 uniform weights keep the projector algebra exact on the grid (idempotence,
@@ -84,6 +85,11 @@ def _prob_mass(values: np.ndarray, dx: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _free_phase(p: np.ndarray, dt: float, consts) -> np.ndarray:
+    """e^{-i p^2 dt / 2 m hbar}, the free evolution over dt at the momenta p."""
+    return np.exp(-1j * p**2 * dt / (2.0 * consts.mass * consts.hbar))
+
+
 def free_evolve(psi: WaveFunction, dt: float) -> WaveFunction:
     """Free evolution over dt: the phase e^{-i p^2 dt / 2 m hbar} in momentum.
 
@@ -92,15 +98,14 @@ def free_evolve(psi: WaveFunction, dt: float) -> WaveFunction:
     box momenta p = 2 pi hbar fftfreq(M, dx), one inverse FFT.  An odd grid of
     N samples is a box of M = N - 1 whose last sample repeats the first.
     """
-    m, hbar = psi.consts.mass, psi.consts.hbar
     x, values = psi.grid, psi.values
     box = x.size - x.size % 2
     if psi.rep is Representation.MOMENTUM:
         p = x
     else:
-        p = 2.0 * math.pi * hbar * np.fft.fftfreq(box, (x[-1] - x[0]) / (x.size - 1))
+        p = 2.0 * math.pi * psi.consts.hbar * np.fft.fftfreq(box, (x[-1] - x[0]) / (x.size - 1))
         values = np.fft.fft(values[:box])
-    values = values * np.exp(-1j * p**2 * dt / (2.0 * m * hbar))
+    values = values * _free_phase(p, dt, psi.consts)
     if psi.rep is Representation.POSITION:
         values = np.fft.ifft(values)[np.arange(x.size) % box]
     return WaveFunction(psi.rep, x, values, psi.consts)
@@ -124,8 +129,8 @@ def halfline_propagate(psi: WaveFunction, t1: float, t0: float) -> WaveFunction:
     if psi.rep is not Representation.POSITION:
         raise ValueError("halfline_propagate expects a position-representation state")
     dt = t1 - t0
-    if dt <= 0.0:
-        raise ValueError(f"need t1 > t0, got dt = {dt}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"need finite times t1 > t0, got t1 = {t1}, t0 = {t0}")
     x = psi.grid
     flip = _wall_first(x)
 
@@ -198,8 +203,8 @@ def conditional_distribution(
     window is its mass divided by the first-event probability.
     """
     xbar1, t1, delta1 = event1
-    if t2 <= t1 or t1 <= 0.0:
-        raise ValueError("need 0 < t1 < t2")
+    if not (t1 > 0.0 and t2 > t1 and math.isfinite(t2)):
+        raise ValueError(f"need finite times 0 < t1 < t2, got t1 = {t1}, t2 = {t2}")
     first = MeasurementChain(psi, ((t1, WindowSpec(xbar1, delta1)),), Propagator.HALFLINE)
     state, p1 = chain_final_state(first)
     if p1 <= 1e-12:
@@ -236,7 +241,8 @@ def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> Crossing
     projector_form:  <psi|Pbar P(tau) Pbar|psi> + <psi|P Pbar(tau) P|psi>
     with P = theta(x), evaluated by project / free-propagate / project on a
     CROSSING_OVERSAMPLE-times oversampled conjugate position grid.  psi is
-    projected once per sweep; each tau pays for its two evolved transforms.
+    projected once per sweep; each tau evolves both projected parts and
+    transforms them by one two-row call.
     current_form:  integral over [0, tau] of <Pbar psi|J(t)|Pbar psi>
     - <P psi|J(t)|P psi> (they agree because dP(t)/dt = J(t)).  The current
     is a finite sum of phases, so its time integral is taken in closed form
@@ -257,18 +263,15 @@ def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> Crossing
     psi_x = momentum_to_position(psi.values, p, x, hbar)
     neg_p = position_to_momentum(np.where(left, psi_x, 0.0), x, p, hbar)
     pos_p = position_to_momentum(np.where(right, psi_x, 0.0), x, p, hbar)
-    neg, pos = (WaveFunction(Representation.MOMENTUM, p, v, psi.consts) for v in (neg_p, pos_p))
-
-    def evolved_mass(state: WaveFunction, t: float, target: np.ndarray) -> float:
-        vx = momentum_to_position(free_evolve(state, t).values, p, x, hbar)
-        return float(np.sum(np.abs(vx[target]) ** 2) * dx)
+    parts = np.stack([neg_p, pos_p])
 
     projector = np.zeros(taus.size)
     current = np.zeros(taus.size)
     live = np.flatnonzero(taus)
     for k in live:
-        projector[k] = evolved_mass(neg, taus[k], right) + evolved_mass(pos, taus[k], left)
-    j = _free_current_integrals(np.stack([neg_p, pos_p], axis=1), p, psi.dx, taus[live], psi.consts)
+        neg_x, pos_x = momentum_to_position(parts * _free_phase(p, taus[k], psi.consts), p, x, hbar)
+        projector[k] = float(np.sum(np.abs(neg_x[right]) ** 2) * dx) + float(np.sum(np.abs(pos_x[left]) ** 2) * dx)
+    j = _free_current_integrals(parts.T, p, psi.dx, taus[live], psi.consts)
     current[live] = j[:, 0] - j[:, 1]
     if np.ndim(tau) == 0:
         return CrossingResult(float(projector[0]), float(current[0]))

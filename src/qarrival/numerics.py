@@ -245,7 +245,10 @@ def integrate(samples, dx: float):
 
 
 def _fourier_apply(values: np.ndarray, src: np.ndarray, dst: np.ndarray, sign: float, hbar: float) -> np.ndarray:
-    """(2 pi hbar)^(-1/2) d_src sum_k e^{sign * i * dst_j * src_k / hbar} values_k, by one FFT.
+    """(2 pi hbar)^(-1/2) d_src sum_k e^{sign * i * dst_j * src_k / hbar} values_k, by one FFT,
+    along the last axis.  A row of a leading axis equals its one-row call bitwise
+    below 16384 source samples (from there numpy multiplies a one-row call's
+    twiddle in place, in the other operand order).
 
     Both grids must be uniform and conjugate up to an integer M, d_src d_dst =
     2 pi hbar / M.  With indices K, J counted from the middle samples src_c,
@@ -268,11 +271,12 @@ def _fourier_apply(values: np.ndarray, src: np.ndarray, dst: np.ndarray, sign: f
     if m < 1 or abs(ratio - m) > 1e-9 * m:
         raise ValueError(f"grids are not Fourier-conjugate: 2 pi hbar / (d_src d_dst) = {ratio}")
     kc, jc = src.size // 2, dst.size // 2
-    folded = np.zeros(-(-src.size // m) * m, dtype=complex)
-    folded[: src.size] = values * np.exp((sign * 1j * d_src * dst[jc] / hbar) * (np.arange(src.size) - kc))
-    folded = np.roll(folded.reshape(-1, m).sum(axis=0), -kc)
+    lead = np.shape(values)[:-1]
+    folded = np.zeros(lead + (-(-src.size // m) * m,), dtype=complex)
+    folded[..., : src.size] = values * np.exp((sign * 1j * d_src * dst[jc] / hbar) * (np.arange(src.size) - kc))
+    folded = np.roll(folded.reshape(*lead, -1, m).sum(axis=-2), -kc, axis=-1)
     spectrum = np.fft.fft(folded) if sign < 0 else np.fft.ifft(folded, norm="forward")
-    out = spectrum[(np.arange(dst.size) - jc) % m] * np.exp((sign * 1j * src[kc] / hbar) * dst)
+    out = spectrum[..., (np.arange(dst.size) - jc) % m] * np.exp((sign * 1j * src[kc] / hbar) * dst)
     return out * (d_src / math.sqrt(2.0 * math.pi * hbar))
 
 

@@ -28,12 +28,13 @@ acts directly on sample vectors.  The position operator in the momentum
 basis, x = i hbar d/dp, is discretized with 4th-order central differences
 (one-sided at the two rows on each edge, mirrored so that R D R = -D holds
 exactly); hermiticity and commutator statements therefore hold on interior
-rows only.  An operator is held as its two bands, the stencil band and the
-anti-diagonals that R mirrors it onto, each with only the offsets the
-operator has (at most nine).  They are built from the band of x, its
-reversals and shifted copies of 1/|p|, and applied and checked one stored
-offset at a time, so building, applying and checking one costs O(n).  No
-n x n array is formed.
+rows only.  An operator is held as M = S + A R, a stencil part S and a
+reflected part A R (T_NEW is T_KDM plus its reflection term), each a band
+with only the offsets the operator has (at most nine).  Where the two bands
+reach the same entry, in the middle rows, the parts add there.  They are
+built from the band of x, its reversals and shifted copies of 1/|p|, and
+applied and checked one stored offset at a time, so building, applying and
+checking one costs O(n).  No n x n array is formed.
 """
 
 from __future__ import annotations
@@ -90,28 +91,20 @@ def _band_rows(n: int, o: int, edge: int = 0) -> tuple[int, int]:
     return edge + max(0, -o), n - edge - max(0, o)
 
 
-def _overlap_rows(n: int, w: int):
-    """(j, stencil, reflected) for each row j where the two bands meet: the
-    entry at diag[stencil, j] is the one at anti[reflected, j] (the 2w middle
-    rows, every row when n <= 2w)."""
-    for j in range(max(0, (n - 2 * w) // 2), min(n, (n - 1 + 2 * w) // 2 + 1)):
-        s = 2 * j - n + 1  # anti offset minus diag offset on row j
-        yield j, slice(max(0, -s), 2 * w + 1 - max(0, s)), slice(max(0, s), 2 * w + 1 - max(0, -s))
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Operator in the discrete momentum basis, M[j,k] ~= <p_j|O|p_k> dp, held as two bands.
+    """Operator in the discrete momentum basis, M[j,k] ~= <p_j|O|p_k> dp, held
+    as the sum M = S + A R of a stencil part and a reflected part.
 
-    `diag` holds the stencil band k = j + o and `anti` the reflected band
-    k = n - 1 - j + o, |o| <= w, each with its own width w: a band of shape
-    (2w + 1, n), or (0, n) where the operator has no entry on it.
-    diag[w + o, j] = M[j, j + o], anti[w + o, j] = M[j, n - 1 - j + o], zero
-    where that entry is outside the matrix or, in `anti`, in `diag`.  Every
-    other entry of M is zero.  Each band is closed under transposition:
-    M[k, j] of a stencil entry is stored at diag[w - o, k], of a reflected
-    one at anti[w + o, k].  Every entry must be finite, so that no NaN can
-    read as a zero defect.
+    `diag` is the stencil part, S[j, j + o] = diag[w + o, j], and `anti` the
+    reflected part, (A R)[j, n - 1 - j + o] = anti[w + o, j], |o| <= w, each
+    with its own width w: a band of shape (2w + 1, n), or (0, n) where the
+    operator has no such part.  An entry outside the matrix is zero.  Where
+    both parts reach the same entry of M (the 2w middle rows, every row when
+    n <= 2w) the two add; every other entry of M is zero.  Each part is
+    closed under transposition: S[k, j] of a stencil entry is stored at
+    diag[w - o, k], (A R)[k, j] of a reflected one at anti[w + o, k].  Every
+    entry must be finite, so that no NaN can read as a zero defect.
     """
 
     diag: np.ndarray
@@ -130,7 +123,7 @@ class OperatorMatrix:
         return self.diag.shape[1]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """The matrix-vector product M f, one stored offset of each band at a time."""
+        """The matrix-vector product M f = S f + (A R) f, one stored offset of each part at a time."""
         n = self.n
         f = np.asarray(f)
         if f.shape != (n,):
@@ -138,7 +131,7 @@ class OperatorMatrix:
         out = np.zeros(n, dtype=complex)
         # row j of offset o reads f[j + o] from the stencil band and
         # f[n - 1 - j + o] = f[::-1][j - o] from the reflected one.  Each band
-        # is summed over its offsets, in order, before the two are added; that
+        # is summed over its offsets, in order, before the two parts add; that
         # order fixes the rounding of M f, which the checks report bitwise.
         for band, src, sign in ((self.diag, f, 1), (self.anti, f[::-1], -1)):
             acc = np.zeros(n, dtype=complex)
@@ -375,11 +368,12 @@ def build_operator(
     *,
     L: float | None = None,
 ) -> OperatorMatrix:
-    """Momentum-basis operator of the requested kind, built as its two bands.
+    """Momentum-basis operator of the requested kind, as its stencil and reflected parts.
 
-    Each band holds the offsets the kind has: T_KDM, H, XI and SIGN_P have no
-    reflected band and R no stencil band.  T_DWELL requires a finite region
-    length L > 0.
+    Each part holds the offsets the kind has: T_KDM, H, XI and SIGN_P have no
+    reflected part and R no stencil part.  T_NEW is T_KDM plus a reflected
+    part of one expression, added where the two meet, not merged into `diag`.
+    T_DWELL requires a finite region length L > 0.
     """
     m, hbar = consts.mass, consts.hbar
     p = grid.momenta()
@@ -419,14 +413,9 @@ def build_operator(
     # On the reflected band, anti[w + o, j] = M[j, n - 1 - j + o]: (x R)[j, k]
     # = X[j, j - o] is x[w - o, j], so x R diag(g) is xg[::-1]; (R x)[j, k] =
     # X[n - 1 - j, k] is x[w + o, n - 1 - j], so diag(g) R x is g * x[:, ::-1].
-    # Where the bands meet, the reflected terms add to the stencil entry.
     if kind is OperatorKind.T_NEW_SYM:
         # A = (1/|p|)(1 + R): T = -(m/2) (x A + A x), with R diag(g) R = diag(g)
-        rx = g * x[:, ::-1]
-        anti = -(m / 2.0) * (xg[::-1] + rx)
-        for j, sd, sa in _overlap_rows(n, w):
-            diag[sd, j] = -(m / 2.0) * ((xg[sd, j] + xg[::-1][sa, j]) + (gx[sd, j] + rx[sa, j]))
-            anti[sa, j] = 0.0
+        anti = -(m / 2.0) * (xg[::-1] + g * x[:, ::-1])
     else:
         # Reflection term (i hbar m / 2) (1/(p|p|)) R, with 1/(p|p|) realized
         # as the commutator-induced discrete operator (i/hbar) [x, 1/|p|] so
@@ -434,20 +423,17 @@ def build_operator(
         # entrywise (a literal diagonal differs at O(1) near the anti-diagonal
         # on any finite-difference grid).
         anti = (1j * hbar * m / 2.0) * ((1j / hbar) * (xg[::-1] - gx[::-1]))
-        for j, sd, sa in _overlap_rows(n, w):
-            diag[sd, j] += anti[sa, j]
-            anti[sa, j] = 0.0
     return banded(diag, anti)
 
 
 def hermiticity_defect(op: OperatorMatrix) -> float:
-    """max |M - M^dagger| / max |M| on the interior sub-block (without the two
-    edge rows and columns on each side, where the one-sided stencils sit).
-
-    Each band is closed under transposition, so M^dagger lies on the two
-    bands too and each transpose is read from the stored bands, one stored
-    offset at a time; an entry off the bands, or on a band of no rows, is zero
-    in both.  An all-zero interior is hermitian, with defect 0."""
+    """max |P - P^dagger| over both parts P of M = S + A R, over the largest
+    |P|, on the interior sub-block (without the two edge rows and columns on
+    each side, where the one-sided stencils sit); both parts hermitian there
+    make M hermitian there.  Each part is closed under transposition, so its
+    adjoint is read from its own band, one stored offset at a time; an entry
+    off the bands, or on a band of no rows, is zero in both.  An all-zero
+    interior is hermitian, with defect 0."""
     n = op.n
     defect = scale = 0.0
     # M[j + o, j] is diag[::-1][w + o, j + o]; M[n - 1 - j + o, j] is anti[:, ::-1][w + o, j - o]
@@ -701,8 +687,8 @@ def dwell_low_momentum_check(
     (mL/|p|) (e^{-i p L / hbar} sinc(pL/hbar) - 1) on the anti-diagonal.
     Returns max |deviation| normalized by the sub-block scale max(mL/|p|).
     """
-    if L <= 0.0:
-        raise ValueError("dwell check requires L > 0")
+    if not (L > 0.0 and math.isfinite(L)):
+        raise ValueError(f"dwell check requires a finite L > 0, got {L}")
     m, hbar = consts.mass, consts.hbar
     p = grid.momenta()
     b = np.abs(p) * L / hbar

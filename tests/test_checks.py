@@ -2,9 +2,10 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from qarrival import GridSpec, OperatorKind, checks, operators
+from qarrival import EigenFamily, GridSpec, OperatorKind, OperatorMatrix, checks, operators, states
 
 # (name, tolerance, larger_is_pass) of every check, in report order, at
 # hbar = 1.  The registry may not loosen, drop or reorder a check silently.
@@ -89,3 +90,39 @@ def test_operator_checks_build_each_operator_once(consts, monkeypatch):
     assert built == {kind: int(kind in stencil) for kind in built}
     assert len(band_calls) == len(stencil)
     assert values["t_new_constructions_agree"] <= checks.CHECKS["t_new_constructions_agree"][0]
+
+
+def test_constructions_check_sees_a_doubled_reflected_part(consts, monkeypatch):
+    """Negative control of t_new_constructions_agree: with the reflected part
+    of T_NEW_VIA_KDM doubled, the two constructions differ by that whole part."""
+    build = operators.build_operator
+
+    def doubled(kind, *args, **kwargs):
+        op = build(kind, *args, **kwargs)
+        return OperatorMatrix(op.diag, 2.0 * op.anti) if kind is OperatorKind.T_NEW_VIA_KDM else op
+
+    monkeypatch.setattr(operators, "build_operator", doubled)
+    values = checks._operator_checks(GridSpec(64, 40.0), consts, 0.2)
+    assert values["t_new_constructions_agree"] > checks.CHECKS["t_new_constructions_agree"][0]
+
+
+def test_kijowski_check_sweeps_its_taus_once(grid, fast_spec, monkeypatch):
+    """The Kijowski check takes its three taus from one `distribution` call,
+    and its value is the one of three one-tau calls, bitwise."""
+    sweeps = []
+    distribution = operators.distribution
+
+    def counted(psi, family, tau_grid):
+        sweeps.append(len(tau_grid))
+        return distribution(psi, family, tau_grid)
+
+    monkeypatch.setattr(operators, "distribution", counted)
+    value = checks._kijowski_check(grid, fast_spec)
+    assert sweeps == [3]
+    psi = states.make_gaussian(fast_spec, grid)
+    t_peak = -fast_spec.consts.mass * fast_spec.x0 / fast_spec.p0
+    worst = 0.0
+    for t in (0.8 * t_peak, t_peak, 1.2 * t_peak):
+        kij = distribution(psi, EigenFamily.AB, np.array([t])).values[0]
+        worst = max(worst, abs(kij - abs(operators.overlap(psi, EigenFamily.AB, t)) ** 2) / kij)
+    assert value == worst

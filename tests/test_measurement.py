@@ -1,6 +1,7 @@
 """Half-line propagation, sequential measurements, crossing, and classical oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qarrival import (
     make_gaussian,
     make_reflected_state,
     make_zeno_chain,
+    measurement,
     simpson_weights,
     small_time_current_law,
     to_momentum,
@@ -72,6 +74,13 @@ class TestHalflinePropagate:
     def test_requires_positive_time_step(self, wall_packet):
         with pytest.raises(ValueError):
             halfline_propagate(wall_packet, 0.0, 0.1)
+
+    @pytest.mark.parametrize("t1,t0", [(math.nan, 0.0), (0.3, math.nan), (math.inf, 0.0), (0.3, -math.inf)])
+    def test_non_finite_time_named(self, wall_packet, t1, t0):
+        # a NaN step would pass a `dt <= 0` guard and an infinite one evolve
+        # into NaN values; both are rejected naming the two times
+        with pytest.raises(ValueError, match=re.escape(f"got t1 = {t1}, t0 = {t0}")):
+            halfline_propagate(wall_packet, t1, t0)
 
     @pytest.mark.parametrize(
         "sign,x",
@@ -406,6 +415,13 @@ class TestConditionalDistribution:
         cond_m = conditional_distribution(mirrored, (-xbar1, t1, delta), t2, -centers, delta)
         assert np.max(np.abs(cond_m - cond)) <= 1e-12 * np.max(cond)
 
+    @pytest.mark.parametrize("t1,t2", [(0.8, math.nan), (0.8, math.inf), (math.nan, 1.05), (math.inf, 1.05)])
+    def test_non_finite_times_named(self, consts, t1, t2):
+        # a NaN time would pass `t2 <= t1 or t1 <= 0` and fail later, naming no input
+        psi = self._initial(consts, p0=-10.0, sigma_p=0.5, xc=8.0, nx=2001)
+        with pytest.raises(ValueError, match=re.escape(f"got t1 = {t1}, t2 = {t2}")):
+            conditional_distribution(psi, (4.0, t1, 0.5), t2, np.array([4.0]), 0.5)
+
     def test_null_conditioning_rejected(self, consts):
         psi = self._initial(consts, p0=-10.0, sigma_p=2.0, xc=30.0)
         with pytest.raises(ValueError, match="too small"):
@@ -445,6 +461,25 @@ class TestCrossingProbability:
         oracle = np.array([crossing_per_tau(fast_packet, float(t)) for t in taus])
         assert np.array_equal(res.projector_form, oracle[:, 0])
         assert np.max(np.abs(res.current_form - oracle[:, 1])) <= 1e-10
+
+    def test_one_two_row_transform_per_tau(self, fast_packet, monkeypatch):
+        # each live tau evolves both projected parts by the shared phase and
+        # transforms them by one call; no state is evolved through free_evolve
+        shapes = []
+        transform = measurement.momentum_to_position
+
+        def spy(values, p, x, hbar):
+            shapes.append(np.shape(values))
+            return transform(values, p, x, hbar)
+
+        def unexpected(psi, dt):
+            raise AssertionError("crossing_probability evolved a WaveFunction")
+
+        monkeypatch.setattr(measurement, "momentum_to_position", spy)
+        monkeypatch.setattr(measurement, "free_evolve", unexpected)
+        crossing_probability(fast_packet, np.array([0.0, 0.3, 0.6]))
+        n = fast_packet.grid.size
+        assert shapes == [(n,), (2, n), (2, n)]
 
     def test_one_element_array_equals_scalar_call(self, fast_packet):
         scalar = crossing_probability(fast_packet, 0.5)

@@ -331,6 +331,19 @@ class TestTransforms:
         pos = to_position(psi, conjugate_position_grid(grid, consts))
         assert pos.norm_squared() == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_rows_of_a_leading_axis_equal_one_row_calls(self, n, rng):
+        # the crossing sweep transforms its two projected parts by one call
+        # per tau, on the 4x oversampled conjugate grid
+        p = GridSpec(n, 40.0).momenta()
+        x = GridSpec(4 * n, math.pi * (n - 1) / (p[-1] - p[0])).momenta()
+        rows_p = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        rows_x = rng.standard_normal((2, 4 * n)) + 1j * rng.standard_normal((2, 4 * n))
+        to_x, to_p = momentum_to_position(rows_p, p, x, 1.0), position_to_momentum(rows_x, x, p, 1.0)
+        for k in range(2):
+            assert np.array_equal(to_x[k], momentum_to_position(rows_p[k], p, x, 1.0))
+            assert np.array_equal(to_p[k], position_to_momentum(rows_x[k], x, p, 1.0))
+
     def test_round_trip(self, consts):
         grid = GridSpec(512, 20.0)
         psi = make_gaussian(GaussianSpec(2.0, -1.0, 1.0, consts), grid)

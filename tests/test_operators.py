@@ -739,15 +739,26 @@ class TestBandFormAgainstDense:
         op = build_operator(kind, grid, consts, L=0.2)
         return op, dense_operator(kind, grid, consts, L=0.2)
 
-    # at n = 10 the two bands overlap in the middle rows and are clipped at
-    # the edges, and the reflected band still holds entries of its own; at
-    # n = 6 every row is in reach of both bands and every offset's slice is
-    # clipped at both ends
+    # at n = 10 the two bands meet in the middle rows, where the parts add,
+    # and are clipped at the edges, and the reflected band still holds
+    # entries of its own; at n = 6 every row is in reach of both bands and
+    # every offset's slice is clipped at both ends
     @pytest.mark.parametrize("n", [6, 10, 64, 1024])
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_matrix_equals_dense(self, kind, n, consts):
         op, dense = self._pair(kind, n, consts)
         assert np.array_equal(dense_matrix(op), dense)
+
+    @pytest.mark.parametrize("units", [PhysConsts(), PhysConsts(mass=2.0, hbar=0.5)], ids=["unit", "m2_hbar0.5"])
+    @pytest.mark.parametrize("n", [6, 10, 64, 1024])
+    def test_t_new_constructions_build_equal_parts(self, n, units):
+        # both constructions are T_KDM plus one reflected part, and neither
+        # moves an entry between the parts where they meet, so their stencil
+        # parts and reflected parts are the same arrays
+        grid = GridSpec(n, 40.0)
+        sym, via = (build_operator(kind, grid, units) for kind in (OperatorKind.T_NEW_SYM, OperatorKind.T_NEW_VIA_KDM))
+        assert np.array_equal(sym.diag, via.diag)
+        assert np.array_equal(sym.anti, via.anti)
 
     @pytest.mark.parametrize("n", [6, 10, 64, 1024])
     @pytest.mark.parametrize("kind", list(OperatorKind))
@@ -1163,6 +1174,12 @@ class TestDwellRelation:
     def test_empty_band_rejected(self, consts):
         with pytest.raises(ValueError, match="samples"):
             dwell_low_momentum_check(0.2, GridSpec(64, 1.0), consts, band=(4.5, 5.5))
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, 0.0])
+    def test_non_finite_length_named(self, L, consts):
+        # a NaN or infinite L would pass `L <= 0` and be reported as an empty band
+        with pytest.raises(ValueError, match=f"finite L > 0, got {L}"):
+            dwell_low_momentum_check(L, GridSpec(64, 1.0), consts)
 
     def test_classical_difference_identity(self):
         # mL/|p| = -m(x-L)/|p| + mx/|p| exactly for reals

@@ -75,8 +75,9 @@ def dense_operator(kind, grid, consts, L=None):
         t_kdm = -(m / 2.0) * (xg + gx)
         if kind is OperatorKind.T_KDM:
             return t_kdm
+        # T_NEW = T_KDM + (the reflected part), summed in that order as the bands add
         if kind is OperatorKind.T_NEW_SYM:
-            return -(m / 2.0) * ((xg + xg[:, ::-1]) + (gx + g[:, None] * x_op[::-1, :]))
+            return t_kdm + -(m / 2.0) * (xg[:, ::-1] + g[:, None] * x_op[::-1, :])
         g_d = (1j / hbar) * (xg - gx)
         return t_kdm + (1j * hbar * m / 2.0) * g_d[:, ::-1]
     if kind is OperatorKind.T_DWELL:
@@ -114,35 +115,40 @@ def band_pattern(n, stencil_width, reflected_width):
     k = n - 1 - j + o, |o| <= w, each at its own width w, as (2w + 1, n)
     index arrays; a width of -1 is a band of no rows.  Axis 1 runs over rows
     and axis 0 along a row, cols is clipped into the matrix, and `inside`
-    marks the entries really in it (in the reflected band, those off the
-    stencil band).  The operator's bands are stored in this layout."""
+    marks the entries really in it.  Where the two bands reach the same
+    entry, each part holds its own share.  The operator's bands are stored in
+    this layout."""
     rows = np.arange(n)[None, :]
     stencil = rows + np.arange(-stencil_width, stencil_width + 1)[:, None]
     reflected = (n - 1 - rows) + np.arange(-reflected_width, reflected_width + 1)[:, None]
-    inside = (reflected >= 0) & (reflected < n) & (np.abs(reflected - rows) > stencil_width)
-    return [(np.broadcast_to(rows, stencil.shape), np.clip(stencil, 0, n - 1), (stencil >= 0) & (stencil < n)),
-            (np.broadcast_to(rows, reflected.shape), np.clip(reflected, 0, n - 1), inside)]
+    return [(np.broadcast_to(rows, band.shape), np.clip(band, 0, n - 1), (band >= 0) & (band < n))
+            for band in (stencil, reflected)]
 
 
 def dense_matrix(op):
-    """The n x n matrix of an OperatorMatrix, assembled from its two bands by the
-    index pattern, each band's width read off its 2w + 1 (or no) rows."""
+    """The n x n matrix S + A R of an OperatorMatrix, assembled from its two
+    parts by the index pattern, each band's width read off its 2w + 1 (or no)
+    rows: the stencil part is written, then the reflected part added to it."""
     n = op.diag.shape[1]
     mat = np.zeros((n, n), dtype=complex)
     pattern = band_pattern(n, *((len(band) - 1) // 2 for band in (op.diag, op.anti)))
     for (rows, cols, inside), values in zip(pattern, (op.diag, op.anti)):
-        mat[rows[inside], cols[inside]] = values[inside]
+        mat[rows[inside], cols[inside]] += values[inside]
     return mat
 
 
 def banded(mat, stencil_width, reflected_width):
     """The OperatorMatrix holding the entries of the n x n matrix `mat` on the
-    band pattern of these widths, read off by the index pattern; every entry
-    of `mat` off the pattern is dropped."""
+    band pattern of these widths: the stencil part reads `mat` on the stencil
+    band, and the reflected part reads what is left of it, so where the bands
+    meet the whole entry is in the stencil part.  Every entry of `mat` off the
+    pattern is dropped."""
     from qarrival import OperatorMatrix
 
-    pattern = band_pattern(mat.shape[0], stencil_width, reflected_width)
-    return OperatorMatrix(*(np.where(inside, mat[rows, cols], 0.0) for rows, cols, inside in pattern))
+    (s_rows, s_cols, s_in), (r_rows, r_cols, r_in) = band_pattern(mat.shape[0], stencil_width, reflected_width)
+    rest = mat.copy()
+    rest[s_rows[s_in], s_cols[s_in]] = 0.0
+    return OperatorMatrix(np.where(s_in, mat[s_rows, s_cols], 0.0), np.where(r_in, rest[r_rows, r_cols], 0.0))
 
 
 def dense_hermiticity_defect(mat):

@@ -57,7 +57,7 @@ REFLECTED = ["--packet", "reflected", "--p0", "0.3", "--x0", "-20", "--sigma-p",
 
 def presets() -> list[list[str]]:
     # n = 6 is the smallest interior (2 x 2), where clipping the band columns
-    # matters most; at n = 10 the two bands meet in the middle rows
+    # matters most; at n = 10 the two bands meet in the middle rows, where their parts add
     runs = [["verify", "--n", str(n)] for n in (6, 10, 64, 512, 1024, 4096)]
     # the operator layer off the unit constants and at another dwell length
     runs += [["verify", "--mass", "2", "--hbar", "0.5"], ["verify", "--L", "1.3"]]
