@@ -68,12 +68,16 @@ class MeasurementChain:
             raise ValueError("event times must be strictly increasing")
         if times.size and times[0] < 0.0:
             raise ValueError("first event precedes the initial time")
-        x = self.initial.grid
         if self.propagator is Propagator.HALFLINE:
-            _wall_first(x)  # so the grid check below keeps windows on the half-line
+            _wall_first(self.initial.grid)  # so the grid check below keeps windows on the half-line
         for _, w in self.events:
-            if w.center - w.half_width < x[0] - 1e-12 or w.center + w.half_width > x[-1] + 1e-12:
-                raise ValueError(f"window {w} extends outside the position grid")
+            _check_window(w, self.initial.grid)
+
+
+def _check_window(w: WindowSpec, x: np.ndarray) -> None:
+    """Raise unless the window lies within the position grid x (to 1e-12)."""
+    if w.center - w.half_width < x[0] - 1e-12 or w.center + w.half_width > x[-1] + 1e-12:
+        raise ValueError(f"window {w} extends outside the position grid")
 
 
 def _prob_mass(values: np.ndarray, dx: float) -> float:
@@ -148,11 +152,9 @@ def window_project(psi: WaveFunction, w: WindowSpec) -> WaveFunction:
     norm (dx * sum |psi|^2) is the detection probability."""
     if psi.rep is not Representation.POSITION:
         raise ValueError("window_project expects a position-representation state")
-    x = psi.grid
-    if w.center - w.half_width < x[0] - 1e-12 or w.center + w.half_width > x[-1] + 1e-12:
-        raise ValueError("window extends outside the position grid")
-    values = np.where(w.indicator(x), psi.values, 0.0)
-    return WaveFunction(Representation.POSITION, x, values, psi.consts)
+    _check_window(w, psi.grid)
+    values = np.where(w.indicator(psi.grid), psi.values, 0.0)
+    return WaveFunction(Representation.POSITION, psi.grid, values, psi.consts)
 
 
 def chain_final_state(chain: MeasurementChain) -> tuple[WaveFunction, float]:
@@ -241,8 +243,8 @@ def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> Crossing
     projector_form:  <psi|Pbar P(tau) Pbar|psi> + <psi|P Pbar(tau) P|psi>
     with P = theta(x), evaluated by project / free-propagate / project on a
     CROSSING_OVERSAMPLE-times oversampled conjugate position grid.  psi is
-    projected once per sweep; each tau evolves both projected parts and
-    transforms them by one two-row call.
+    projected once per sweep, both parts by one two-row transform; each tau
+    evolves both parts and transforms them by one two-row call.
     current_form:  integral over [0, tau] of <Pbar psi|J(t)|Pbar psi>
     - <P psi|J(t)|P psi> (they agree because dP(t)/dt = J(t)).  The current
     is a finite sum of phases, so its time integral is taken in closed form
@@ -261,17 +263,15 @@ def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> Crossing
     dx = x_grid.dp
     left, right = x < 0.0, x > 0.0
     psi_x = momentum_to_position(psi.values, p, x, hbar)
-    neg_p = position_to_momentum(np.where(left, psi_x, 0.0), x, p, hbar)
-    pos_p = position_to_momentum(np.where(right, psi_x, 0.0), x, p, hbar)
-    parts = np.stack([neg_p, pos_p])
+    parts = position_to_momentum(np.where([left, right], psi_x, 0.0), x, p, hbar)
 
     projector = np.zeros(taus.size)
     current = np.zeros(taus.size)
     live = np.flatnonzero(taus)
     for k in live:
         neg_x, pos_x = momentum_to_position(parts * _free_phase(p, taus[k], psi.consts), p, x, hbar)
-        projector[k] = float(np.sum(np.abs(neg_x[right]) ** 2) * dx) + float(np.sum(np.abs(pos_x[left]) ** 2) * dx)
-    j = _free_current_integrals(parts.T, p, psi.dx, taus[live], psi.consts)
+        projector[k] = _prob_mass(neg_x[right], dx) + _prob_mass(pos_x[left], dx)
+    j = _free_current_integrals(parts, p, psi.dx, taus[live], psi.consts)
     current[live] = j[:, 0] - j[:, 1]
     if np.ndim(tau) == 0:
         return CrossingResult(float(projector[0]), float(current[0]))

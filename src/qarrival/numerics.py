@@ -246,9 +246,7 @@ def integrate(samples, dx: float):
 
 def _fourier_apply(values: np.ndarray, src: np.ndarray, dst: np.ndarray, sign: float, hbar: float) -> np.ndarray:
     """(2 pi hbar)^(-1/2) d_src sum_k e^{sign * i * dst_j * src_k / hbar} values_k, by one FFT,
-    along the last axis.  A row of a leading axis equals its one-row call bitwise
-    below 16384 source samples (from there numpy multiplies a one-row call's
-    twiddle in place, in the other operand order).
+    along the last axis.  A row of a leading axis equals its one-row call bitwise.
 
     Both grids must be uniform and conjugate up to an integer M, d_src d_dst =
     2 pi hbar / M.  With indices K, J counted from the middle samples src_c,
@@ -273,7 +271,9 @@ def _fourier_apply(values: np.ndarray, src: np.ndarray, dst: np.ndarray, sign: f
     kc, jc = src.size // 2, dst.size // 2
     lead = np.shape(values)[:-1]
     folded = np.zeros(lead + (-(-src.size // m) * m,), dtype=complex)
-    folded[..., : src.size] = values * np.exp((sign * 1j * d_src * dst[jc] / hbar) * (np.arange(src.size) - kc))
+    # named, so numpy cannot reuse it in place as twiddle * values (other rounding)
+    twiddle = np.exp((sign * 1j * d_src * dst[jc] / hbar) * (np.arange(src.size) - kc))
+    np.multiply(values, twiddle, out=folded[..., : src.size])
     folded = np.roll(folded.reshape(*lead, -1, m).sum(axis=-2), -kc, axis=-1)
     spectrum = np.fft.fft(folded) if sign < 0 else np.fft.ifft(folded, norm="forward")
     out = spectrum[..., (np.arange(dst.size) - jc) % m] * np.exp((sign * 1j * src[kc] / hbar) * dst)

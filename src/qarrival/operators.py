@@ -14,7 +14,9 @@ The families differ in one mirror rule: AB and MI copy phi_tau(+p) to -p,
 KDM and NEW conjugate it (time reversal), and T3 keeps one sector.  Each is
 evaluated on the half grid |p| at both signs (_half_block, the one place that
 knows the rule), and every overlap, reconstruction and expansion is one
-formula over both sides.
+formula over both sides.  The half grid is the distinct |p| (_mirror_half,
+the one rule for which momenta share a |p|), and every momentum sum, the
+currents' too, folds onto it (_fold).
 
 The NEW family is the self-adjoint arrival-time operator built from the time
 integral of the current operator,
@@ -198,25 +200,27 @@ def _new_amplitudes(ap: np.ndarray, tau: np.ndarray, consts: PhysConsts) -> tupl
 
 
 def _mirror_half(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|p| on the upper half of a mirror grid (p[k] = -p[n-1-k] for k < n // 2;
-    an odd grid's middle sample is its own mirror) and the index that expands
-    a row over it to p; on any other grid, |p| itself and the identity index.
-    So a half-grid sample stands for at most one momentum of each sign."""
-    n = p.size
+    """The distinct |p| of p, ascending, and the index that expands a row over
+    them to p: the one rule for which momenta share a |p|.  Values of |p|
+    within 32 ulp of the largest count as one, so a grid mirrored only up to
+    rounding (a linspace with a non-dyadic end) folds as the exact one does;
+    each group stands at its smallest |p|."""
     if np.any(p == 0.0):
         raise ValueError("eigenstates are not defined at p = 0")
-    ap, k = np.abs(p), np.arange(n)
-    if np.array_equal(p[: n // 2], -p[::-1][: n // 2]):
-        return ap[n // 2 :], np.maximum(k, n - 1 - k) - n // 2
-    return ap, k
+    ap = np.abs(p)
+    order = np.argsort(ap, kind="stable")
+    first = np.concatenate([[True], np.diff(ap[order]) > 32.0 * np.finfo(float).eps * ap[order[-1]]])
+    index = np.empty(p.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ap[order][first], index
 
 
 def _fold(p: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The half grid of _mirror_half and `values` (last axis over p) folded
     onto it, shape (..., 2, |p|.size): the values at +|p| and at -|p|, zero
-    where p has no such momentum.  On a mirror grid these are the upper half
-    and the reversed lower half; on any other grid each sample sits on its
-    own side, with zero on the other."""
+    where p has no such momentum.  p lists each momentum once, as a
+    WaveFunction's increasing grid does, so a side holds at most one sample
+    at each |p|."""
     ap, index = _mirror_half(p)
     folded = np.zeros(values.shape[:-1] + (2, ap.size), dtype=values.dtype)
     for side, on in enumerate((p > 0.0, p < 0.0)):
@@ -512,43 +516,36 @@ def kinetic_energy_density(psi: WaveFunction) -> tuple[float, float]:
     return c * abs(signed) ** 2, c * abs(absolute) ** 2
 
 
-def _fold_energies(values: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct energies E = p^2 (ascending) and, for each, the sums of the
-    rows of `values` and of p * values over its momenta: shape (E.size, 2k).
-    Values of p^2 within 64 ulp of the largest count as equal, so a grid that is
-    mirrored only up to rounding (a linspace with a non-dyadic end) folds as the
-    exact one does; on the exact grid this is np.unique."""
-    e = p**2
-    order = np.argsort(e, kind="stable")
-    first = np.concatenate([[True], np.diff(e[order]) > 64.0 * np.finfo(float).eps * e[order[-1]]])
-    inverse = np.empty(p.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    folded = np.zeros((np.count_nonzero(first), 2 * values.shape[1]), dtype=complex)
-    np.add.at(folded, inverse, np.concatenate([values, p[:, None] * values], axis=1))
-    return e[order][first], folded
+def _current_sums(p: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The energies E = |p|^2 of _fold's half grid and, for k rows of `values`
+    (last axis over p), F0 = b+ + b- and F1 = |p| b+ - |p| b- at each E, as
+    one C-contiguous (E.size, 2k) array: F0 of every row, then F1 of each."""
+    ap, folded = _fold(p, values.reshape(-1, p.size))
+    plus, minus = folded[:, 0], folded[:, 1]
+    return ap * ap, np.concatenate([plus + minus, ap * plus - ap * minus]).T.copy()
 
 
 def _free_currents(values: np.ndarray, p: np.ndarray, dp: float, ts: np.ndarray, consts: PhysConsts) -> np.ndarray:
-    """<J(t)> at x = 0 for each column of `values` (momentum samples on p),
-    at each time of the 1-D array ts; shape (ts.size, values.shape[1]).
+    """<J(t)> at x = 0 for each row of `values` (last axis over p), at each
+    time of the 1-D array ts; shape (ts.size,) + values.shape[:-1].
 
     The one current formula, in the rank-two form of current_expectation:
-    J(t) = Re[conj(A0) A1] / (2 pi hbar m) over the energies of
-    _fold_energies.  The phases are formed over blocks of about
-    _BLOCK_SAMPLES (t, p^2) entries, and the sums A0 and A1 of every column
+    J(t) = Re[conj(A0) A1] / (2 pi hbar m), A0 and A1 the phased sums of the
+    F0 and F1 of _current_sums.  The phases are formed over blocks of about
+    _BLOCK_SAMPLES (t, p^2) entries, and the sums A0 and A1 of every row
     come from one matrix product per block.  The product is a stack of
     one-time rows, so a time's sums do not depend on the times that share its
     block, and a scalar call equals its row of a batched call bitwise.
     """
     m, hbar = consts.mass, consts.hbar
-    k = values.shape[1]
-    energies, folded = _fold_energies(values, p)
+    energies, folded = _current_sums(p, values)
+    k = folded.shape[1] // 2
     sums = np.empty((ts.size, 2 * k), dtype=complex)
     for start, block in _tau_blocks(ts, energies.size):
         phase = np.exp(-1j * np.multiply.outer(block, energies) / (2.0 * m * hbar))
         sums[start : start + block.size] = (phase[:, None, :] @ folded)[:, 0]
     a0, a1 = sums[:, :k] * dp, sums[:, k:] * dp
-    return (np.conj(a0) * a1).real / (2.0 * math.pi * hbar * m)
+    return ((np.conj(a0) * a1).real / (2.0 * math.pi * hbar * m)).reshape(ts.shape + values.shape[:-1])
 
 
 # Rows of C per block in _free_current_integrals (128 KB at 512 energies):
@@ -559,10 +556,10 @@ _C_ROWS = 32
 def _free_current_integrals(
     values: np.ndarray, p: np.ndarray, dp: float, taus: np.ndarray, consts: PhysConsts
 ) -> np.ndarray:
-    """integral_0^tau <J(t)> dt at x = 0 for each column of `values`, at each
-    tau of the 1-D array taus; shape (taus.size, values.shape[1]).
+    """integral_0^tau <J(t)> dt at x = 0 for each row of `values` (over p), at
+    each tau of the 1-D array taus; shape (taus.size,) + values.shape[:-1].
 
-    With a = conj F0, b = F1 from _fold_energies and w = E / 2 m hbar, the
+    With a = conj F0, b = F1 from _current_sums and w = E / 2 m hbar, the
     current of _free_currents is Re sum a_E b_E' e^{i (w_E - w_E') t} times
     dp^2 / (2 pi hbar m), a finite sum of phases, so its integral is exact:
 
@@ -575,8 +572,8 @@ def _free_current_integrals(
     (u - a)^T C v - (C a).(v - b) with expm1, so no digits cancel at small tau.
     """
     m, hbar = consts.mass, consts.hbar
-    k = values.shape[1]
-    energies, folded = _fold_energies(values, p)
+    energies, folded = _current_sums(p, values)
+    k = folded.shape[1] // 2
     omega = energies / (2.0 * m * hbar)
     a, b = np.conj(folded[:, :k]), folded[:, k:]
     turn = np.expm1(1j * np.multiply.outer(omega, taus))[:, :, None]  # e^{i w tau} - 1
@@ -592,7 +589,7 @@ def _free_current_integrals(
         du, dv = a[at, None, :] * turn[at], b[at, None, :] * np.conj(turn[at])
         cross += np.sum(du * cv, axis=0) - np.sum(ca[:, None, :] * dv, axis=0)
     total = np.multiply.outer(taus, np.sum(a * b, axis=0)) - 1j * cross
-    return total.real * dp**2 / (2.0 * math.pi * hbar * m)
+    return (total.real * dp**2 / (2.0 * math.pi * hbar * m)).reshape(taus.shape + values.shape[:-1])
 
 
 def current_expectation(psi: WaveFunction, t: float | np.ndarray) -> float | np.ndarray:
@@ -607,8 +604,8 @@ def current_expectation(psi: WaveFunction, t: float | np.ndarray) -> float | np.
     """
     _check_momentum_state(psi)
     ts = _check_taus(t, "t")
-    j = _free_currents(psi.values[:, None], psi.grid, psi.dx, ts.reshape(-1), psi.consts)
-    return float(j[0, 0]) if ts.ndim == 0 else j[:, 0].reshape(ts.shape)
+    j = _free_currents(psi.values, psi.grid, psi.dx, ts.reshape(-1), psi.consts)
+    return float(j[0]) if ts.ndim == 0 else j.reshape(ts.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -182,8 +182,13 @@ class TestWindowProject:
         assert np.array_equal(once.values, twice.values)
 
     def test_window_outside_grid(self, pos_packet):
-        with pytest.raises(ValueError, match="outside"):
-            window_project(pos_packet, WindowSpec(100.0, 1.0))
+        # the projector and the chain raise one message, naming the window
+        w = WindowSpec(100.0, 1.0)
+        message = re.escape(f"window {w} extends outside the position grid")
+        with pytest.raises(ValueError, match=message):
+            window_project(pos_packet, w)
+        with pytest.raises(ValueError, match=message):
+            MeasurementChain(pos_packet, ((0.1, w),))
 
     @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg_inf"])
     def test_non_finite_center_rejected(self, center):
@@ -463,23 +468,28 @@ class TestCrossingProbability:
         assert np.max(np.abs(res.current_form - oracle[:, 1])) <= 1e-10
 
     def test_one_two_row_transform_per_tau(self, fast_packet, monkeypatch):
-        # each live tau evolves both projected parts by the shared phase and
-        # transforms them by one call; no state is evolved through free_evolve
+        # both parts are projected by one call, and each live tau evolves them
+        # by the shared phase and transforms them by one call; no state is
+        # evolved through free_evolve
         shapes = []
-        transform = measurement.momentum_to_position
 
-        def spy(values, p, x, hbar):
-            shapes.append(np.shape(values))
-            return transform(values, p, x, hbar)
+        def spy(transform):
+            def spied(values, src, dst, hbar):
+                shapes.append((transform.__name__, np.shape(values)))
+                return transform(values, src, dst, hbar)
+
+            return spied
 
         def unexpected(psi, dt):
             raise AssertionError("crossing_probability evolved a WaveFunction")
 
-        monkeypatch.setattr(measurement, "momentum_to_position", spy)
+        for name in ("momentum_to_position", "position_to_momentum"):
+            monkeypatch.setattr(measurement, name, spy(getattr(measurement, name)))
         monkeypatch.setattr(measurement, "free_evolve", unexpected)
         crossing_probability(fast_packet, np.array([0.0, 0.3, 0.6]))
         n = fast_packet.grid.size
-        assert shapes == [(n,), (2, n), (2, n)]
+        to_x, to_p = "momentum_to_position", "position_to_momentum"
+        assert shapes == [(to_x, (n,)), (to_p, (2, 4 * n)), (to_x, (2, n)), (to_x, (2, n))]
 
     def test_one_element_array_equals_scalar_call(self, fast_packet):
         scalar = crossing_probability(fast_packet, 0.5)

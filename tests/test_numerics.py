@@ -331,10 +331,11 @@ class TestTransforms:
         pos = to_position(psi, conjugate_position_grid(grid, consts))
         assert pos.norm_squared() == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
     def test_rows_of_a_leading_axis_equal_one_row_calls(self, n, rng):
         # the crossing sweep transforms its two projected parts by one call
-        # per tau, on the 4x oversampled conjugate grid
+        # per tau, on the 4x oversampled conjugate grid; at n = 4096 a row
+        # reads 16384 source samples, where numpy reuses large temporaries
         p = GridSpec(n, 40.0).momenta()
         x = GridSpec(4 * n, math.pi * (n - 1) / (p[-1] - p[0])).momenta()
         rows_p = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))

@@ -147,6 +147,14 @@ def _kept_samples(psi):
     return _trim(*_fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values))[0].size
 
 
+def _near_mirror_grid():
+    """1000 momenta of a linspace with a non-dyadic end: p[k] and -p[n-1-k]
+    agree to rounding, not bitwise."""
+    n, p_max = 1000, 33.3
+    dp = 2.0 * p_max / n
+    return np.linspace(-p_max + dp / 2.0, p_max - dp / 2.0, n)
+
+
 def _has_partial_last_block(taus, samples):
     # blocks count the samples evaluated per tau
     sizes = [block.size for _, block in _tau_blocks(taus, samples)]
@@ -519,24 +527,49 @@ class TestFold:
             assert np.array_equal(_overlaps(half, folded), ref)
 
     def test_fold_places_each_sample(self, grid, rng):
-        # each sample lands once, at its |p| on its own side; a mirror grid
-        # folds onto its distinct |p|, any other grid onto |p| itself
+        # each sample lands once, at its |p| on its own side; every grid folds
+        # onto its distinct |p|, a partial one with some momenta paired
         for name, p in self.grids(grid, rng).items():
             values = rng.uniform(1.0, 2.0, p.size)
             ap, (plus, minus) = _fold(p, values)
-            assert ap.size == (p.size if name == "permuted_partial" else np.unique(np.abs(p)).size), name
+            assert np.array_equal(ap, np.unique(np.abs(p))), name
             for v, q in zip(values, p):
                 assert v in (plus if q > 0.0 else minus)[ap == abs(q)], name
             assert np.count_nonzero(plus) + np.count_nonzero(minus) == p.size, name
 
-    def test_mirror_half_needs_opposite_signs(self):
-        # |p| a palindrome with equal signs is not a mirror grid: each half-grid
-        # sample must stand for one momentum of each sign at most
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
+    def test_mirror_half_shares_equal_signs(self, family, consts):
+        # momenta share a |p| whatever their signs: [1, 2, 1] folds onto [1, 2],
+        # and each momentum reads its side of that |p|
         p = np.array([1.0, 2.0, 1.0])
         ap, index = _mirror_half(p)
-        assert np.array_equal(ap, p) and np.array_equal(index, np.arange(3))
+        assert np.array_equal(ap, [1.0, 2.0]) and np.array_equal(index, [0, 1, 0])
+        for tau in (0.3, 4.0):
+            single = [eigenstate_values(family, tau, np.array([pj]), consts)[0] for pj in p]
+            assert eigenstate_values(family, tau, p, consts).tobytes() == np.array(single).tobytes()
         with pytest.raises(ValueError, match="p = 0"):
             _fold(np.array([-1.0, 0.0, 1.0]), np.ones(3))
+
+    def test_distribution_on_near_mirror_grid(self, consts):
+        # p[k] and -p[n-1-k] of a linspace with a non-dyadic end differ in
+        # their last bits, and still share one |p|: distribution sums over 500
+        p = _near_mirror_grid()
+        assert not np.array_equal(p, -p[::-1])
+        assert _mirror_half(p)[0].size == p.size // 2
+        psi = WaveFunction(Representation.MOMENTUM, p, np.exp(-((p - 1.0) ** 2) / 4.0 + 0.5j * p), consts)
+        psi = psi.normalized()
+        weighted = simpson_weights(p.size, psi.dx) * np.conj(psi.values)
+        for family in EigenFamily:
+            taus = np.linspace(0.0 if family is EigenFamily.MI else -1.0, 1.0, 41)
+            dist = distribution(psi, family, taus).values
+            ref = distribution_per_tau(psi, family, taus)
+            assert np.max(np.abs(dist - ref)) <= FOLD_TOL * ref.max(), family
+            if family is not EigenFamily.NEW:
+                # each pair is evaluated at its smaller |p|, at most 2 ulp of
+                # p_max from the other: 9.8e-15 of the peak from the formula
+                # on every sample
+                exact = np.abs(_full_grid_formula(family, taus, p, consts) @ weighted) ** 2
+                assert np.max(np.abs(dist - exact)) <= 1e-13 * exact.max(), family
 
 
 class TestTrim:
@@ -1014,7 +1047,7 @@ class TestCurrentIntegrals:
 
     @staticmethod
     def _closed(psi, taus):
-        return _free_current_integrals(psi.values[:, None], psi.grid, psi.dx, np.asarray(taus), psi.consts)[:, 0]
+        return _free_current_integrals(psi.values, psi.grid, psi.dx, np.asarray(taus), psi.consts)
 
     def test_fast_packet(self, fast_packet):
         taus = [0.2, 0.5, 1.0]
@@ -1034,15 +1067,28 @@ class TestCurrentIntegrals:
             assert abs(value - reference) <= 1e-13 * reference
 
     def test_grid_mirrored_up_to_rounding(self, consts):
-        # a linspace grid with a non-dyadic end point: p[k] and -p[n-1-k]
-        # differ in the last bits, and their p^2 must still fold together
-        n, p_max = 1000, 33.3
-        dp = 2.0 * p_max / n
-        p = np.linspace(-p_max + dp / 2.0, p_max - dp / 2.0, n)
-        assert not np.array_equal(p, -p[::-1])
+        # p[k] and -p[n-1-k] differ in the last bits and must still fold together
+        p = _near_mirror_grid()
         values = np.exp(-((p - 1.0) ** 2) / 4.0 + 0.5j * p)
         psi = WaveFunction(Representation.MOMENTUM, p, values, consts).normalized()
         assert abs(self._closed(psi, [0.5])[0] - _simpson_current_integral(psi, 0.5)) <= 1e-14
+
+    def test_grid_with_partial_mirror_pairs(self, consts):
+        # a uniform grid whose 40 momenta below 0 have exact mirrors but whose
+        # top 80 do not: both current helpers fold it onto its 120 |p|
+        p = (np.arange(-40, 120) + 0.5) / 4.0
+        assert _mirror_half(p)[0].size == 120
+        psi = WaveFunction(Representation.MOMENTUM, p, np.exp(-((p - 2.0) ** 2) / 4.0 + 1j * p), consts)
+        psi = psi.normalized()
+        ts = np.array([0.2, 0.5, 1.0])
+        # the rank-two form summed over every sample, with no fold
+        m, hbar = consts.mass, consts.hbar
+        phased = np.exp(-1j * p**2 * ts[:, None] / (2.0 * m * hbar)) * psi.values
+        a0, a1 = psi.dx * phased.sum(axis=1), psi.dx * (phased @ p)
+        direct = (np.conj(a0) * a1).real / (2.0 * math.pi * hbar * m)
+        assert np.max(np.abs(current_expectation(psi, ts) - direct)) <= 1e-14
+        for tau, value in zip(ts, self._closed(psi, ts)):
+            assert abs(value - _simpson_current_integral(psi, tau)) <= 1e-14
 
     def test_zero_at_tau_zero(self, fast_packet):
         assert self._closed(fast_packet, [0.0])[0] == 0.0

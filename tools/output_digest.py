@@ -14,7 +14,8 @@ Gaussian packet, and conditional also as JSON, at non-default geometry, on
 a 16001-sample box, and with a short second step (`--t2 0.81`) and on a
 401-sample box, where pi hbar dt / (m dx) is below the box's extent (a
 chirp-kernel propagator aliases there), and conditional with a reflected
-packet and with a packet that leaves its box, both rejected; and `classical`.  A
+packet and with a packet that leaves its box, both rejected; crossing also at
+n = 4096, whose transforms read 16384 source samples; and `classical`.  A
 change that should leave every output byte-identical is checked by running
 this on the parent and on the change and diffing:
 
@@ -86,6 +87,9 @@ def presets() -> list[list[str]]:
         ["distribution", "--family", "new", "--mass", "2", "--hbar", "0.5", "--tau-min", "-1", "--tau-max", "1"],
     ]
     runs += [["measure", "--mode", mode] for mode in ("crossing", "zeno", "conditional")]
+    # the first preset whose transforms read 16384 source samples (4x oversampled
+    # n = 4096), the size from which numpy may reuse a temporary in place
+    runs.append(["measure", "--mode", "crossing", "--n", "4096"])
     runs += [
         ["measure", "--mode", "zeno", "--format", "json"],
         # zeno on the packet the flag names, not the preset's reflected one
