@@ -12,18 +12,25 @@ flip k -> n-1-k maps p_k to -p_k bitwise; the reflection operator is then
 an exact permutation.
 
 The NEW eigenstates need J_nu at two orders only, nu = -1/4 and 3/4.  Both
-come from two Chebyshev tables evaluated by Clenshaw's recurrence with a
-fixed degree: below z = 10 the entire function z^(-nu) J_nu(z) in (z/10)^2
-(DLMF 10.2.2), at and above it the Hankel modulation P + iQ in 10/z
-(DLMF 10.17).  The recurrence is linear in its coefficients, so its real
-series are summed two to a complex series, the low table's two orders as one
-and the high table's P and Q of both orders as two; each part is bitwise the
-sum of its real series.  That packing stays in this module: _bessel_low and
-_bessel_high return J_(-1/4) + i J_(3/4) times the real scale z^(1/4) below
-the switchover and sqrt(pi z/2) at and above it.
-tools/bessel_tables.py generates both with mpmath; they agree to better than
-1e-9 on the overlap window z in [8, 12] and err by about 2e-15 of
-max(|J_nu|, sqrt(2/(pi z))) against mpmath.
+come from two polynomial tables summed by Horner's rule to a fixed degree:
+below z = 10 the entire function z^(-nu) J_nu(z) in x = z^2/72 - 1 (DLMF
+10.2.2), at and above it the Hankel modulation P + iQ in x = 16/z - 1 (DLMF
+10.17).  The sum is linear in its coefficients, so its real series are summed
+two to a complex series, the low table's two orders as one and the high
+table's P and Q of both orders as two; each part is bitwise the sum of its
+real series.  That packing stays in this module: _bessel_low and _bessel_high
+return J_(-1/4) + i J_(3/4) times the real scale z^(1/4) below the switchover
+and sqrt(pi z/2) at and above it.
+tools/bessel_tables.py generates both with mpmath, as Chebyshev interpolants
+expanded into monomials.  Horner's rounding is bounded by about
+2k eps sum_k |a_k| |x|^k (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, sec. 5.1); sum_k |a_k| is 1.0004 against max |f| = 1.0 for
+the high table and 22.4 against 0.97 for the low one, whose terms cancel most
+at z -> 0.  Against mpmath the low table errs by at most 3.2e-15 (3.5e-15 of
+f itself on z <= 1) and the high one by 1.8e-16; the two agree to better than
+1e-9 on the overlap window z in [8, 12].  A sample costs about 27 ns below
+the switchover and 65-80 ns at and above it, of which cos and sin take about
+35 ns (4096-sample arrays, 2 cores, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -81,53 +88,54 @@ class GridSpec:
 # Bessel J of orders -1/4 and 3/4
 # ---------------------------------------------------------------------------
 
-# Chebyshev coefficients, one row per order (-1/4, 3/4), generated by
-# tools/bessel_tables.py with mpmath at 40 digits.  Low table: z^(-nu) J_nu(z)
-# in x = (z/10)^2 / 0.72 - 1, fitted on z in [0, 12].  High table: the Hankel
-# modulation P + iQ in x = 16/z - 1, fitted on z >= 8.
+# Monomial coefficients a_k of sum_k a_k x^k, one row per order (-1/4, 3/4),
+# generated by tools/bessel_tables.py: Chebyshev interpolants at 40 digits,
+# expanded into monomials in mpmath and only then rounded.  Low table:
+# z^(-nu) J_nu(z) in x = (z/10)^2 / 0.72 - 1, fitted on z in [0, 12].  High
+# table: the Hankel modulation P + iQ in x = 16/z - 1, fitted on z >= 8.
 _BESSEL_LOW = np.array([
     [  # nu = -0.25
-        0.01091684121406861, -0.06987879694912474, 0.15881808747698992,
-        0.13632743556827315, 0.22779549669254673, -0.36860548936923987,
-        0.19715473307146608, -0.05960174384305236, 0.012026935508506835,
-        -0.001763433633360763, 0.00019804541206897353, -1.7668386958723796e-05,
-        1.2863433050675125e-06, -7.803803313745677e-08, 4.011458770976576e-09,
-        -1.7713621799386599e-10, 6.797033341543715e-12, -2.2887394334369444e-13,
-        6.82047158018309e-15, -1.8121043858760639e-16,
+        -0.10543031020676628, -1.9203539058837529, 1.6690055065673046,
+        4.787475172153664, -5.794897440706628, 0.03744542559165508,
+        3.447294169164267, -2.8477539642096583, 1.294733567211106,
+        -0.4029709696034754, 0.0936528849693385, -0.017069807553112264,
+        0.0025208546299164227, -0.00030887159956219916, 3.197851239362725e-05,
+        -2.8389032745973923e-06, 2.1870231070639454e-07, -1.477384241221009e-08,
+        8.939728509577579e-10, -4.750322921310949e-11,
     ],
     [  # nu = 0.75
-        0.053811178225112014, -0.13944211059614814, 0.10374020106416154,
-        -0.12179565643203816, 0.12646144032554038, -0.07117443494480555,
-        0.024071026611862653, -0.0054561905876501894, 0.0008925706728978436,
-        -0.00011088591720270707, 1.0853856217462254e-05, -8.606882754995681e-07,
-        5.6508631575490806e-08, -3.1260721212263747e-09, 1.478298651053569e-10,
-        -6.0486326890381276e-12, 2.163501104685677e-13, -6.8252743326033536e-15,
-        1.9138619952294175e-16, -4.802752420263537e-18,
+        0.05334316405232647, -0.09272252814262799, -0.3989562643461387,
+        0.6438774934118444, -0.005200753554396824, -0.5745490281939837,
+        0.5537299374852145, -0.2877185704918843, 0.10074274240085097,
+        -0.02601469026679923, 0.005215774530173251, -0.0008402848833519028,
+        0.0001115369664074539, -1.2436077136715871e-05, 1.182876471089524e-06,
+        -9.721172858882868e-08, 6.976476246086607e-09, -4.413208681918199e-10,
+        2.508537194387102e-11, -1.2590127304575647e-12,
     ],
 ])
 _BESSEL_HIGH = np.array([
     [  # nu = -0.25
-        (0.9997046588453498-0.005828221345549831j), (-0.0003924704249809433-0.005812822711309982j),
-        (-9.616095262434508e-05+1.831886512212399e-05j), (1.0881727283995617e-06+2.8490909030109476e-06j),
-        (1.1399265093226377e-07-7.683928564095878e-08j), (-6.122801826183588e-09-5.1779319191783164e-09j),
-        (-2.1229140679397205e-10+5.269315342579978e-10j), (4.692012247202896e-11+1.1533746527084295e-12j),
-        (-1.5887928204191808e-12-4.099537435983454e-12j), (-3.1983008109815643e-13+3.27191226249598e-13j),
-        (4.948996790358531e-14+1.6238845610168545e-14j), (-1.0675047191901379e-15-6.319405612796068e-15j),
-        (-6.580945778280701e-16+5.288906253870509e-16j), (1.1054901029682734e-16+4.172627308903316e-17j),
+        (0.9998009340012775-0.0058466175810043776j), (-0.0003957658884814212-0.005821395878737456j),
+        (-0.0001932376143382191+3.72620612560524e-05j), (4.477812581499206e-06+1.149994617100316e-05j),
+        (9.21856639346347e-07-6.406689760319303e-07j), (-1.0335641244630702e-07-8.282683504359438e-08j),
+        (-6.328806680360844e-09+1.7927582642949695e-08j), (3.183000150314349e-09-1.3285820986258362e-10j),
+        (-2.7126138965219195e-10-5.418708221842226e-10j), (-7.703087194054941e-11+1.0225072530973233e-10j),
+        (2.938219665281134e-11+5.0647849500282536e-12j), (-2.564753257522067e-12-7.026531494864383e-12j),
+        (-1.3477776953918875e-12+1.0831680007926803e-12j), (4.528087461758048e-13+1.7091081457267981e-13j),
     ],
     [  # nu = 0.75
-        (1.0003804827484837+0.00972872454751055j), (0.0005058118162421242+0.00971047198401014j),
-        (0.00012422703828319546-2.172605014837579e-05j), (-1.2392764904352155e-06-3.394418076431216e-06j),
-        (-1.3082904931711106e-07+8.54709638950258e-08j), (6.7092337431271415e-09+5.837338282633348e-09j),
-        (2.394439834680403e-10-5.716912942089161e-10j), (-5.057826747104853e-11-1.9148174230345105e-12j),
-        (1.6418862867413636e-12+4.404177757844679e-12j), (3.439389465753019e-13-3.4314778444505387e-13j),
-        (-5.205509457911234e-14-1.7785802303775994e-14j), (1.0436157214124306e-15+6.657512470679652e-15j),
-        (6.957690102192038e-16-5.460743480937425e-16j), (-1.1495299418613844e-16-4.4871437945288515e-17j),
+        (1.0002561246434019+0.009750536644735531j), (0.0005095635490124942+0.009720684435172424j),
+        (0.00024950496375941895-4.4146300234868556e-05j), (-5.094164020817024e-06-1.3694483642433141e-05j),
+        (-1.0578415974536756e-06+7.119202173419586e-07j), (1.1315946699402437e-07+9.345529950964199e-08j),
+        (7.181089239510269e-09-1.9439553888810214e-08j), (-3.431031438809028e-09+9.430036032002203e-11j),
+        (2.816011211627935e-10+5.827261140589282e-10j), (8.319673062852255e-11-1.0734004866277729e-10j),
+        (-3.0927013223292306e-11-5.751249984845355e-12j), (2.598916757332204e-12+7.414621351903644e-12j),
+        (1.4249349329289293e-12-1.1183602648959846e-12j), (-4.708474641864231e-13-1.8379340982390176e-13j),
     ],
 ])
 
 
-# The tables for _clenshaw, two real series to a complex one: the low table's
+# The tables for _horner, two real series to a complex one: the low table's
 # orders as f_(-1/4) + i f_(3/4), the high table's P and Q as
 # U = P_(-1/4) + i Q_(3/4) and V = Q_(-1/4) - i P_(3/4).
 _LOW_SERIES = (tuple(map(complex, *_BESSEL_LOW)),)
@@ -137,37 +145,23 @@ _HIGH_SERIES = (
 )
 
 
-def _clenshaw(series: tuple[tuple[complex, ...], ...], x: np.ndarray) -> np.ndarray:
-    """sum_k c_k T_k(x) for each complex series c of `series` at the float
-    array x (contiguous and 1-D, for speed); shape (len(series),) + x.shape.
+def _horner(series: tuple[tuple[complex, ...], ...], x: np.ndarray) -> np.ndarray:
+    """sum_k a_k x^k for each complex series a of `series` at the float array
+    x; shape (len(series),) + x.shape.
 
-    Clenshaw's recurrence (Clenshaw, MTAC 9, 118, 1955), one series at a time:
-    b_k = c_k + 2x b_(k+1) - b_(k+2) as three in-place operations, in that
-    order, on three rotating buffers, then c_0 + x b_1 - b_2.  The first two
-    steps take b_(N-1) = c_(N-1) as a scalar and skip subtracting b_N = 0.
-    x and 2x are cast to x + 0i once: each product's parts are then x a - 0 b
-    and x b + 0 a, so the real and imaginary parts are, bit for bit, the sums
-    of the two real series.
+    Horner's rule, s = s x + a_k from the top, as two in-place operations per
+    term.  x is cast to x + 0i once: each product's parts are then s' x - 0 s''
+    and s'' x + 0 s', so the real and imaginary parts are, bit for bit, the
+    sums of the two real series.
     """
     xc = x.astype(complex)
-    x2 = xc + xc
     out = np.empty((len(series),) + x.shape, dtype=complex)
-    scratch = np.empty_like(xc), np.empty_like(xc), np.empty_like(xc)
-    for c, res in zip(series, out):
-        b2, b1, t = scratch
-        np.multiply(x2, c[-1], out=b2)
-        b2 += c[-2]
-        np.multiply(x2, b2, out=b1)
-        b1 += c[-3]
-        b1 -= c[-1]
-        for k in range(len(c) - 4, 0, -1):
-            np.multiply(x2, b1, out=t)
-            t += c[k]
-            t -= b2
-            b1, b2, t = t, b1, b2
-        np.multiply(xc, b1, out=res)
-        res += c[0]
-        res -= b2
+    for a, res in zip(series, out):
+        np.multiply(xc, a[-1], out=res)
+        for c in a[-2:0:-1]:
+            res += c
+            res *= xc
+        res += a[0]
     return out
 
 
@@ -176,7 +170,7 @@ def _bessel_low(z: np.ndarray) -> np.ndarray:
 
     With f_nu = z^(-nu) J_nu(z) from the low table this is f_(-1/4) + i z f_(3/4).
     """
-    f = _clenshaw(_LOW_SERIES, z * z / 72.0 - 1.0)[0]
+    f = _horner(_LOW_SERIES, z * z / 72.0 - 1.0)[0]
     f.imag *= z
     return f
 
@@ -190,7 +184,7 @@ def _bessel_high(z: np.ndarray) -> np.ndarray:
     U cos A - V sin A for the high table's U = P_(-1/4) + i Q_(3/4) and
     V = Q_(-1/4) - i P_(3/4).
     """
-    u, v = _clenshaw(_HIGH_SERIES, 16.0 / z - 1.0)
+    u, v = _horner(_HIGH_SERIES, 16.0 / z - 1.0)
     phase = z - math.pi / 8.0
     u *= np.cos(phase)
     v *= np.sin(phase)

@@ -207,6 +207,8 @@ def _mirror_half(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each group stands at its smallest |p|."""
     if np.any(p == 0.0):
         raise ValueError("eigenstates are not defined at p = 0")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("momenta must be finite")
     ap = np.abs(p)
     order = np.argsort(ap, kind="stable")
     first = np.concatenate([[True], np.diff(ap[order]) > 32.0 * np.finfo(float).eps * ap[order[-1]]])
@@ -228,29 +230,6 @@ def _fold(p: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ap, folded
 
 
-def _new_eigenstate_half(taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -> np.ndarray:
-    """NEW-family eigenstates at |p| = ap for taus >= 0, one row per tau; the
-    low Bessel table below the switchover z = 10, the high table at and above it.
-    Each table's samples are gathered into one contiguous array, and its
-    values are scaled in place and written straight into the result."""
-    m, hbar = consts.mass, consts.hbar
-    half = np.zeros((taus.size, ap.size), dtype=complex)
-    # phi_tau ~ tau^(1/4) -> 0, so rows with tau = 0 stay zero
-    rows = taus != 0.0
-    tau = taus[rows, None]
-    z = ap * ap * tau / (2.0 * m * hbar)
-    low_amp, high_amp = _new_amplitudes(ap, tau, consts)
-    out = np.empty(z.shape, dtype=complex)
-    lo = z < BESSEL_SWITCHOVER
-    for on, table, amp in ((lo, _bessel_low, low_amp), (~lo, _bessel_high, np.broadcast_to(high_amp, z.shape))):
-        if on.any():
-            values = table(z[on])
-            values *= amp[on]
-            out[on] = values
-    half[rows] = out
-    return half
-
-
 def _half_block(family: EigenFamily, taus: np.ndarray, ap: np.ndarray, consts: PhysConsts) -> np.ndarray:
     """Eigenstates at |p| = ap for a 1-D array of taus, shape (taus.size, 2,
     ap.size): row 0 holds phi_tau(+|p|) and row 1 phi_tau(-|p|).
@@ -268,9 +247,23 @@ def _half_block(family: EigenFamily, taus: np.ndarray, ap: np.ndarray, consts: P
     block = np.zeros((taus.size, 2, ap.size), dtype=complex)
     plus, minus = block[:, 0], block[:, 1]
     if family is EigenFamily.NEW:
+        # the low Bessel table below the switchover z = 10, the high table at
+        # and above it: each gathers its samples, scales them in place and
+        # writes them straight into the + row.  phi_tau ~ tau^(1/4), so a row
+        # with tau = 0 has amplitude 0 and reads +0, as a zero row does
+        tau = np.abs(taus)[:, None]
+        z = ap * ap * tau / (2.0 * m * hbar)
+        low_amp, high_amp = _new_amplitudes(ap, tau, consts)
+        lo = z < BESSEL_SWITCHOVER
+        for on, table, amp in ((lo, _bessel_low, low_amp), (~lo, _bessel_high, np.broadcast_to(high_amp, z.shape))):
+            if on.any():
+                values = table(z[on])
+                values *= amp[on]
+                plus[on] = values
         # C T_NEW C = -T_NEW for the complex conjugation C, so phi_{-tau} = conj phi_tau
-        plus[...] = _new_eigenstate_half(np.abs(taus), ap, consts)
-        np.conjugate(plus, out=plus, where=(taus < 0.0)[:, None])
+        negative = taus < 0.0
+        if negative.any():
+            plus[negative] = np.conjugate(plus[negative])
         np.conjugate(plus, out=minus)
         return block
     if family is EigenFamily.MI and np.any(taus < 0.0):

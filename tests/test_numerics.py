@@ -62,14 +62,14 @@ class TestGridSpec:
 def low_rows(z):
     """f_nu = z^(-nu) J_nu(z), one row per order (-1/4, 3/4), from the packed
     low sum f_(-1/4) + i f_(3/4)."""
-    f = numerics._clenshaw(numerics._LOW_SERIES, z * z / 72.0 - 1.0)[0]
+    f = numerics._horner(numerics._LOW_SERIES, z * z / 72.0 - 1.0)[0]
     return np.stack((f.real, f.imag))
 
 
 def modulation_rows(z):
     """(P, Q), one row per order (-1/4, 3/4), from the packed high sums
     U = P_(-1/4) + i Q_(3/4) and V = Q_(-1/4) - i P_(3/4)."""
-    u, v = numerics._clenshaw(numerics._HIGH_SERIES, 16.0 / z - 1.0)
+    u, v = numerics._horner(numerics._HIGH_SERIES, 16.0 / z - 1.0)
     return np.stack((u.real, -v.imag)), np.stack((v.real, u.imag))
 
 
@@ -125,6 +125,19 @@ class TestBessel:
                 envelope = np.maximum(np.abs(exact), np.sqrt(2.0 / (math.pi * z)))
                 assert np.max(np.abs(z**nu * row - exact) / envelope) <= 2e-14
 
+    def test_low_rows_relative_near_zero(self):
+        # the monomials cancel most at z -> 0 (x -> -1, where sum |a_k| = 22.4
+        # against f = 0.97), and there the envelope of the test above is up to
+        # 800, so each row f_nu = z^(-nu) J_nu(z) is checked relative to itself.
+        # The range stops at z = 1: f_(-1/4) falls to 0.0043 at z = 2, next to
+        # the first zero of J_(-1/4) at z = 2.0063, where a relative error
+        # measures the zero, not the sum
+        z = np.geomspace(1e-6, 1.0, 60)
+        with mpmath.workdps(30):
+            for nu, row in zip(self.ORDERS, low_rows(z)):
+                exact = np.array([float(mpmath.besselj(nu, x) / mpmath.mpf(x) ** nu) for x in z])
+                assert np.max(np.abs(row - exact) / np.abs(exact)) <= 1e-14
+
     @pytest.mark.parametrize(
         "table,z",
         [
@@ -146,12 +159,11 @@ class TestBessel:
                 assert np.max(np.abs(got - exact) / envelope) <= 5e-15
 
     @pytest.mark.parametrize("table", ["_BESSEL_LOW", "_BESSEL_HIGH"])
-    def test_clenshaw_equals_textbook_recurrence(self, table):
+    def test_horner_equals_textbook_recurrence(self, table):
         # each real series of the table, packed two to a complex series (the
         # low table's orders as f_(-1/4) + i f_(3/4), the high table's as
         # U = P_(-1/4) + i Q_(3/4) and V = Q_(-1/4) - i P_(3/4)) and summed in
-        # place with rotating buffers, equals b_k = c_k + 2x b_(k+1) - b_(k+2)
-        # over its real coefficients bitwise
+        # place, equals s = s x + a_k over its real coefficients bitwise
         coefs = getattr(numerics, table)
         if table == "_BESSEL_LOW":
             series, packed = [(coefs[0], coefs[1])], numerics._LOW_SERIES
@@ -159,14 +171,13 @@ class TestBessel:
             series = [(coefs[0].real, coefs[1].imag), (coefs[0].imag, -coefs[1].real)]
             packed = numerics._HIGH_SERIES
         x = np.linspace(-1.0, 1.0, 301)
-        result = numerics._clenshaw(packed, x)
+        result = numerics._horner(packed, x)
         assert result.shape == (len(series), x.size)
         for pair, got in zip(series, result):
-            for c, part in zip(pair, (got.real, got.imag)):
-                b1, b2 = c[-1], 0.0
-                for k in range(c.size - 2, 0, -1):
-                    b1, b2 = c[k] + 2.0 * x * b1 - b2, b1
-                expected = c[0] + x * b1 - b2
+            for a, part in zip(pair, (got.real, got.imag)):
+                expected = a[-1]
+                for k in range(a.size - 2, -1, -1):
+                    expected = expected * x + a[k]
                 assert part.tobytes() == expected.tobytes()
 
     def test_modulation_against_mpmath(self):

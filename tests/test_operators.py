@@ -37,7 +37,6 @@ from qarrival.operators import (
     _free_current_integrals,
     _half_block,
     _mirror_half,
-    _new_eigenstate_half,
     _overlaps,
     _tau_blocks,
     _trim,
@@ -290,20 +289,20 @@ class TestEigenstateBlock:
 
 
 class TestNewAgainstComplexOracle:
-    """The packed NEW evaluator against its earlier complex form
+    """The packed NEW evaluator against its textbook complex form
     (tests/util_new_oracle.py), byte for byte."""
 
-    def test_one_clenshaw_call_per_table(self, consts, monkeypatch):
+    def test_one_horner_call_per_table(self, consts, monkeypatch):
         # a block that straddles z = 10 sums each Bessel table in one call:
         # the low table's one packed series, then the high table's two
         calls = []
 
         def counting(series, x):
             calls.append(len(series))
-            return clenshaw(series, x)
+            return horner(series, x)
 
-        clenshaw = numerics._clenshaw
-        monkeypatch.setattr("qarrival.numerics._clenshaw", counting)
+        horner = numerics._horner
+        monkeypatch.setattr("qarrival.numerics._horner", counting)
         ap = _mirror_half(GridSpec(512, 20.0).momenta())[0]
         block = _half_block(EigenFamily.NEW, np.linspace(0.0, 1.5, 16), ap, consts)
         z = ap * ap * 1.5 / (2.0 * consts.mass * consts.hbar)
@@ -311,17 +310,18 @@ class TestNewAgainstComplexOracle:
         assert np.all(np.isfinite(block))
         assert calls == [1, 2]
 
-    def test_tables_equal_complex_clenshaw(self):
+    def test_tables_equal_textbook_horner(self):
         z_low = np.linspace(0.0, 12.0, 97)
         z_high = np.concatenate([np.linspace(8.0, 12.0, 41), np.geomspace(12.0, 1e5, 60)])
         # the packed sums f_(-1/4) + i f_(3/4), U = P1 + i Q2 and V = Q1 - i P2
-        expected = oracle.clenshaw_2d(numerics._BESSEL_LOW, z_low * z_low / 72.0 - 1.0)
-        f = numerics._clenshaw(numerics._LOW_SERIES, z_low * z_low / 72.0 - 1.0)[0]
+        expected = oracle.horner_2d(numerics._BESSEL_LOW, z_low * z_low / 72.0 - 1.0)
+        f = numerics._horner(numerics._LOW_SERIES, z_low * z_low / 72.0 - 1.0)[0]
         assert np.stack((f.real, f.imag)).tobytes() == expected.tobytes()
-        pq = oracle.clenshaw_2d(numerics._BESSEL_HIGH, 16.0 / z_high - 1.0)
-        u, v = numerics._clenshaw(numerics._HIGH_SERIES, 16.0 / z_high - 1.0)
-        assert np.stack((u.real, -v.imag)).tobytes() == pq.real.tobytes()
-        assert np.stack((v.real, u.imag)).tobytes() == pq.imag.tobytes()
+        x = 16.0 / z_high - 1.0
+        p, q = oracle.horner_2d(numerics._BESSEL_HIGH.real, x), oracle.horner_2d(numerics._BESSEL_HIGH.imag, x)
+        u, v = numerics._horner(numerics._HIGH_SERIES, x)
+        assert np.stack((u.real, -v.imag)).tobytes() == p.tobytes()
+        assert np.stack((v.real, u.imag)).tobytes() == q.tobytes()
 
     @pytest.mark.parametrize(
         "taus,ap",
@@ -338,7 +338,7 @@ class TestNewAgainstComplexOracle:
     @pytest.mark.parametrize("consts", [PhysConsts(), PhysConsts(2.0, 0.5)], ids=["unit", "m2_hbar_half"])
     def test_half_equals_oracle(self, taus, ap, consts):
         expected = oracle.new_eigenstate_half(taus, ap, consts)
-        assert _new_eigenstate_half(taus, ap, consts).tobytes() == expected.tobytes()
+        assert _half_block(EigenFamily.NEW, taus, ap, consts)[:, 0].tobytes() == expected.tobytes()
 
     def test_non_mirror_grid_equals_oracle(self, grid, consts, rng):
         p = rng.permutation(grid.momenta())[:300]
@@ -365,6 +365,18 @@ class TestNonFiniteTau:
     def test_eigenstate_rejects_zero_momentum(self, family, consts):
         with pytest.raises(ValueError, match="eigenstates are not defined at p = 0"):
             eigenstate(family, 0.5, 0.0, consts)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg_inf"])
+    @pytest.mark.parametrize("family", list(EigenFamily), ids=lambda f: f.value)
+    def test_eigenstates_reject_non_finite_momenta(self, family, bad, consts):
+        # one infinite |p| would widen the 32-ulp grouping of _mirror_half to
+        # every momentum, so [1, 2, 3, inf] would read phi(1) four times
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="momenta must be finite"):
+                eigenstate_values(family, 0.5, np.array([1.0, 2.0, 3.0, bad]), consts)
+            with pytest.raises(ValueError, match="momenta must be finite"):
+                eigenstate(family, 0.5, bad, consts)
 
     @pytest.mark.parametrize(
         "window", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)], ids=["inf_end", "neg_inf_start", "nan_end"]

@@ -1,8 +1,9 @@
 """The NEW eigenstates in complex arithmetic (test-side oracle).
 
-This is the evaluator's earlier form: both orders of a table summed in one
-2-D Clenshaw pass, the high table with complex coefficients, and the
-eigenstate assembled as complex products, amp (f0 + i z f1) below z = 10 and
+This is the evaluator's textbook form: both orders of a table summed in one
+2-D real Horner pass, s = s x + a_k, the high table's real and imaginary
+coefficients as two such passes, and the eigenstate assembled as complex
+products, amp (f0 + i z f1) below z = 10 and
 amp ((P1 cos A - Q1 sin A) + i (Q2 cos A + P2 sin A)) at and above it.  The
 packed evaluator of qarrival.operators, two real series to a complex one,
 must equal it byte for byte.  The
@@ -18,30 +19,24 @@ from qarrival.numerics import _BESSEL_HIGH, _BESSEL_LOW, BESSEL_SWITCHOVER, GAMM
 from qarrival.states import Representation, WaveFunction
 
 
-def clenshaw_2d(coefs, x):
-    """sum_k coefs[:, k] T_k(x) for every row of coefs at once, complex rows
-    included; shape (rows,) + x.shape."""
+def horner_2d(coefs, x):
+    """sum_k coefs[:, k] x^k for every row of the real array coefs at once, by
+    the textbook recurrence s = s x + a_k; shape (rows,) + x.shape."""
     c = coefs.reshape(coefs.shape + (1,) * x.ndim)
-    x2 = 2.0 * x
-    b1 = np.empty(coefs.shape[:1] + x.shape, dtype=np.result_type(coefs, x))
-    b1[...] = c[:, -1]
-    b2, t = np.zeros_like(b1), np.empty_like(b1)
-    for k in range(coefs.shape[1] - 2, 0, -1):
-        np.multiply(x2, b1, out=t)
-        t += c[:, k]
-        t -= b2
-        b1, b2, t = t, b1, b2
-    return c[:, 0] + x * b1 - b2
+    s = c[:, -1] * x + c[:, -2]
+    for k in range(coefs.shape[1] - 3, -1, -1):
+        s = s * x + c[:, k]
+    return s
 
 
 def low_table(z, amp):
-    f = clenshaw_2d(_BESSEL_LOW, z * z / 72.0 - 1.0)
+    f = horner_2d(_BESSEL_LOW, z * z / 72.0 - 1.0)
     return amp * (f[0] + 1j * z * f[1])
 
 
 def high_table(z, amp):
-    pq = clenshaw_2d(_BESSEL_HIGH, 16.0 / z - 1.0)
-    (p1, p2), (q1, q2) = pq.real, pq.imag
+    x = 16.0 / z - 1.0
+    (p1, p2), (q1, q2) = horner_2d(_BESSEL_HIGH.real, x), horner_2d(_BESSEL_HIGH.imag, x)
     phase = z - math.pi / 8.0
     cos, sin = np.cos(phase), np.sin(phase)
     return amp * ((p1 * cos - q1 * sin) + 1j * (q2 * cos + p2 * sin))

@@ -4,8 +4,9 @@
 Each line reads `<sha256 of stdout>  <argv>`, with `  [exit N]` appended when
 the command does not exit 0.  The presets cover every subcommand: `verify` at
 several grid sizes, at m = 2, hbar = 0.5 and at L = 1.3; `spectrum` for all
-families at four taus, for KDM at a tau whose phases underflow (signed zeros)
-and at tau = 120 (phases up to ~1e5 rad), and for NEW at m = 2, hbar = 0.5;
+families at four taus, for KDM at a tau whose phases underflow (signed zeros),
+for KDM and NEW at tau = 120 (phases and Bessel arguments z up to ~1e5, far
+into the high table), and for NEW at m = 2, hbar = 0.5;
 `distribution` for all families as CSV, JSON and with the Kijowski reference,
 plus negative, log-spaced and reflected-packet windows, a packet that fills the grid,
 `--with-reference false`, and NEW at m = 2, hbar = 0.5 on its default and on
@@ -65,8 +66,9 @@ def presets() -> list[list[str]]:
     runs += [["spectrum", "--family", f, "--tau", tau] for f in FAMILIES for tau in ("0", "0.7", "-0.5", "1e-5")]
     # some phases underflow to 0 here, so im_phi holds both -0.0 and 0.0
     runs.append(["spectrum", "--family", "kdm", "--tau", "1e-322"])
-    # phases of up to ~1e5 rad, where cos and sin reduce their argument
-    runs.append(["spectrum", "--family", "kdm", "--tau", "120"])
+    # phases of up to ~1e5 rad, where cos and sin reduce their argument; for
+    # NEW, z up to ~1e5, far into the high Bessel table
+    runs += [["spectrum", "--family", f, "--tau", "120"] for f in ("kdm", "new")]
     # off the unit constants, where each NEW amplitude carries m and hbar
     runs.append(["spectrum", "--family", "new", "--mass", "2", "--hbar", "0.5", "--tau", "0.7"])
     for f in FAMILIES:
