@@ -26,7 +26,6 @@ from .states import (
     to_position,
 )
 from .operators import (
-    Distribution,
     EigenFamily,
     OperatorKind,
     OperatorMatrix,
@@ -35,7 +34,6 @@ from .operators import (
     current_expectation,
     distribution,
     dwell_low_momentum_check,
-    eigenstate,
     eigenstate_values,
     hermiticity_defect,
     kinetic_energy_density,
@@ -77,7 +75,6 @@ __all__ = [
     "reflected_position_state",
     "to_momentum",
     "to_position",
-    "Distribution",
     "EigenFamily",
     "OperatorKind",
     "OperatorMatrix",
@@ -86,7 +83,6 @@ __all__ = [
     "current_expectation",
     "distribution",
     "dwell_low_momentum_check",
-    "eigenstate",
     "eigenstate_values",
     "hermiticity_defect",
     "kinetic_energy_density",

@@ -122,7 +122,7 @@ def _kijowski_check(grid: GridSpec, packet: GaussianSpec) -> float:
     t_peak = measurement.classical_arrival(packet.x0, packet.p0, packet.consts.mass)
     taus = t_peak * np.array([0.8, 1.0, 1.2])
     worst = 0.0
-    for t, kij in zip(taus, operators.distribution(psi, EigenFamily.AB, taus).values):
+    for t, kij in zip(taus, operators.distribution(psi, EigenFamily.AB, taus)):
         ab = abs(operators.overlap(psi, EigenFamily.AB, t)) ** 2
         worst = max(worst, abs(kij - ab) / max(kij, 1e-300))
     return worst

@@ -289,18 +289,15 @@ def write_table(
 def cmd_distribution(cfg: RunConfig, out: str | None, fmt: str) -> int:
     psi = cfg.state()
     taus = cfg.tau_grid()
-    family = EigenFamily(cfg.family)
-    dist = distribution(psi, family, taus)
     columns = ["tau", f"pi_{cfg.family}"]
-    cols = [taus, dist.values]
+    cols = [taus, distribution(psi, EigenFamily(cfg.family), taus)]
     if cfg.with_reference:
-        # the Kijowski density is AB's distribution
-        kij = distribution(psi, EigenFamily.AB, taus).values
         _, ked_abs = kinetic_energy_density(psi)
         coef = math.pi / (2.0 * GAMMA_3_4 ** 2)
         ked_curve = coef * np.sqrt(np.abs(taus)) * ked_abs / (cfg.mass**1.5 * cfg.hbar**0.5)
         columns += ["pi_kijowski", "ked_sqrt_law"]
-        cols += [kij, ked_curve]
+        # the Kijowski density is AB's distribution
+        cols += [distribution(psi, EigenFamily.AB, taus), ked_curve]
     write_table(out, fmt, cfg, columns, np.column_stack(cols).tolist())
     return EXIT_OK
 

@@ -2,7 +2,7 @@
 measurements, crossing probabilities, the small-time current law, and
 classical oracles.  Every free evolution here takes its phase from
 _free_phase, and a half-line's Dirichlet wall is the end of its position
-grid at x = 0.
+grid at x = 0.  Times come as 1-D arrays, and results over them are arrays.
 
 Probabilities in this module use uniform-weight (rectangle) sums dx*sum|psi|^2:
 uniform weights keep the projector algebra exact on the grid (idempotence,
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import GridSpec, momentum_to_position, position_to_momentum
-from .operators import _check_taus, _free_current_integrals, current_expectation, kinetic_energy_density
+from .operators import _check_taus, _free_current_integrals, _tau_blocks, current_expectation, kinetic_energy_density
 from .states import Representation, WaveFunction
 
 
@@ -89,8 +89,8 @@ def _prob_mass(values: np.ndarray, dx: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _free_phase(p: np.ndarray, dt: float, consts) -> np.ndarray:
-    """e^{-i p^2 dt / 2 m hbar}, the free evolution over dt at the momenta p."""
+def _free_phase(p: np.ndarray, dt: float | np.ndarray, consts) -> np.ndarray:
+    """e^{-i p^2 dt / 2 m hbar}, the free evolution over dt (broadcast against p) at the momenta p."""
     return np.exp(-1j * p**2 * dt / (2.0 * consts.mass * consts.hbar))
 
 
@@ -229,52 +229,66 @@ CROSSING_OVERSAMPLE = 4
 
 @dataclass(frozen=True)
 class CrossingResult:
-    """The two equivalent forms of the interval crossing probability, floats
-    for a scalar tau and arrays for an array of taus."""
+    """The two equivalent forms of the interval crossing probability, arrays over the taus."""
 
-    projector_form: float | np.ndarray
-    current_form: float | np.ndarray
+    projector_form: np.ndarray
+    current_form: np.ndarray
 
 
-def crossing_probability(psi: WaveFunction, tau: float | np.ndarray) -> CrossingResult:
-    """Probability of crossing the origin during [0, tau], for a scalar tau or
-    a 1-D array of nonnegative, strictly increasing taus (one sweep).
+def _edges(v: np.ndarray, density: np.ndarray) -> tuple[float, float]:
+    """(lo, hi) on the increasing grid v, with at most 1e-12 of the density's mass below lo and as much above hi."""
+    mass = np.cumsum(density)
+    return float(v[np.searchsorted(mass, 1e-12 * mass[-1])]), float(v[np.searchsorted(mass, (1.0 - 1e-12) * mass[-1])])
+
+
+def crossing_probability(psi: WaveFunction, taus: np.ndarray) -> CrossingResult:
+    """Probability of crossing the origin during [0, tau], for each tau of a
+    1-D array of nonnegative, strictly increasing taus (one sweep).
 
     projector_form:  <psi|Pbar P(tau) Pbar|psi> + <psi|P Pbar(tau) P|psi>
     with P = theta(x), evaluated by project / free-propagate / project on a
     CROSSING_OVERSAMPLE-times oversampled conjugate position grid.  psi is
-    projected once per sweep, both parts by one two-row transform; each tau
-    evolves both parts and transforms them by one two-row call.
+    projected once per sweep, both parts by one two-row transform; the live
+    taus are evolved in blocks (_tau_blocks), each block's parts by one
+    transform of its (taus, 2, p) stack.
     current_form:  integral over [0, tau] of <Pbar psi|J(t)|Pbar psi>
     - <P psi|J(t)|P psi> (they agree because dP(t)/dt = J(t)).  The current
     is a finite sum of phases, so its time integral is taken in closed form
     by _free_current_integrals: no time grid, and each tau costs one phase
     per distinct p^2 and its columns of one matrix product.
     Both forms are exactly 0 at tau = 0.
+
+    The position grid is a periodic box [-x_max, x_max), x_max = pi hbar / dp:
+    a part that passes one end comes back at the other.  All but 1e-12 of the
+    mass lies in [x_lo, x_hi] and [p_lo, p_hi] (_edges) and reaches no end
+    before m (x_max - x_hi) / p_hi or m (x_max + x_lo) / -p_lo, so a later
+    last tau raises RuntimeError.
     """
     if psi.rep is not Representation.MOMENTUM:
         raise ValueError("crossing_probability expects a momentum-representation state")
-    taus = _check_taus(np.atleast_1d(tau), "tau", increasing=True, nonnegative=True)
-    hbar = psi.consts.hbar
+    taus = _check_taus(taus, "tau", increasing=True, nonnegative=True)
+    m, hbar = psi.consts.mass, psi.consts.hbar
     p = psi.grid
     # oversampled half-offset position grid at the conjugate extent
     x_grid = GridSpec(CROSSING_OVERSAMPLE * p.size, math.pi * hbar * (p.size - 1) / (p[-1] - p[0]))
     x = x_grid.momenta()
-    dx = x_grid.dp
+    dx, x_max = x_grid.dp, x_grid.p_max
     left, right = x < 0.0, x > 0.0
     psi_x = momentum_to_position(psi.values, p, x, hbar)
+    (x_lo, x_hi), (p_lo, p_hi) = _edges(x, np.abs(psi_x) ** 2), _edges(p, np.abs(psi.values) ** 2)
+    wrap = m * min(gap / v for gap, v in ((x_max - x_hi, p_hi), (x_max + x_lo, -p_lo)) if v > 0.0)
+    if taus[-1] > wrap and np.any(psi.values):  # a null packet reaches no end
+        raise RuntimeError(f"tau = {float(taus[-1])!r} passes {wrap:.4g}, when the packet reaches an end of its box")
     parts = position_to_momentum(np.where([left, right], psi_x, 0.0), x, p, hbar)
 
-    projector = np.zeros(taus.size)
-    current = np.zeros(taus.size)
+    projector, current = np.zeros(taus.size), np.zeros(taus.size)
     live = np.flatnonzero(taus)
-    for k in live:
-        neg_x, pos_x = momentum_to_position(parts * _free_phase(p, taus[k], psi.consts), p, x, hbar)
-        projector[k] = _prob_mass(neg_x[right], dx) + _prob_mass(pos_x[left], dx)
+    for start, block in _tau_blocks(taus[live], p.size):
+        evolved = momentum_to_position(parts * _free_phase(p, block[:, None, None], psi.consts), p, x, hbar)
+        for k, (neg_x, pos_x) in zip(live[start:], evolved):
+            projector[k] = _prob_mass(neg_x[right], dx) + _prob_mass(pos_x[left], dx)
     j = _free_current_integrals(parts, p, psi.dx, taus[live], psi.consts)
     current[live] = j[:, 0] - j[:, 1]
-    if np.ndim(tau) == 0:
-        return CrossingResult(float(projector[0]), float(current[0]))
     return CrossingResult(projector, current)
 
 

@@ -16,7 +16,8 @@ evaluated on the half grid |p| at both signs (_half_block, the one place that
 knows the rule), and every overlap, reconstruction and expansion is one
 formula over both sides.  The half grid is the distinct |p| (_mirror_half,
 the one rule for which momenta share a |p|), and every momentum sum, the
-currents' too, folds onto it (_fold).
+currents' too, folds onto it (_fold).  Results are arrays: Pi(tau) and <J(t)>
+over 1-D arrays of times, phi_tau over an array of momenta at one tau.
 
 The NEW family is the self-adjoint arrival-time operator built from the time
 integral of the current operator,
@@ -144,24 +145,6 @@ class OperatorMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Sampled arrival-time probability density Pi(tau)."""
-
-    tau_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        tau = np.asarray(self.tau_grid, dtype=float)
-        val = np.asarray(self.values, dtype=float)
-        if tau.shape != val.shape:
-            raise ValueError("tau_grid and values must have matching shapes")
-        if np.any(val < -1e-12) or not np.all(np.isfinite(val)):
-            raise ValueError("distribution values must be finite and nonnegative")
-        object.__setattr__(self, "tau_grid", tau)
-        object.__setattr__(self, "values", val)
-
-
 # ---------------------------------------------------------------------------
 # Eigenstates
 # ---------------------------------------------------------------------------
@@ -173,7 +156,7 @@ def _mi_norm(consts: PhysConsts) -> float:
 
 # Taus are evaluated in blocks of about this many evaluated samples: (tau, |p|)
 # pairs of the half grid for the eigenstates (of its trimmed part, _trim, in
-# distribution), (t, p^2) pairs for the currents.
+# distribution), (t, p^2) pairs for the currents, (tau, p) for the crossing.
 # A block bounds the temporaries, and is large enough that the per-call
 # overhead of a NEW block's numpy calls is small against its work.
 _BLOCK_SAMPLES = 4096
@@ -197,6 +180,14 @@ def _new_amplitudes(ap: np.ndarray, tau: np.ndarray, consts: PhysConsts) -> tupl
     # sqrt(2/(pi z)) it is sqrt(|p| / 2 pi m hbar)
     low = ap * ((tau / (2.0 * m * hbar)) ** 0.25 / (2.0 * math.sqrt(m * hbar)))
     return low, np.sqrt(ap / (2.0 * math.pi * m * hbar))
+
+
+def _check_phase(ap: np.ndarray, taus: np.ndarray, consts: PhysConsts) -> None:
+    """Raise ValueError if a phase p^2 |tau| / 2 m hbar at |p| = ap and these taus
+    overflows (cos and sin of it are NaN): one check, at the largest |p| and |tau|."""
+    a, t = float(np.max(ap, initial=0.0)), float(np.max(np.abs(taus)))
+    if not math.isfinite(a * a * t / (2.0 * consts.mass * consts.hbar)):
+        raise ValueError(f"the eigenstate phase p^2 tau / 2 m hbar overflows at |p| = {a!r}, |tau| = {t!r}")
 
 
 def _mirror_half(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,19 +310,15 @@ def _overlaps(half: np.ndarray, folded: np.ndarray) -> np.ndarray:
 
 def eigenstate_values(family: EigenFamily, tau: float, p: np.ndarray, consts: PhysConsts) -> np.ndarray:
     """Eigenstate phi_tau sampled on a 1-D array of momenta (no p = 0 allowed);
-    tau is a finite scalar.  The _half_block row of tau, at each momentum's
-    |p| on its side."""
+    tau is a finite scalar whose phases p^2 tau / 2 m hbar stay finite.  The
+    _half_block row of tau, at each momentum's |p| on its side."""
     taus = np.array([float(_check_taus(tau, "tau"))])
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"p must be a 1-D array of momenta, got shape {p.shape}")
     ap, index = _mirror_half(p)
+    _check_phase(ap, taus, consts)
     return _half_block(family, taus, ap, consts)[0][(p < 0.0).astype(np.intp), index]
-
-
-def eigenstate(family: EigenFamily, tau: float, p: float, consts: PhysConsts = PhysConsts()) -> complex:
-    """Single eigenstate value phi_tau(p); p must be nonzero."""
-    return complex(eigenstate_values(family, float(tau), np.array([float(p)]), consts)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +462,8 @@ def overlap(psi: WaveFunction, family: EigenFamily, tau: float) -> complex:
     return integrate(np.conj(psi.values) * phi, psi.dx)
 
 
-def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -> Distribution:
-    """Pi(tau_k) = |<psi|phi_tau_k>|^2.
+def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -> np.ndarray:
+    """Pi(tau_k) = |<psi|phi_tau_k>|^2, a float array over the taus of tau_grid.
 
     The Simpson-weighted packet is folded onto the half grid once (_fold) and
     trimmed to its support (_trim), the eigenstates are evaluated there at
@@ -492,11 +479,14 @@ def distribution(psi: WaveFunction, family: EigenFamily, tau_grid: np.ndarray) -
     _check_momentum_state(psi)
     tau_grid = _check_taus(tau_grid, "tau_grid", increasing=True)
     ap, folded = _trim(*_fold(psi.grid, simpson_weights(psi.grid.size, psi.dx) * psi.values))
+    _check_phase(ap, tau_grid, psi.consts)
     vals = np.empty(tau_grid.size)
     for start, taus in _tau_blocks(tau_grid, ap.size):
         half = _half_block(family, taus, ap, psi.consts)
         vals[start : start + taus.size] = np.abs(_overlaps(half, folded)) ** 2
-    return Distribution(tau_grid, vals)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("distribution values must be finite")
+    return vals
 
 
 def kinetic_energy_density(psi: WaveFunction) -> tuple[float, float]:
@@ -528,7 +518,7 @@ def _free_currents(values: np.ndarray, p: np.ndarray, dp: float, ts: np.ndarray,
     _BLOCK_SAMPLES (t, p^2) entries, and the sums A0 and A1 of every row
     come from one matrix product per block.  The product is a stack of
     one-time rows, so a time's sums do not depend on the times that share its
-    block, and a scalar call equals its row of a batched call bitwise.
+    block: a one-time call equals its row of a longer call bitwise.
     """
     m, hbar = consts.mass, consts.hbar
     energies, folded = _current_sums(p, values)
@@ -585,8 +575,8 @@ def _free_current_integrals(
     return (total.real * dp**2 / (2.0 * math.pi * hbar * m)).reshape(taus.shape + values.shape[:-1])
 
 
-def current_expectation(psi: WaveFunction, t: float | np.ndarray) -> float | np.ndarray:
-    """<J(t)> at x = 0 after free evolution, for a scalar or 1-D array of times.
+def current_expectation(psi: WaveFunction, t: np.ndarray) -> np.ndarray:
+    """<J(t)> at x = 0 after free evolution, an array over the 1-D array of times t.
 
     J = (p delta(x) + delta(x) p) / 2m with the exact momentum-basis kernel
     <p|delta(x)|p'> = 1/(2 pi hbar) is rank two:
@@ -597,8 +587,9 @@ def current_expectation(psi: WaveFunction, t: float | np.ndarray) -> float | np.
     """
     _check_momentum_state(psi)
     ts = _check_taus(t, "t")
-    j = _free_currents(psi.values, psi.grid, psi.dx, ts.reshape(-1), psi.consts)
-    return float(j[0]) if ts.ndim == 0 else j.reshape(ts.shape)
+    if ts.ndim != 1:
+        raise ValueError(f"t must be a 1-D array of times, got shape {ts.shape}")
+    return _free_currents(psi.values, psi.grid, psi.dx, ts, psi.consts)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +629,7 @@ def completeness_check(
     wt = simpson_weights(tau_n, taus[1] - taus[0])
     wp = simpson_weights(psi.grid.size, psi.dx)
     ap, (wp, values) = _fold(psi.grid, np.stack([wp, psi.values]))
+    _check_phase(ap, taus, psi.consts)
     wp = wp.real
     # AB's theta(+p) and theta(-p) sectors each overlap one side and rebuild it
     sectors = (np.eye(2)[:, :, None] if family is EigenFamily.AB else np.ones((1, 2, 1))) * (wp * values)

@@ -20,7 +20,6 @@ from qarrival import (
     classical_stopwatch,
     conditional_distribution,
     distribution,
-    eigenstate,
     eigenstate_values,
     kinetic_energy_density,
     small_time_current_law,
@@ -125,11 +124,9 @@ def test_criterion_04_asymptotic_regimes(consts, verify_report):
     tau = 0.7
     seam = verify_report["new_branch_seam"]["value"]
     slope = new_low_momentum_slope(tau, consts)
-    worst = 0.0
-    for z in (1e-5, 1e-4, 1e-3):
-        p = math.sqrt(2.0 * z / tau)
-        val = eigenstate(EigenFamily.NEW, tau, p, consts)
-        worst = max(worst, abs(abs(val) / p - slope) / slope)
+    p = np.sqrt(2.0 * np.array([1e-5, 1e-4, 1e-3]) / tau)
+    vals = eigenstate_values(EigenFamily.NEW, tau, p, consts)
+    worst = float(np.max(np.abs(np.abs(vals) / p - slope) / slope))
     ok = seam <= 1e-6 and worst <= 1e-4
     report(
         "criterion 4 (asymptotic regimes)",
@@ -146,10 +143,10 @@ def test_criterion_05_large_momentum_regime(fast_packet):
     taus = np.linspace(0.3, 0.7, 81)
     d_new = distribution(fast_packet, EigenFamily.NEW, taus)
     d_kdm = distribution(fast_packet, EigenFamily.KDM, taus)
-    peak = float(np.max(d_kdm.values))
-    dev = float(np.max(np.abs(d_new.values - d_kdm.values))) / peak
-    t_new = float(taus[np.argmax(d_new.values)])
-    t_kdm = float(taus[np.argmax(d_kdm.values)])
+    peak = float(np.max(d_kdm))
+    dev = float(np.max(np.abs(d_new - d_kdm))) / peak
+    t_new = float(taus[np.argmax(d_new)])
+    t_kdm = float(taus[np.argmax(d_kdm)])
     ok = dev <= 0.01 and abs(t_new - 0.5) <= 0.02 and abs(t_kdm - 0.5) <= 0.02
     report(
         "criterion 5 (large-momentum regime)",
@@ -166,8 +163,7 @@ def test_criterion_06_low_momentum_regime(reflected_packet):
     within 1%."""
     m, hbar = reflected_packet.consts.mass, reflected_packet.consts.hbar
     taus = np.geomspace(1e-6, 1e-5, 9)
-    dist = distribution(reflected_packet, EigenFamily.NEW, taus)
-    ratios = dist.values / np.sqrt(taus)
+    ratios = distribution(reflected_packet, EigenFamily.NEW, taus) / np.sqrt(taus)
     spread = float((np.max(ratios) - np.min(ratios)) / np.mean(ratios))
     _, ked_abs = kinetic_energy_density(reflected_packet)
     target = math.pi / (2.0 * GAMMA_3_4 ** 2) * ked_abs / (m**1.5 * hbar**0.5)

@@ -123,6 +123,6 @@ def test_kijowski_check_sweeps_its_taus_once(grid, fast_spec, monkeypatch):
     t_peak = -fast_spec.consts.mass * fast_spec.x0 / fast_spec.p0
     worst = 0.0
     for t in (0.8 * t_peak, t_peak, 1.2 * t_peak):
-        kij = distribution(psi, EigenFamily.AB, np.array([t])).values[0]
+        kij = distribution(psi, EigenFamily.AB, np.array([t]))[0]
         worst = max(worst, abs(kij - abs(operators.overlap(psi, EigenFamily.AB, t)) ** 2) / kij)
     assert value == worst

@@ -82,6 +82,35 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "tau_max" in res.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--family", "kdm", "--tau", "1e308"], ["spectrum", "--family", "new", "--tau", "1e308"],
+         ["distribution", "--family", "ab", "--tau-max", "1e308"]],
+        ids=["spectrum_kdm", "spectrum_new", "distribution_ab"],
+    )
+    def test_overflowing_eigenstate_phase_exits_2(self, tmp_path, argv):
+        # p^2 tau / 2 m hbar overflows at the largest |p| of the grid; cos and
+        # sin of it were NaN, written as rows with a RuntimeWarning and exit 0
+        out = tmp_path / "out.csv"
+        res = run_cli(*argv, "--out", str(out))
+        assert res.returncode == 2
+        (line,) = res.stderr.splitlines()  # one line, no RuntimeWarning
+        assert line.startswith("error: the eigenstate phase p^2 tau / 2 m hbar overflows at |p| = ")
+        assert line.endswith(", |tau| = 1e+308")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau_max", ["5", "50"])
+    def test_crossing_past_the_box_wrap_exits_3(self, tmp_path, tau_max):
+        # the default box wraps the packet from tau = 2.44; past it the forms
+        # read impossible probabilities (p_current = 6.66 at tau = 50)
+        out = tmp_path / "cross.csv"
+        res = run_cli("measure", "--mode", "crossing", "--tau-max", tau_max, "--out", str(out))
+        assert res.returncode == 3
+        assert res.stderr.splitlines() == [
+            f"numeric failure: tau = {float(tau_max)!r} passes 2.443, when the packet reaches an end of its box"
+        ]
+        assert not out.exists()
+
     def test_verify_all_pass_exits_0(self, tmp_path):
         out = tmp_path / "report.json"
         res = run_cli("verify", "--out", str(out))

@@ -2,12 +2,14 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from qarrival import (
     GaussianSpec,
+    GridSpec,
     MeasurementChain,
     Propagator,
     Representation,
@@ -31,6 +33,7 @@ from qarrival import (
     to_position,
     window_project,
 )
+from qarrival.operators import _tau_blocks
 from qarrival.states import conjugate_position_grid
 from util_dense import dense_halfline
 from util_pertau import crossing_per_tau, free_phase
@@ -435,9 +438,9 @@ class TestConditionalDistribution:
 
 class TestCrossingProbability:
     def test_zero_at_tau_zero(self, fast_packet):
-        res = crossing_probability(fast_packet, 0.0)
-        assert res.projector_form == 0.0
-        assert res.current_form == 0.0
+        res = crossing_probability(fast_packet, np.array([0.0]))
+        assert res.projector_form.tolist() == [0.0]
+        assert res.current_form.tolist() == [0.0]
 
     def test_tau_zero_row_of_a_sweep(self, fast_packet):
         res = crossing_probability(fast_packet, np.array([0.0, 0.3]))
@@ -458,19 +461,23 @@ class TestCrossingProbability:
 
     @pytest.mark.parametrize(
         "taus",
-        [np.linspace(0.0, 1.0, 6), np.geomspace(1e-3, 1.0, 7)],
-        ids=["linear", "log"],
+        [np.linspace(0.0, 1.0, 6), np.geomspace(1e-3, 1.0, 7), np.linspace(0.0, 1.0, 12)],
+        ids=["linear", "log", "three_blocks"],
     )
     def test_sweep_matches_per_tau_oracle(self, fast_packet, taus):
+        # each sweep evolves its live taus in blocks of 4 at n = 1024 (5, 7 and
+        # 11 live taus), the last block partial
+        sizes = [block.size for _, block in _tau_blocks(taus[taus > 0.0], fast_packet.grid.size)]
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
         res = crossing_probability(fast_packet, taus)
         oracle = np.array([crossing_per_tau(fast_packet, float(t)) for t in taus])
         assert np.array_equal(res.projector_form, oracle[:, 0])
         assert np.max(np.abs(res.current_form - oracle[:, 1])) <= 1e-10
 
-    def test_one_two_row_transform_per_tau(self, fast_packet, monkeypatch):
-        # both parts are projected by one call, and each live tau evolves them
-        # by the shared phase and transforms them by one call; no state is
-        # evolved through free_evolve
+    def test_one_transform_per_tau_block(self, fast_packet, monkeypatch):
+        # both parts are projected by one call, and each block of live taus
+        # evolves them by its phases and transforms its (taus, 2, p) stack by
+        # one call; no state is evolved through free_evolve
         shapes = []
 
         def spy(transform):
@@ -486,27 +493,22 @@ class TestCrossingProbability:
         for name in ("momentum_to_position", "position_to_momentum"):
             monkeypatch.setattr(measurement, name, spy(getattr(measurement, name)))
         monkeypatch.setattr(measurement, "free_evolve", unexpected)
-        crossing_probability(fast_packet, np.array([0.0, 0.3, 0.6]))
+        crossing_probability(fast_packet, np.linspace(0.0, 1.0, 12))
         n = fast_packet.grid.size
         to_x, to_p = "momentum_to_position", "position_to_momentum"
-        assert shapes == [(to_x, (n,)), (to_p, (2, 4 * n)), (to_x, (2, n)), (to_x, (2, n))]
+        blocks = [(to_x, (k, 2, n)) for k in (4, 4, 3)]  # 11 live taus, 4096 // n = 4 per block
+        assert shapes == [(to_x, (n,)), (to_p, (2, 4 * n)), *blocks]
 
-    def test_one_element_array_equals_scalar_call(self, fast_packet):
-        scalar = crossing_probability(fast_packet, 0.5)
-        swept = crossing_probability(fast_packet, np.array([0.5]))
-        assert isinstance(scalar.projector_form, float) and isinstance(scalar.current_form, float)
-        assert swept.projector_form.tolist() == [scalar.projector_form]
-        assert swept.current_form.tolist() == [scalar.current_form]
-
-    def test_scalar_equals_its_row_of_the_default_sweep(self, fast_packet):
-        alone = crossing_probability(fast_packet, 0.5).current_form
-        swept = crossing_probability(fast_packet, np.linspace(0.0, 1.0, 201)).current_form[100]
-        assert abs(alone - swept) <= 1e-15
+    def test_one_tau_equals_its_row_of_the_default_sweep(self, fast_packet):
+        alone = crossing_probability(fast_packet, np.array([0.5]))
+        swept = crossing_probability(fast_packet, np.linspace(0.0, 1.0, 201))
+        assert alone.projector_form[0] == swept.projector_form[100]
+        assert abs(alone.current_form[0] - swept.current_form[100]) <= 1e-15
 
     @pytest.mark.parametrize(
         "taus",
         [
-            -0.1,
+            0.5,
             np.array([-0.1, 0.5]),
             np.array([0.5, 0.2]),
             np.array([0.2, 0.2]),
@@ -515,12 +517,43 @@ class TestCrossingProbability:
             np.array([0.1, np.inf]),
             np.nan,
         ],
-        ids=["negative_scalar", "negative_entry", "decreasing", "repeated", "empty", "nan_entry", "inf_entry",
+        ids=["scalar", "negative_entry", "decreasing", "repeated", "empty", "nan_entry", "inf_entry",
              "nan_scalar"],
     )
     def test_rejects_bad_taus(self, fast_packet, taus):
         with pytest.raises(ValueError, match="tau"):
             crossing_probability(fast_packet, taus)
+
+    @pytest.mark.parametrize("tau", [5.0, 25.0, 50.0])
+    def test_rejects_taus_past_the_box_wrap(self, fast_packet, tau):
+        # the default grid's periodic box, x_max = pi hbar / dp = 40.2, wraps the
+        # packet's fast tail from about tau = 2.5; these taus read p_projector
+        # = 0.170 (tau = 5) and p_current = 3.56 and 6.66 (tau = 25 and 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = r"tau = .* passes 2\.443, when the packet reaches an end of its box"
+            with pytest.raises(RuntimeError, match=message):
+                crossing_probability(fast_packet, np.array([0.5, tau]))
+
+    def test_rejects_a_left_moving_packet_past_the_left_end(self, consts, grid):
+        # the fast packet mirrored about x = 0 reaches the box's left end instead
+        psi = make_gaussian(GaussianSpec(-10.0, 5.0, 1.0, consts), grid)
+        with pytest.raises(RuntimeError, match="passes"):
+            crossing_probability(psi, np.array([5.0]))
+
+    def test_null_packet_never_crosses(self, fast_packet):
+        null = WaveFunction(Representation.MOMENTUM, fast_packet.grid, np.zeros(fast_packet.grid.size), fast_packet.consts)
+        res = crossing_probability(null, np.array([0.0, 0.5, 50.0]))
+        assert res.projector_form.tolist() == [0.0] * 3 and res.current_form.tolist() == [0.0] * 3
+
+    def test_taus_before_the_wrap_match_a_wider_box(self, fast_spec, fast_packet):
+        # n = 4096 at the same p_max is a box 4 times as wide, which the packet
+        # does not reach by tau = 2.4, just inside the default grid's limit
+        taus = np.array([1.0, 2.4])
+        res = crossing_probability(fast_packet, taus)
+        ref = crossing_probability(make_gaussian(fast_spec, GridSpec(4096, 40.0)), taus)
+        assert np.max(np.abs(res.projector_form - ref.projector_form)) <= 1e-12
+        assert np.max(np.abs(res.current_form - ref.current_form)) <= 1e-12
 
 
 class TestSmallTimeCurrentLaw:
@@ -539,8 +572,8 @@ class TestSmallTimeCurrentLaw:
             GaussianSpec(0.6, -20.0, 0.125, consts), reflected_grid
         )
         tau = 0.03
-        j1 = current_expectation(reflected_packet, tau)
-        j2 = current_expectation(other, tau)
+        j1 = current_expectation(reflected_packet, np.array([tau]))[0]
+        j2 = current_expectation(other, np.array([tau]))[0]
         k1, _ = kinetic_energy_density(reflected_packet)
         k2, _ = kinetic_energy_density(other)
         assert j2 / j1 == pytest.approx(k2 / k1, rel=0.02)

@@ -6,7 +6,8 @@ the command does not exit 0.  The presets cover every subcommand: `verify` at
 several grid sizes, at m = 2, hbar = 0.5 and at L = 1.3; `spectrum` for all
 families at four taus, for KDM at a tau whose phases underflow (signed zeros),
 for KDM and NEW at tau = 120 (phases and Bessel arguments z up to ~1e5, far
-into the high table), and for NEW at m = 2, hbar = 0.5;
+into the high table), for NEW at m = 2, hbar = 0.5, and for KDM at tau =
+1e308, whose phases overflow (rejected);
 `distribution` for all families as CSV, JSON and with the Kijowski reference,
 plus negative, log-spaced and reflected-packet windows, a packet that fills the grid,
 `--with-reference false`, and NEW at m = 2, hbar = 0.5 on its default and on
@@ -16,7 +17,9 @@ a 16001-sample box, and with a short second step (`--t2 0.81`) and on a
 401-sample box, where pi hbar dt / (m dx) is below the box's extent (a
 chirp-kernel propagator aliases there), and conditional with a reflected
 packet and with a packet that leaves its box, both rejected; crossing also at
-n = 4096, whose transforms read 16384 source samples; and `classical`.  A
+n = 4096, whose transforms read 16384 source samples, on 12 taus (three
+blocks of evolved taus), and past the time the packet reaches an end of its
+periodic box (rejected); and `classical`.  A
 change that should leave every output byte-identical is checked by running
 this on the parent and on the change and diffing:
 
@@ -71,6 +74,8 @@ def presets() -> list[list[str]]:
     runs += [["spectrum", "--family", f, "--tau", "120"] for f in ("kdm", "new")]
     # off the unit constants, where each NEW amplitude carries m and hbar
     runs.append(["spectrum", "--family", "new", "--mass", "2", "--hbar", "0.5", "--tau", "0.7"])
+    # rejected (exit 2): p^2 tau / 2 m hbar overflows at the largest |p|
+    runs.append(["spectrum", "--family", "kdm", "--tau", "1e308"])
     for f in FAMILIES:
         runs += [["distribution", "--family", f],
                  ["distribution", "--family", f, "--format", "json"],
@@ -92,6 +97,10 @@ def presets() -> list[list[str]]:
     # the first preset whose transforms read 16384 source samples (4x oversampled
     # n = 4096), the size from which numpy may reuse a temporary in place
     runs.append(["measure", "--mode", "crossing", "--n", "4096"])
+    # 11 live taus, evolved in blocks of 4, 4 and 3; and a window past the
+    # time the packet reaches an end of its periodic box, rejected (exit 3)
+    runs += [["measure", "--mode", "crossing", "--tau-count", "12"],
+             ["measure", "--mode", "crossing", "--tau-max", "50"]]
     runs += [
         ["measure", "--mode", "zeno", "--format", "json"],
         # zeno on the packet the flag names, not the preset's reflected one
