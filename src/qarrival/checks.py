@@ -102,8 +102,9 @@ def _eigenstate_checks(grid: GridSpec, consts: PhysConsts) -> dict:
     # the eigenstate's only seam is the switchover between the Bessel tables:
     # both tables at z = 10 itself, at the momentum where tau = 0.7 reaches it
     tau, z = 0.7, np.array([numerics.BESSEL_SWITCHOVER])
-    low_amp, high_amp = operators._new_amplitudes(np.sqrt(2.0 * consts.mass * consts.hbar * z / tau), tau, consts)
-    lo = complex((numerics._bessel_low(z) * low_amp)[0])
+    ap = np.sqrt(2.0 * consts.mass * consts.hbar * z / tau)
+    low_factor, high_amp = operators._new_amplitudes(ap, tau, consts)
+    lo = complex((numerics._bessel_low(z) * (ap * low_factor))[0])
     hi = complex((numerics._bessel_high(z) * high_amp)[0])
     values["new_branch_seam"] = abs(lo - hi) / abs(lo)
     gap = _bessel_table_gap(np.linspace(8.0, 12.0, 50))

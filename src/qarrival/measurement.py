@@ -42,8 +42,11 @@ class WindowSpec:
         if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 
-    def indicator(self, x: np.ndarray) -> np.ndarray:
-        return np.abs(x - self.center) <= self.half_width
+    def samples(self, x: np.ndarray) -> slice:
+        """The run of samples of the increasing grid x with |x - center| <=
+        half_width: x - center is nondecreasing, so two binary searches find it."""
+        d = x - self.center
+        return slice(np.searchsorted(d, -self.half_width, "left"), np.searchsorted(d, self.half_width, "right"))
 
 
 @dataclass(frozen=True)
@@ -94,24 +97,33 @@ def _free_phase(p: np.ndarray, dt: float | np.ndarray, consts) -> np.ndarray:
     return np.exp(-1j * p**2 * dt / (2.0 * consts.mass * consts.hbar))
 
 
+def _box_evolve(values: np.ndarray, dx: float, dt: float, consts) -> np.ndarray:
+    """Free evolution over dt of `values` on a uniform position grid of step
+    dx, in the periodic box of that grid, exactly on the grid: one FFT, the
+    phase at the box momenta p = 2 pi hbar fftfreq(M, dx), one inverse FFT.
+    An odd count of N samples is a box of M = N - 1 whose last sample repeats
+    the first."""
+    n = values.size
+    box = n - n % 2
+    spectrum = np.fft.fft(values[:box])
+    spectrum *= _free_phase(2.0 * math.pi * consts.hbar * np.fft.fftfreq(box, dx), dt, consts)
+    out = np.empty(n, dtype=complex)
+    np.fft.ifft(spectrum, out=out[:box])
+    out[box:] = out[: n - box]
+    return out
+
+
 def free_evolve(psi: WaveFunction, dt: float) -> WaveFunction:
     """Free evolution over dt: the phase e^{-i p^2 dt / 2 m hbar} in momentum.
 
-    A momentum state takes it at its samples.  A position state evolves in the
-    periodic box of its grid, exactly on the grid: one FFT, the phase at the
-    box momenta p = 2 pi hbar fftfreq(M, dx), one inverse FFT.  An odd grid of
-    N samples is a box of M = N - 1 whose last sample repeats the first.
+    A momentum state takes it at its samples; a position state evolves in the
+    periodic box of its grid (_box_evolve).
     """
-    x, values = psi.grid, psi.values
-    box = x.size - x.size % 2
+    x = psi.grid
     if psi.rep is Representation.MOMENTUM:
-        p = x
+        values = psi.values * _free_phase(x, dt, psi.consts)
     else:
-        p = 2.0 * math.pi * psi.consts.hbar * np.fft.fftfreq(box, (x[-1] - x[0]) / (x.size - 1))
-        values = np.fft.fft(values[:box])
-    values = values * _free_phase(p, dt, psi.consts)
-    if psi.rep is Representation.POSITION:
-        values = np.fft.ifft(values)[np.arange(x.size) % box]
+        values = _box_evolve(psi.values, (x[-1] - x[0]) / (x.size - 1), dt, psi.consts)
     return WaveFunction(psi.rep, x, values, psi.consts)
 
 
@@ -138,11 +150,12 @@ def halfline_propagate(psi: WaveFunction, t1: float, t0: float) -> WaveFunction:
     x = psi.grid
     flip = _wall_first(x)
 
-    # distance y from the wall and the values there, wall first; both walls hold 0
-    y, u = np.abs(x[flip]), psi.values[flip].copy()
+    # the values by distance from the wall, wall first; both walls hold 0.  The
+    # odd extension about the wall has the grid's step
+    u = psi.values[flip].copy()
     u[[0, -1]] = 0.0
-    odd = WaveFunction(psi.rep, np.concatenate([-y[:0:-1], y]), np.concatenate([-u[:0:-1], u]), psi.consts)
-    out = free_evolve(odd, dt).values[y.size - 1 :]
+    dx = abs(x[-1] - x[0]) / (x.size - 1)
+    out = _box_evolve(np.concatenate([-u[:0:-1], u]), dx, dt, psi.consts)[x.size - 1 :]
     out[[0, -1]] = 0.0
     return WaveFunction(psi.rep, x, out[flip], psi.consts)
 
@@ -153,7 +166,9 @@ def window_project(psi: WaveFunction, w: WindowSpec) -> WaveFunction:
     if psi.rep is not Representation.POSITION:
         raise ValueError("window_project expects a position-representation state")
     _check_window(w, psi.grid)
-    values = np.where(w.indicator(psi.grid), psi.values, 0.0)
+    inside = w.samples(psi.grid)
+    values = np.zeros(psi.values.shape, dtype=complex)
+    values[inside] = psi.values[inside]
     return WaveFunction(Representation.POSITION, psi.grid, values, psi.consts)
 
 
@@ -202,7 +217,8 @@ def conditional_distribution(
     whose wall is the grid's end at x = 0.  The first event is a one-event
     HALFLINE chain (propagate to t1, project onto the first window); the state
     then propagates to t2, and the conditional probability of each second
-    window is its mass divided by the first-event probability.
+    window is its mass, summed over its run of samples (WindowSpec.samples),
+    divided by the first-event probability.
     """
     xbar1, t1, delta1 = event1
     if not (t1 > 0.0 and t2 > t1 and math.isfinite(t2)):
@@ -214,7 +230,7 @@ def conditional_distribution(
     state = halfline_propagate(state, t2, t1)
     rho, x = np.abs(state.values) ** 2, state.grid
     windows = [WindowSpec(c, delta) for c in np.asarray(xbar2_grid, dtype=float).tolist()]
-    masses = [np.sum(rho[w.indicator(x)]) for w in windows]
+    masses = [np.sum(rho[w.samples(x)]) for w in windows]
     return np.array(masses, dtype=float) * state.dx / p1
 
 

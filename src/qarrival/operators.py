@@ -172,14 +172,14 @@ def _tau_blocks(taus: np.ndarray, samples: int):
 
 def _new_amplitudes(ap: np.ndarray, tau: np.ndarray, consts: PhysConsts) -> tuple[np.ndarray, np.ndarray]:
     """The factors that take numerics' _bessel_low and _bessel_high values to
-    the NEW eigenstate at |p| and tau (broadcast against each other for the
-    low one)."""
+    the NEW eigenstate at |p| and tau: the low table's amplitude is ap times
+    the first, a factor per tau, and the high table's is the second, a factor
+    per |p|."""
     m, hbar = consts.mass, consts.hbar
     # the prefactor times |p|^(3/2) undoes each table's scale: times z^(-1/4)
     # it is |p| (tau / 2 m hbar)^(1/4) / (2 sqrt(m hbar)), and times
     # sqrt(2/(pi z)) it is sqrt(|p| / 2 pi m hbar)
-    low = ap * ((tau / (2.0 * m * hbar)) ** 0.25 / (2.0 * math.sqrt(m * hbar)))
-    return low, np.sqrt(ap / (2.0 * math.pi * m * hbar))
+    return (tau / (2.0 * m * hbar)) ** 0.25 / (2.0 * math.sqrt(m * hbar)), np.sqrt(ap / (2.0 * math.pi * m * hbar))
 
 
 def _check_phase(ap: np.ndarray, taus: np.ndarray, consts: PhysConsts) -> None:
@@ -239,17 +239,21 @@ def _half_block(family: EigenFamily, taus: np.ndarray, ap: np.ndarray, consts: P
     plus, minus = block[:, 0], block[:, 1]
     if family is EigenFamily.NEW:
         # the low Bessel table below the switchover z = 10, the high table at
-        # and above it: each gathers its samples, scales them in place and
-        # writes them straight into the + row.  phi_tau ~ tau^(1/4), so a row
-        # with tau = 0 has amplitude 0 and reads +0, as a zero row does
+        # and above it: each gathers its samples, scales them in place by
+        # amplitudes formed at those samples only, and writes them straight
+        # into the + row.  phi_tau ~ tau^(1/4), so a row with tau = 0 has
+        # amplitude 0 and reads +0, as a zero row does
         tau = np.abs(taus)[:, None]
         z = ap * ap * tau / (2.0 * m * hbar)
-        low_amp, high_amp = _new_amplitudes(ap, tau, consts)
+        low_factor, high_amp = _new_amplitudes(ap, tau, consts)
         lo = z < BESSEL_SWITCHOVER
-        for on, table, amp in ((lo, _bessel_low, low_amp), (~lo, _bessel_high, np.broadcast_to(high_amp, z.shape))):
+        for on, table in ((lo, _bessel_low), (~lo, _bessel_high)):
             if on.any():
                 values = table(z[on])
-                values *= amp[on]
+                if table is _bessel_low:
+                    values *= np.broadcast_to(ap, z.shape)[on] * np.broadcast_to(low_factor, z.shape)[on]
+                else:
+                    values *= np.broadcast_to(high_amp, z.shape)[on]
                 plus[on] = values
         # C T_NEW C = -T_NEW for the complex conjugation C, so phi_{-tau} = conj phi_tau
         negative = taus < 0.0
@@ -296,15 +300,22 @@ def _trim(ap: np.ndarray, folded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ap[keep], folded[:, keep]
 
 
+def _side_sums(half: np.ndarray, folded: np.ndarray) -> np.ndarray:
+    """sum over |p| of phi conj(b) on each side, shape (taus, 2), for each tau
+    of a _half_block and a _fold-ed packet b.  Each tau and side is its own
+    pairwise sum along |p|, as numpy's sum is, so a tau does not depend on
+    the taus beside it: where the two sides of an overlap cancel, a BLAS dot
+    product lost up to 10x more digits.  The product is formed C-ordered,
+    whatever the layout of either factor, because numpy sums pairwise only
+    along a contiguous axis."""
+    return np.multiply(half, np.conj(folded), order="C").sum(axis=2)
+
+
 def _overlaps(half: np.ndarray, folded: np.ndarray) -> np.ndarray:
     """<phi_tau|b> = sum over both sides and |p| of conj(phi) b, for each tau
-    of a _half_block and a _fold-ed packet b, as conj(sum phi conj(b)).
-    Each tau and side is its own pairwise sum along |p|, as numpy's sum is,
-    so a tau does not depend on the taus beside it: where the two sides of
-    an overlap cancel, a BLAS dot product lost up to 10x more digits.  The
-    product is formed C-ordered, whatever the layout of either factor,
-    because numpy sums pairwise only along a contiguous axis."""
-    sums = np.multiply(half, np.conj(folded), order="C").sum(axis=2)
+    of a _half_block and a _fold-ed packet b, as conj(sum phi conj(b)) of the
+    two _side_sums."""
+    sums = _side_sums(half, folded)
     return np.conj(sums[:, 0] + sums[:, 1])
 
 
@@ -615,7 +626,8 @@ def completeness_check(
     (_fold), the eigenstates are evaluated there at +|p| and -|p| in blocks
     of taus (_half_block), and each block adds its overlaps c = <phi|psi>
     (_overlaps) and its share sum (w c) phi of psi_rec on both sides; AB's
-    sectors are masks on the folded packet.  The error is a sum over both
+    theta(+p) and theta(-p) sector overlaps are the two sides' sums of one
+    product (_side_sums).  The error is a sum over both
     sides.  So it equals a per-tau loop over the full grid to rounding, and
     moves in its last digits whenever the block size changes.
     """
@@ -631,14 +643,17 @@ def completeness_check(
     ap, (wp, values) = _fold(psi.grid, np.stack([wp, psi.values]))
     _check_phase(ap, taus, psi.consts)
     wp = wp.real
-    # AB's theta(+p) and theta(-p) sectors each overlap one side and rebuild it
-    sectors = (np.eye(2)[:, :, None] if family is EigenFamily.AB else np.ones((1, 2, 1))) * (wp * values)
+    packet = wp * values
     rec = np.zeros((2, ap.size), dtype=complex)
     mass = 0.0
     for start, block in _tau_blocks(taus, ap.size):
         half = _half_block(family, block, ap, psi.consts)
         w = wt[start : start + block.size, None]
-        c = np.stack([_overlaps(half, packet) for packet in sectors], axis=1)  # one column per sector
+        if family is EigenFamily.AB:
+            # AB's theta(+p) and theta(-p) sectors each overlap one side and rebuild it
+            c = np.conj(_side_sums(half, packet))
+        else:
+            c = _overlaps(half, packet)[:, None]
         rec += np.sum((w * c)[:, :, None] * half, axis=0)
         mass += float(np.sum(w * np.abs(c) ** 2))
 

@@ -11,6 +11,7 @@ from qarrival import (
     GaussianSpec,
     GridSpec,
     MeasurementChain,
+    PhysConsts,
     Propagator,
     Representation,
     WaveFunction,
@@ -35,6 +36,7 @@ from qarrival import (
 )
 from qarrival.operators import _tau_blocks
 from qarrival.states import conjugate_position_grid
+from util_box import gather_evolve, odd_extension_halfline
 from util_dense import dense_halfline
 from util_pertau import crossing_per_tau, free_phase
 
@@ -77,6 +79,17 @@ class TestHalflinePropagate:
     def test_requires_positive_time_step(self, wall_packet):
         with pytest.raises(ValueError):
             halfline_propagate(wall_packet, 0.0, 0.1)
+
+    @pytest.mark.parametrize("nx", [2000, 2001])
+    @pytest.mark.parametrize("box", [(0.0, 20.0), (-20.0, 0.0)], ids=["wall_first", "wall_last"])
+    def test_equals_odd_extension_state(self, consts, nx, box):
+        # bitwise the odd extension built as a WaveFunction and evolved with
+        # an index gather onto its repeated last sample
+        x = np.linspace(*box, nx)
+        side = 1.0 if box[0] == 0.0 else -1.0
+        psi = WaveFunction(Representation.POSITION, x, analytic_free_gaussian(x, 0.0, -8.0 * side, 9.0 * side, 0.7), consts)
+        out = halfline_propagate(psi, 0.45, 0.2)
+        assert out.values.tobytes() == odd_extension_halfline(psi, 0.45, 0.2).tobytes()
 
     @pytest.mark.parametrize("t1,t0", [(math.nan, 0.0), (0.3, math.nan), (math.inf, 0.0), (0.3, -math.inf)])
     def test_non_finite_time_named(self, wall_packet, t1, t0):
@@ -153,6 +166,14 @@ class TestFreeEvolve:
         assert np.sum(np.abs(out.values[box]) ** 2) == pytest.approx(mass, rel=1e-14)
 
     @pytest.mark.parametrize("nx", [800, 801])
+    @pytest.mark.parametrize("consts", [PhysConsts(), PhysConsts(2.0, 0.5)], ids=["unit", "m2_hbar_half"])
+    def test_position_equals_gather_form(self, consts, nx):
+        # bitwise the box evolution that gathers an odd grid's last sample by index
+        x = np.linspace(-20.0, 20.0, nx)
+        psi = WaveFunction(Representation.POSITION, x, analytic_free_gaussian(x, 0.0, 3.0, -2.0, 0.5), consts)
+        assert free_evolve(psi, 0.6).values.tobytes() == gather_evolve(psi, 0.6).tobytes()
+
+    @pytest.mark.parametrize("nx", [800, 801])
     def test_centred_packet_matches_analytic(self, consts, nx):
         x = np.linspace(-20.0, 20.0, nx)
         psi = WaveFunction(Representation.POSITION, x, analytic_free_gaussian(x, 0.0, 2.0, 0.0, 0.5), consts)
@@ -192,6 +213,19 @@ class TestWindowProject:
             window_project(pos_packet, w)
         with pytest.raises(ValueError, match=message):
             MeasurementChain(pos_packet, ((0.1, w),))
+
+    def test_samples_are_the_window_predicate(self, rng):
+        # the slice of samples holds exactly the x with |x - center| <= half_width,
+        # also where a sample lies on an edge (x = 4.5 and 5.5 below)
+        x = np.linspace(0.0, 10.0, 101)
+        centers = np.concatenate([[5.0, 0.0, 10.0, 0.05, 3.3], rng.uniform(0.0, 10.0, 40)])
+        for c in centers:
+            for half_width in (0.5, 0.05, 0.01, 7.0):
+                w = WindowSpec(float(c), half_width)
+                mask = np.zeros(x.size, dtype=bool)
+                mask[w.samples(x)] = True
+                assert np.array_equal(mask, np.abs(x - c) <= half_width)
+        assert WindowSpec(5.0, 0.5).samples(x) == slice(45, 56)
 
     @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg_inf"])
     def test_non_finite_center_rejected(self, center):
@@ -373,6 +407,21 @@ class TestConditionalDistribution:
         centers = np.arange(x[0] + delta - psi.dx / 2.0, x[-1] - delta, 2.0 * delta)
         cond = conditional_distribution(psi, (4.0, 0.8, delta), t2, centers, delta)
         assert abs(np.sum(cond) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("box", [(0.0, 40.0), (-40.0, 0.0)], ids=["wall_first", "wall_last"])
+    def test_masses_equal_masked_sums(self, consts, box):
+        # each second window's mass is bitwise the sum over its boolean mask
+        side = 1.0 if box[0] == 0.0 else -1.0
+        psi = self._initial(consts, p0=-10.0 * side, sigma_p=0.5, xc=8.0 * side, nx=4001, box=box)
+        xbar1, t1, t2, delta = 4.0 * side, 0.8, 1.05, 0.5
+        centers = side * np.arange(0.25, 12.0, 0.125)
+        cond = conditional_distribution(psi, (xbar1, t1, delta), t2, centers, delta)
+        first = MeasurementChain(psi, ((t1, WindowSpec(xbar1, delta)),), Propagator.HALFLINE)
+        state, p1 = chain_final_state(first)
+        state = halfline_propagate(state, t2, t1)
+        rho, x = np.abs(state.values) ** 2, state.grid
+        masses = np.array([np.sum(rho[np.abs(x - c) <= delta]) for c in centers]) * state.dx / p1
+        assert cond.tobytes() == masses.tobytes()
 
     def test_non_finite_window_centres_rejected(self, consts):
         # a NaN first or second centre is an error, not a first-event

@@ -23,6 +23,7 @@ from qarrival.states import (
     to_momentum,
     to_position,
 )
+from util_box import direct_twiddles, folded_fourier
 from util_dense import dense_fourier
 
 
@@ -386,6 +387,50 @@ class TestTransforms:
         ref_p = dense_fourier(psi_x, x, p, -1.0, consts.hbar)
         out_p = position_to_momentum(psi_x, x, p, consts.hbar)
         assert np.max(np.abs(out_p - ref_p)) <= 1e-12 * np.max(np.abs(ref_p))
+
+    @staticmethod
+    def _grids(n, kind, hbar):
+        p = GridSpec(n, 40.0).momenta()
+        x_max = math.pi * hbar / GridSpec(n, 40.0).dp
+        if kind == "crossing_4x":  # M = 4n, larger than the momentum grid
+            return p, GridSpec(4 * n, math.pi * hbar * (n - 1) / (p[-1] - p[0])).momenta()
+        if kind == "conjugate":  # M = n
+            return p, GridSpec(n, x_max).momenta()
+        return p, np.linspace(-x_max, x_max, 4 * n + 1)  # M = 4n, one sample short of the position grid
+
+    @pytest.mark.parametrize("n,kind", [(1024, "crossing_4x"), (1024, "conjugate"), (1792, "centred_4x_plus_1")])
+    @pytest.mark.parametrize("lead", [(), (3, 2)], ids=["one_row", "stack"])
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    def test_slices_equal_folded_oracle(self, n, kind, lead, hbar, rng):
+        # the box filled and read by slices against zero-fill, reshape-sum,
+        # roll and fancy gather, both given the library's twiddles; on the
+        # centred grid the source (7169 -> 1792) and then the destination
+        # (1792 -> 7169) is one sample longer than the box
+        p, x = self._grids(n, kind, hbar)
+        for src, dst, sign in ((p, x, +1.0), (x, p, -1.0)):
+            values = rng.standard_normal(lead + (src.size,)) + 1j * rng.standard_normal(lead + (src.size,))
+            got = numerics._fourier_apply(values, src, dst, sign, hbar)
+            assert np.array_equal(got, folded_fourier(values, src, dst, sign, hbar))
+
+    @pytest.mark.parametrize("n,kind", [(1024, "crossing_4x"), (1024, "conjugate"), (1792, "centred_4x_plus_1")])
+    def test_short_twiddle_tables_move_a_transform_by_eps(self, n, kind, consts):
+        # against one exponential per twiddle sample, and the scale applied
+        # after the phase, the outputs move by a few eps of their peak
+        p, x = self._grids(n, kind, consts.hbar)
+        psi_p = make_gaussian(GaussianSpec(10.0, -5.0, 1.0, consts), GridSpec(n, 40.0)).values
+        psi_x = np.where(x < 0.0, momentum_to_position(psi_p, p, x, consts.hbar), 0.0)
+        for values, src, dst, sign in ((psi_p, p, x, +1.0), (psi_x, x, p, -1.0)):
+            got = numerics._fourier_apply(values, src, dst, sign, consts.hbar)
+            ref = folded_fourier(values, src, dst, sign, consts.hbar, twiddles=direct_twiddles)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1024, 7169, 16384])
+    def test_phase_table_is_the_linear_phase(self, n):
+        k = -(n // 2) + np.arange(n)
+        for phase0, theta, scale in ((0.0, 1e-3, 1.0), (0.3, math.pi / n, 0.7), (-1.0, -5.8 / n, 2.0)):
+            table = numerics._phase_table(phase0, theta, -(n // 2), n, scale)
+            assert table.shape == (n,)
+            assert np.max(np.abs(table - scale * np.exp(1j * (phase0 + theta * k)))) <= 8.0 * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize(
         "x",
